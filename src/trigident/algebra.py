@@ -1,7 +1,10 @@
 """Exact sparse polynomial arithmetic over the rationals in a, b, c, d.
 
-A polynomial is stored as a mapping from monomials to nonzero Fraction
-coefficients.  A monomial is a 4-tuple of non-negative exponents, one per
+A polynomial is stored as a mapping from monomials to nonzero rational
+coefficients.  An integral coefficient is stored as a plain int and only a
+non-integral one as a Fraction, so the integer polynomials that brackets
+and constraints produce multiply at int speed; Python mixes the two types
+exactly.  A monomial is a 4-tuple of non-negative exponents, one per
 variable in the fixed order (a, b, c, d).  The zero polynomial stores no
 terms at all, so structural equality of the term mappings coincides with
 mathematical equality.
@@ -36,17 +39,15 @@ class Polynomial:
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | Iterable[tuple[Monomial, Scalar]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        canonical: dict[Monomial, Fraction] = {}
+        accumulated: dict[Monomial, Scalar] = {}
         for monomial, coefficient in items:
             monomial = tuple(monomial)
             if len(monomial) != len(VARIABLES) or any(e < 0 or not isinstance(e, int) for e in monomial):
                 raise ValueError(f"bad monomial {monomial!r}")
-            value = canonical.get(monomial, Fraction(0)) + Fraction(coefficient)
-            if value:
-                canonical[monomial] = value
-            else:
-                canonical.pop(monomial, None)
-        self._terms = canonical
+            if type(coefficient) is not int:
+                coefficient = Fraction(coefficient)
+            accumulated[monomial] = accumulated.get(monomial, 0) + coefficient
+        self._terms = _canonical(accumulated)
 
     # ------------------------------------------------------------------
     # constructors
@@ -57,24 +58,28 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value: Scalar) -> Polynomial:
-        return cls({_ZERO_MONOMIAL: Fraction(value)})
+        return cls({_ZERO_MONOMIAL: value})
 
     @classmethod
     def variable(cls, name: str) -> Polynomial:
         index = VARIABLES.index(name)
         exponents = [0, 0, 0, 0]
         exponents[index] = 1
-        return cls({tuple(exponents): Fraction(1)})
+        return cls({tuple(exponents): 1})
 
     # ------------------------------------------------------------------
     # inspection
 
     @property
-    def terms(self) -> Mapping[Monomial, Fraction]:
-        """Read-only view of the canonical term mapping (no zero coefficients)."""
+    def terms(self) -> Mapping[Monomial, Scalar]:
+        """Read-only view of the canonical term mapping.
+
+        No coefficient is zero, and each is an int when integral, otherwise
+        a Fraction with denominator > 1.
+        """
         return MappingProxyType(self._terms)
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
         """Terms in the canonical rendering order (graded, then reverse-lex)."""
         return [(m, self._terms[m]) for m in sorted(self._terms, key=_order_key)]
 
@@ -103,12 +108,8 @@ class Polynomial:
         other = _coerce(other)
         merged = dict(self._terms)
         for monomial, coefficient in other._terms.items():
-            value = merged.get(monomial, Fraction(0)) + coefficient
-            if value:
-                merged[monomial] = value
-            else:
-                merged.pop(monomial, None)
-        return _wrap(merged)
+            merged[monomial] = merged.get(monomial, 0) + coefficient
+        return _wrap(_canonical(merged))
 
     __radd__ = __add__
 
@@ -123,16 +124,9 @@ class Polynomial:
 
     def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
         other = _coerce(other)
-        product: dict[Monomial, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                monomial = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
-                value = product.get(monomial, Fraction(0)) + c1 * c2
-                if value:
-                    product[monomial] = value
-                else:
-                    product.pop(monomial, None)
-        return _wrap(product)
+        product: dict[Monomial, Scalar] = {}
+        _accumulate_product(product, self._terms.items(), list(other._terms.items()))
+        return _wrap(_canonical(product))
 
     __rmul__ = __mul__
 
@@ -184,16 +178,22 @@ class Polynomial:
         k = self.degree_in(name)
         if k == 0:
             return self
-        numerator_powers = _powers(numerator, k)
-        denominator_powers = _powers(denominator, k)
-        result = Polynomial.zero()
+        # Group the terms by their exponent e of the substituted variable, so
+        # each factor numerator^e * denominator^(k-e) is built once and every
+        # product lands in one dict.
+        by_exponent: list[list[tuple[Monomial, Scalar]]] = [[] for _ in range(k + 1)]
         for monomial, coefficient in self._terms.items():
-            e = monomial[index]
             stripped = list(monomial)
             stripped[index] = 0
-            base = Polynomial({tuple(stripped): coefficient})
-            result = result + base * numerator_powers[e] * denominator_powers[k - e]
-        return result
+            by_exponent[monomial[index]].append((tuple(stripped), coefficient))
+        numerator_powers = _powers(numerator, k)
+        denominator_powers = _powers(denominator, k)
+        result: dict[Monomial, Scalar] = {}
+        for e, stripped_terms in enumerate(by_exponent):
+            if stripped_terms:
+                factor = numerator_powers[e] * denominator_powers[k - e]
+                _accumulate_product(result, stripped_terms, list(factor._terms.items()))
+        return _wrap(_canonical(result))
 
     # ------------------------------------------------------------------
     # rendering
@@ -222,11 +222,38 @@ def _coerce(value: Polynomial | Scalar) -> Polynomial:
     raise TypeError(f"cannot treat {type(value).__name__} as a polynomial")
 
 
-def _wrap(terms: dict[Monomial, Fraction]) -> Polynomial:
+def _wrap(terms: dict[Monomial, Scalar]) -> Polynomial:
     # Internal fast path: terms is already canonical.
     poly = Polynomial.__new__(Polynomial)
     poly._terms = terms
     return poly
+
+
+def _accumulate_product(
+    into: dict[Monomial, Scalar],
+    left: Iterable[tuple[Monomial, Scalar]],
+    right: Sequence[tuple[Monomial, Scalar]],
+) -> None:
+    # Adds every pairwise product of left and right terms into one dict.
+    # Zeros and integral Fractions are left for _canonical to clean up once.
+    get = into.get
+    for (e0, e1, e2, e3), c1 in left:
+        for m2, c2 in right:
+            monomial = (e0 + m2[0], e1 + m2[1], e2 + m2[2], e3 + m2[3])
+            into[monomial] = get(monomial, 0) + c1 * c2
+
+
+def _canonical(terms: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:
+    # One pass per result: drop zeros, and store an integral coefficient as
+    # an int.  An int coefficient never needs narrowing; a Fraction does when
+    # its denominators cancelled to 1.
+    return {
+        monomial: coefficient
+        if type(coefficient) is int or coefficient.denominator != 1
+        else coefficient.numerator
+        for monomial, coefficient in terms.items()
+        if coefficient
+    }
 
 
 def _powers(poly: Polynomial, up_to: int) -> list[Polynomial]:
@@ -236,7 +263,7 @@ def _powers(poly: Polynomial, up_to: int) -> list[Polynomial]:
     return powers
 
 
-def _render_term(monomial: Monomial, magnitude: Fraction) -> str:
+def _render_term(monomial: Monomial, magnitude: Scalar) -> str:
     factors = [
         name if exponent == 1 else f"{name}^{exponent}"
         for name, exponent in zip(VARIABLES, monomial)

@@ -30,6 +30,8 @@ class ZeroSumTriple:
     z: float
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
+            raise ValueError(f"triple entries must be finite: {self}")
         residual = abs(self.x + self.y + self.z)
         scale = 1.0 + abs(self.x) + abs(self.y) + abs(self.z)
         if residual > _ZERO_SUM_TOLERANCE * scale:
@@ -44,6 +46,8 @@ class PolarForm:
     theta: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.rho) and math.isfinite(self.theta)):
+            raise ValueError(f"radius and angle must be finite: {self}")
         if self.rho < 0:
             raise ValueError(f"negative radius: {self.rho}")
         if not -math.pi < self.theta <= math.pi:
@@ -54,7 +58,10 @@ def decompose(triple: ZeroSumTriple) -> PolarForm:
     """Polar form of a zero-sum triple; (0, 0, 0) maps to rho = 0, theta = 0."""
     if triple.x == 0.0 and triple.y == 0.0 and triple.z == 0.0:
         return PolarForm(0.0, 0.0)
-    rho = math.sqrt((triple.x ** 2 + triple.y ** 2 + triple.z ** 2) * 2.0 / 3.0)
+    try:
+        rho = math.sqrt((triple.x ** 2 + triple.y ** 2 + triple.z ** 2) * 2.0 / 3.0)
+    except OverflowError as exc:
+        raise ValueError(f"triple too large for a finite radius: {triple}") from exc
     alpha = math.atan2(math.sqrt(3.0) / 2.0 * triple.y, triple.x + triple.y / 2.0)
     theta = alpha + math.pi / 6.0
     if theta > math.pi:

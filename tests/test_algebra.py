@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from trigident.algebra import VARIABLES, Polynomial
+from trigident.algebra import VARIABLES, Polynomial, _wrap
 
 A = Polynomial.variable("a")
 B = Polynomial.variable("b")
@@ -143,3 +143,141 @@ def test_equality_against_scalars():
     assert Polynomial.constant(5) == 5
     assert A - A == 0
     assert A != 0
+
+
+# ----------------------------------------------------------------------
+# differential check against all-Fraction reference arithmetic
+#
+# The reference keeps every coefficient a Fraction and drops zeros term by
+# term, as the original implementation did; Polynomial stores integral
+# coefficients as int and normalizes once per result.  Both must describe
+# the same polynomial, term for term.
+
+CONSTANT_MONOMIAL = (0, 0, 0, 0)
+
+
+def reference_add(left, right):
+    merged = dict(left)
+    for monomial, coefficient in right.items():
+        value = merged.get(monomial, Fraction(0)) + coefficient
+        if value:
+            merged[monomial] = value
+        else:
+            merged.pop(monomial, None)
+    return merged
+
+
+def reference_mul(left, right):
+    product = {}
+    for m1, c1 in left.items():
+        for m2, c2 in right.items():
+            monomial = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
+            value = product.get(monomial, Fraction(0)) + c1 * c2
+            if value:
+                product[monomial] = value
+            else:
+                product.pop(monomial, None)
+    return product
+
+
+def reference_substitute_clear(terms, name, numerator, denominator):
+    index = VARIABLES.index(name)
+    k = max((m[index] for m in terms), default=0)
+    if k == 0:
+        return dict(terms)
+    numerator_powers = [{CONSTANT_MONOMIAL: Fraction(1)}]
+    denominator_powers = [{CONSTANT_MONOMIAL: Fraction(1)}]
+    for _ in range(k):
+        numerator_powers.append(reference_mul(numerator_powers[-1], numerator))
+        denominator_powers.append(reference_mul(denominator_powers[-1], denominator))
+    result = {}
+    for monomial, coefficient in terms.items():
+        e = monomial[index]
+        stripped = list(monomial)
+        stripped[index] = 0
+        base = {tuple(stripped): coefficient}
+        result = reference_add(
+            result, reference_mul(reference_mul(base, numerator_powers[e]), denominator_powers[k - e])
+        )
+    return result
+
+
+def mixed_coefficient(rng):
+    # Integers, integral Fractions such as 4/2, and small denominators that
+    # often cancel to 1 or to zero when terms collide.
+    numerator = rng.randint(-6, 6)
+    if rng.random() < 0.4:
+        return numerator
+    return Fraction(numerator, rng.choice((1, 2, 3, 4, 6)))
+
+
+def mixed_pair(rng, max_terms=8, max_exponent=2, variables=VARIABLES):
+    """A Polynomial and its all-Fraction reference term dict."""
+    indices = [VARIABLES.index(name) for name in variables]
+    raw = []
+    for _ in range(rng.randint(0, max_terms)):
+        monomial = [0, 0, 0, 0]
+        for index in indices:
+            monomial[index] = rng.randint(0, max_exponent)
+        raw.append((tuple(monomial), mixed_coefficient(rng)))
+    reference = {}
+    for monomial, coefficient in raw:
+        reference = reference_add(reference, {monomial: Fraction(coefficient)})
+    return Polynomial(raw), reference
+
+
+def assert_matches_reference(poly, reference):
+    assert dict(poly.terms) == reference
+    assert str(poly) == str(_wrap(reference))
+    for coefficient in poly.terms.values():
+        assert coefficient != 0
+        assert type(coefficient) is int or (
+            type(coefficient) is Fraction and coefficient.denominator > 1
+        )
+
+
+def test_integral_scalars_are_stored_as_int():
+    assert type(Polynomial.constant(True).terms[CONSTANT_MONOMIAL]) is int
+    assert type(Polynomial({(1, 0, 0, 0): Fraction(4, 2)}).terms[(1, 0, 0, 0)]) is int
+    assert type(Polynomial.constant(Fraction(3, 4)).terms[CONSTANT_MONOMIAL]) is Fraction
+    half = Polynomial.constant(Fraction(1, 2)) * A
+    assert_matches_reference(half + half, {(1, 0, 0, 0): Fraction(1)})
+    assert_matches_reference(half * 2 - A, {})
+
+
+def test_arithmetic_matches_fraction_reference():
+    rng = random.Random(20261017)
+    for _ in range(300):
+        p, p_ref = mixed_pair(rng)
+        q, q_ref = mixed_pair(rng)
+        assert_matches_reference(p, p_ref)
+        assert_matches_reference(p + q, reference_add(p_ref, q_ref))
+        assert_matches_reference(p * q, reference_mul(p_ref, q_ref))
+        assert_matches_reference(p * q - q * p, {})
+        assert_matches_reference(p * p, reference_mul(p_ref, p_ref))
+
+
+def test_products_that_cancel_match_fraction_reference():
+    third = Polynomial.constant(Fraction(1, 3))
+    p = third * A + Polynomial.constant(Fraction(2, 3)) * B
+    q = Polynomial.constant(Fraction(3, 2)) * A - 3 * B
+    p_ref = {(1, 0, 0, 0): Fraction(1, 3), (0, 1, 0, 0): Fraction(2, 3)}
+    q_ref = {(1, 0, 0, 0): Fraction(3, 2), (0, 1, 0, 0): Fraction(-3)}
+    product = p * q
+    assert_matches_reference(product, reference_mul(p_ref, q_ref))
+    assert (1, 1, 0, 0) not in product.terms
+    assert product.terms[(0, 2, 0, 0)] == -2
+    assert type(product.terms[(0, 2, 0, 0)]) is int
+
+
+def test_substitute_clear_matches_fraction_reference():
+    rng = random.Random(17)
+    for _ in range(200):
+        p, p_ref = mixed_pair(rng, max_exponent=3)
+        numerator, numerator_ref = mixed_pair(rng, max_terms=3, variables=("a", "b", "c"))
+        denominator, denominator_ref = mixed_pair(rng, max_terms=3, variables=("a", "b", "c"))
+        cleared = p.substitute_clear("d", numerator, denominator)
+        expected = reference_substitute_clear(p_ref, "d", numerator_ref, denominator_ref)
+        assert_matches_reference(cleared, expected)
+    constraint = A * D - B * C
+    assert_matches_reference(constraint.substitute_clear("d", B * C, A), {})

@@ -102,6 +102,29 @@ def test_verify_falsified_exits_one(capsys, tmp_path):
     assert out.startswith("FALSIFIED wrong witness=(")
 
 
+@pytest.mark.parametrize(
+    "name, text, reduced_terms, witness",
+    [
+        (
+            "wrong",
+            "constraint: a*d - b*c = 0; 64*D(6)*D(10) == 44*D(8)^2",
+            169,
+            ["3/7", "-8/5", "7/8", "-49/15"],
+        ),
+        ("unconstrained", "25*A(3)*A(7) == 22*A(5)^2", 234, ["3/7", "-8/5", "7/8", "3/5"]),
+    ],
+)
+def test_verify_json_pins_reduced_terms_and_witness(capsys, tmp_path, name, text, reduced_terms, witness):
+    path = tmp_path / f"{name}.rid"
+    path.write_text(text + "\n", encoding="utf-8")
+    code, out, _ = invoke(capsys, "verify", str(path), "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["verdict"] == "FALSIFIED"
+    assert payload["reduced_terms"] == reduced_terms
+    assert payload["witness"] == witness
+
+
 def test_verify_unknown_name_exits_two(capsys):
     code, out, err = invoke(capsys, "verify", "missing-name")
     assert code == 2
@@ -210,6 +233,22 @@ def test_polar_rejects_non_zero_sum_input(capsys):
     code, _, err = invoke(capsys, "polar", "decompose", "1", "1", "1")
     assert code == 2
     assert "sum to zero" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compose", "nan", "0"),
+        ("compose", "inf", "0"),
+        ("decompose", "nan", "0", "0"),
+        ("decompose", "--", "1e200", "1e200", "-2e200"),
+    ],
+)
+def test_polar_rejects_non_finite_input(capsys, argv):
+    code, out, err = invoke(capsys, "polar", *argv)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
 
 
 def test_catalog_listing(capsys):

@@ -66,6 +66,11 @@ def test_brackets_are_homogeneous():
             assert all(sum(m) == power for m in p.terms)
 
 
+def test_difference_bracket_term_counts():
+    counts = [len(bracket_poly(BracketKind.D, power).terms) for power in range(6, 21)]
+    assert counts == [50, 84, 98, 144, 162, 220, 242, 312, 338, 420, 450, 544, 578, 684, 722]
+
+
 def test_bracket_value_agrees_with_expanded_polynomial():
     rng = random.Random(17)
     for _ in range(30):
