@@ -19,6 +19,7 @@ from .discovery import (
     derive_constant,
     discover,
     emit_statement,
+    render_relation,
 )
 from .dsl import (
     DslError,
@@ -107,6 +108,7 @@ __all__ = [
     "derive_constant",
     "discover",
     "emit_statement",
+    "render_relation",
     "DslError",
     "DslSemanticError",
     "DslSyntaxError",

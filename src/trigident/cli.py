@@ -14,14 +14,13 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .discovery import DiscoveredIdentity, DiscoveryQuery, discover, emit_statement
-from .dsl import DslError, Format, load_statement, render
+from .discovery import DiscoveryQuery, discover, render_relation
+from .dsl import DslError, Format, load_statement
 from .fourier import Mode, linearize_closed, render_latex, render_plain, to_json
 from .identities import (
-    CATALOG_DESCRIPTIONS,
+    CATALOG,
     IdentityStatement,
     Verdict,
-    catalog,
     catalog_entry,
     render_report,
     report_json,
@@ -31,6 +30,7 @@ from .identities import (
 from .polar import PolarForm, ZeroSumTriple, compose, decompose
 
 _MODES = {"diff": Mode.DIFFERENCE, "point": Mode.POINTWISE}
+_EMIT_FORMATS = {"dsl": Format.PLAIN, "latex": Format.LATEX}
 
 
 class CliError(Exception):
@@ -155,40 +155,14 @@ def _run_discover(args: argparse.Namespace) -> int:
         print(json.dumps(payload, separators=(",", ":")))
         return 0
     for d in results:
-        if args.emit == "dsl":
-            statement = emit_statement(d, args.shift_count, mode)
-            if isinstance(statement, IdentityStatement):
-                print(render(statement, Format.PLAIN))
-            else:
-                print(statement)
-        elif args.emit == "latex":
-            print(_latex_relation(d, args.shift_count, mode))
-        else:
+        if args.emit is None:
             print(
                 f"m={d.m} n={d.n} p={d.p} harmonic={d.harmonic}"
                 f" square_factor={d.square_factor} product_factor={d.product_factor}"
             )
+        else:
+            print(render_relation(d, args.shift_count, mode, _EMIT_FORMATS[args.emit]))
     return 0
-
-
-def _latex_relation(d: DiscoveredIdentity, shift_count: int, mode: Mode) -> str:
-    statement = emit_statement(d, shift_count, mode)
-    if isinstance(statement, IdentityStatement):
-        return render(statement, Format.LATEX)
-    if mode is Mode.DIFFERENCE:
-        def delta(power: int) -> str:
-            return (
-                f"\\bigl(f_{{{power}}}(\\theta_1)-f_{{{power}}}(\\theta_2)\\bigr)"
-            )
-
-        return (
-            f"{d.product_factor}{delta(d.m)}{delta(d.n)}"
-            f" = {d.square_factor}{delta(d.p)}^{{2}}"
-        )
-    return (
-        f"{d.product_factor}f_{{{d.m}}}(\\theta)f_{{{d.n}}}(\\theta)"
-        f" = {d.square_factor}f_{{{d.p}}}(\\theta)^{{2}}"
-    )
 
 
 def _run_decompose(args: argparse.Namespace) -> int:
@@ -204,8 +178,9 @@ def _run_compose(args: argparse.Namespace) -> int:
 
 
 def _run_catalog(args: argparse.Namespace) -> int:
-    for statement in catalog():
-        print(f"{statement.name}: {CATALOG_DESCRIPTIONS[statement.name]}")
+    for name, (text, constrained) in CATALOG.items():
+        condition = " assuming a*d = b*c" if constrained else ", unconditional"
+        print(f"{name}: {text}{condition}")
     return 0
 
 
@@ -217,11 +192,13 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except CliError as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"trigident: {exc}", file=sys.stderr)
         return 2
-    except (DslError, ValueError, OSError) as exc:
-        print(f"trigident: {exc}", file=sys.stderr)
+    except RecursionError:
+        # The parser and both evaluation routes recurse once per nesting
+        # level, and a flat sum nests as a left-deep tree.
+        print("trigident: statement nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from .dsl import Format, render
 from .fourier import Mode, linearize_closed, single_harmonic
 from .identities import Bracket, BracketKind, IdentityStatement, Mul, Num, Pow
 
@@ -45,6 +46,21 @@ class DiscoveredIdentity:
     product_factor: int
 
 
+_Harmonic = Optional[tuple[int, Fraction]]
+
+
+def _relate(m: _Harmonic, n: _Harmonic, p: _Harmonic) -> Optional[tuple[int, int, int]]:
+    # (harmonic, square_factor, product_factor) from the single_harmonic
+    # results for f_m, f_n and f_p, or None when the triple does not qualify.
+    if m is None or n is None or p is None:
+        return None
+    (h_m, a_m), (h_n, a_n), (h_p, a_p) = m, n, p
+    if not (h_m == h_n == h_p):
+        return None
+    ratio = (a_m * a_n) / (a_p * a_p)
+    return (h_m, ratio.numerator, ratio.denominator)
+
+
 def derive_constant(
     shift_count: int, m: int, n: int, p: int, mode: Mode
 ) -> Optional[tuple[int, int]]:
@@ -54,46 +70,33 @@ def derive_constant(
     several positive harmonics, the harmonics disagree, or (POINTWISE) a
     constant term survives.
     """
-    derived = _derive(shift_count, m, n, p, mode)
-    if derived is None:
-        return None
-    _, square_factor, product_factor = derived
-    return (square_factor, product_factor)
-
-
-def _derive(
-    shift_count: int, m: int, n: int, p: int, mode: Mode
-) -> Optional[tuple[int, int, int]]:
-    parts = [
-        single_harmonic(linearize_closed(shift_count, power), mode)
-        for power in (m, n, p)
-    ]
-    if any(part is None for part in parts):
-        return None
-    (h_m, a_m), (h_n, a_n), (h_p, a_p) = parts
-    if not (h_m == h_n == h_p):
-        return None
-    ratio = (a_m * a_n) / (a_p * a_p)
-    return (h_m, ratio.numerator, ratio.denominator)
+    related = _relate(
+        *(single_harmonic(linearize_closed(shift_count, k), mode) for k in (m, n, p))
+    )
+    return None if related is None else related[1:]
 
 
 def discover(query: DiscoveryQuery) -> list[DiscoveredIdentity]:
-    """All qualifying triples, sorted by (p, m, n); deterministic."""
+    """All qualifying triples, sorted by (p, m, n); deterministic.
+
+    Each power is linearized and classified once; the pairs then only
+    compare classifications.
+    """
     if query.shift_count < 1:
         raise ValueError(f"shift count must be positive, got {query.shift_count}")
     if query.max_power < 1:
         raise ValueError(f"max power must be positive, got {query.max_power}")
+    harmonics = {
+        k: single_harmonic(linearize_closed(query.shift_count, k), query.mode)
+        for k in range(1, query.max_power + 1)
+    }
     found: list[DiscoveredIdentity] = []
     for m in range(1, query.max_power + 1):
         for n in range(m + 2, query.max_power + 1, 2):
             p = (m + n) // 2
-            derived = _derive(query.shift_count, m, n, p, query.mode)
-            if derived is None:
-                continue
-            harmonic, square_factor, product_factor = derived
-            found.append(
-                DiscoveredIdentity(m, n, p, harmonic, square_factor, product_factor)
-            )
+            related = _relate(harmonics[m], harmonics[n], harmonics[p])
+            if related is not None:
+                found.append(DiscoveredIdentity(m, n, p, *related))
     found.sort(key=lambda d: (d.p, d.m, d.n))
     return found
 
@@ -133,15 +136,31 @@ def emit_statement(
             Num(Fraction(identity.square_factor)), Pow(Bracket(kind, identity.p), 2)
         )
         return IdentityStatement(name, lhs, rhs, constrained)
-    if mode is Mode.DIFFERENCE:
-        def delta(power: int) -> str:
-            return f"(f_{power}(θ1) - f_{power}(θ2))"
+    return render_relation(identity, shift_count, mode, Format.PLAIN)
 
-        return (
-            f"{identity.product_factor}*{delta(identity.m)}*{delta(identity.n)}"
-            f" = {identity.square_factor}*{delta(identity.p)}^2"
-        )
-    return (
-        f"{identity.product_factor}*f_{identity.m}(θ)*f_{identity.n}(θ)"
-        f" = {identity.square_factor}*f_{identity.p}(θ)^2"
+
+# Relation text for shift counts other than 3, which have no bracket form;
+# P is the square factor and Q the product factor.
+_RELATION_TEXT = {
+    (Format.PLAIN, Mode.DIFFERENCE): "{Q}*(f_{m}(θ1) - f_{m}(θ2))*(f_{n}(θ1) - f_{n}(θ2)) = {P}*(f_{p}(θ1) - f_{p}(θ2))^2",
+    (Format.PLAIN, Mode.POINTWISE): "{Q}*f_{m}(θ)*f_{n}(θ) = {P}*f_{p}(θ)^2",
+    (Format.LATEX, Mode.DIFFERENCE): r"{Q}\bigl(f_{{{m}}}(\theta_1)-f_{{{m}}}(\theta_2)\bigr)"
+    r"\bigl(f_{{{n}}}(\theta_1)-f_{{{n}}}(\theta_2)\bigr) = {P}\bigl(f_{{{p}}}(\theta_1)-f_{{{p}}}(\theta_2)\bigr)^{{2}}",
+    (Format.LATEX, Mode.POINTWISE): r"{Q}f_{{{m}}}(\theta)f_{{{n}}}(\theta) = {P}f_{{{p}}}(\theta)^{{2}}",
+}
+
+
+def render_relation(
+    identity: DiscoveredIdentity, shift_count: int, mode: Mode, fmt: Format
+) -> str:
+    """One discovered relation as PLAIN or LATEX text.
+
+    Shift count 3 renders the statement of ``emit_statement``; other shift
+    counts render over f_k evaluations.
+    """
+    if shift_count == 3:
+        return render(emit_statement(identity, shift_count, mode), fmt)
+    return _RELATION_TEXT[fmt, mode].format(
+        m=identity.m, n=identity.n, p=identity.p,
+        P=identity.square_factor, Q=identity.product_factor,
     )

@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -244,7 +244,7 @@ def verify(statement: IdentityStatement, seed: int = 0) -> VerificationReport:
         return VerificationReport(
             statement.name, Verdict.PROVED, None, 0, time.perf_counter() - start
         )
-    witness = _search_witness(statement, random.Random(seed))
+    witness = _search_witness(statement, reduced, random.Random(seed))
     return VerificationReport(
         statement.name,
         Verdict.FALSIFIED,
@@ -297,15 +297,41 @@ def _nonzero_rational(rng: random.Random) -> Fraction:
     return Fraction(numerator, rng.randint(1, 9))
 
 
-def _search_witness(statement: IdentityStatement, rng: random.Random) -> Point:
+_WITNESS_DRAWS = 100
+
+
+def _search_witness(
+    statement: IdentityStatement, reduced: Polynomial, rng: random.Random
+) -> Point:
     # The reduced difference is a nonzero polynomial, so random rational
-    # points miss its zero set with overwhelming probability; a handful of
-    # draws always suffices in practice.
-    for _ in range(100000):
+    # points miss its zero set with overwhelming probability and the first
+    # draw almost always succeeds.  The cap only bounds the rare statement
+    # whose zero set covers the sampling box.
+    for _ in range(_WITNESS_DRAWS):
         point = _sample_point(statement.constrained, rng)
         if expr_value(statement.lhs, point) != expr_value(statement.rhs, point):
             return point
-    raise RuntimeError(f"no witness found for {statement.name}")
+    return _integer_witness(reduced, statement.constrained)
+
+
+def _integer_witness(reduced: Polynomial, constrained: bool) -> Point:
+    # A zero set can hold the whole sampling box, e.g. (a - 1)*(a - 1/2)*...
+    # over every rational it draws from.  Fix the free variables one at a
+    # time: a polynomial of degree k in a variable that is nonzero stays
+    # nonzero at one of the integers 1..k+1.  Under the constraint d is
+    # already eliminated and d = b*c/a follows, with a >= 1.
+    point = []
+    for name in "abc" if constrained else "abcd":
+        for value in range(1, reduced.degree_in(name) + 2):
+            rest = reduced.substitute_clear(name, Polynomial.constant(value), Polynomial.constant(1))
+            if rest:
+                break
+        reduced = rest
+        point.append(Fraction(value))
+    if constrained:
+        a, b, c = point
+        point.append(b * c / a)
+    return tuple(point)
 
 
 # ----------------------------------------------------------------------
@@ -340,91 +366,36 @@ def report_json(report: VerificationReport) -> str:
 # built-in catalog
 
 
-def _num(value: int) -> Num:
-    return Num(Fraction(value))
-
-
-def _product(*factors: Expr) -> Expr:
-    result = factors[0]
-    for factor in factors[1:]:
-        result = Mul(result, factor)
-    return result
-
-
-def _quadratic(first: str, second: str) -> Expr:
-    # first^2 + first*second + second^2, shaped exactly as the parser
-    # shapes the corresponding source text.
-    return Add(
-        Add(Pow(Var(first), 2), Mul(Var(first), Var(second))),
-        Pow(Var(second), 2),
-    )
+# name -> (equation in the statement language, whether a*d = b*c is assumed).
+# Entries are parsed on lookup, one at a time.
+CATALOG: dict[str, tuple[str, bool]] = {
+    "ramanujan-6-10-8": ("64*D(6)*D(10) == 45*D(8)^2", True),
+    "gen-3-7-5-six": ("25*D(3)*D(7) == 21*D(5)^2", True),
+    "gen-3-7-5-three": ("25*A(3)*A(7) == 21*A(5)^2", False),
+    "asym-6-8-factored": ("8*(a^2+a*b+b^2)*(a^2+a*c+c^2)*D(6) == 3*a^2*D(8)", True),
+    "asym-6-8-r2": ("4*A(2)*D(6) == 3*D(8)", True),
+}
 
 
 def catalog() -> list[IdentityStatement]:
-    """The five built-in statements, in a fixed order.
+    """The five built-in statements of ``CATALOG``, in its order.
 
     * ramanujan-6-10-8: the classical (6, 10, 8) product of six-term
-      brackets, 64*D(6)*D(10) == 45*D(8)^2 under a*d = b*c.
+      brackets under a*d = b*c.
     * gen-3-7-5-six: its (3, 7, 5) sibling over the same brackets.
     * gen-3-7-5-three: the (3, 7, 5) identity over the first triple alone,
       with no side condition.
     * asym-6-8-factored: an asymmetric consequence relating D(6) and D(8)
       through two quadratic factors.
     * asym-6-8-r2: the same content with the quadratics repackaged as the
-      degree-2 sum bracket, 4*A(2)*D(6) == 3*D(8).
+      degree-2 sum bracket.
     """
-    def d(n: int) -> Bracket:
-        return Bracket(BracketKind.D, n)
-
-    def a(n: int) -> Bracket:
-        return Bracket(BracketKind.A, n)
-
-    return [
-        IdentityStatement(
-            "ramanujan-6-10-8",
-            _product(_num(64), d(6), d(10)),
-            Mul(_num(45), Pow(d(8), 2)),
-            constrained=True,
-        ),
-        IdentityStatement(
-            "gen-3-7-5-six",
-            _product(_num(25), d(3), d(7)),
-            Mul(_num(21), Pow(d(5), 2)),
-            constrained=True,
-        ),
-        IdentityStatement(
-            "gen-3-7-5-three",
-            _product(_num(25), a(3), a(7)),
-            Mul(_num(21), Pow(a(5), 2)),
-            constrained=False,
-        ),
-        IdentityStatement(
-            "asym-6-8-factored",
-            _product(_num(8), _quadratic("a", "b"), _quadratic("a", "c"), d(6)),
-            _product(_num(3), Pow(Var("a"), 2), d(8)),
-            constrained=True,
-        ),
-        IdentityStatement(
-            "asym-6-8-r2",
-            _product(_num(4), a(2), d(6)),
-            Mul(_num(3), d(8)),
-            constrained=True,
-        ),
-    ]
-
-
-CATALOG_DESCRIPTIONS: dict[str, str] = {
-    "ramanujan-6-10-8": "64*D(6)*D(10) == 45*D(8)^2 assuming a*d = b*c",
-    "gen-3-7-5-six": "25*D(3)*D(7) == 21*D(5)^2 assuming a*d = b*c",
-    "gen-3-7-5-three": "25*A(3)*A(7) == 21*A(5)^2, unconditional",
-    "asym-6-8-factored": "8*(a^2+a*b+b^2)*(a^2+a*c+c^2)*D(6) == 3*a^2*D(8) assuming a*d = b*c",
-    "asym-6-8-r2": "4*A(2)*D(6) == 3*D(8) assuming a*d = b*c",
-}
+    return [catalog_entry(name) for name in CATALOG]
 
 
 def catalog_entry(name: str) -> IdentityStatement:
     """Catalog lookup by name; raises KeyError for unknown names."""
-    for statement in catalog():
-        if statement.name == name:
-            return statement
-    raise KeyError(name)
+    text, constrained = CATALOG[name]
+    from .dsl import parse  # dsl imports this module
+
+    return replace(parse(text, name), constrained=constrained)

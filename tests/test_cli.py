@@ -1,8 +1,12 @@
 import json
+import time
+from fractions import Fraction
 
 import pytest
 
 from trigident.cli import run
+from trigident.dsl import load_statement
+from trigident.identities import expr_value
 
 
 def invoke(capsys, *argv):
@@ -125,6 +129,46 @@ def test_verify_json_pins_reduced_terms_and_witness(capsys, tmp_path, name, text
     assert payload["witness"] == witness
 
 
+@pytest.mark.parametrize(
+    "constraint, expected",
+    [("", "(10,1,1,1)"), ("constraint: a*d - b*c = 0; ", "(10,1,1,1/10)")],
+    ids=["unconstrained", "constrained"],
+)
+def test_verify_finds_a_witness_when_every_draw_is_a_root(capsys, tmp_path, constraint, expected):
+    # The witness search draws a from these 110 rationals, so the left side
+    # vanishes at every point it can sample.
+    roots = sorted({Fraction(n, d) for n in range(-9, 10) if n for d in range(1, 10)})
+    assert len(roots) == 110
+    factors = "*".join(f"(a - {r})" if r > 0 else f"(a + {-r})" for r in roots)
+    path = tmp_path / "roots.rid"
+    path.write_text(f"{constraint}{factors} == 0\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "verify", str(path))
+    assert time.perf_counter() - start < 2.0
+    assert (code, err) == (1, "")
+    assert out == f"FALSIFIED roots witness={expected}\n"
+    witness = tuple(Fraction(v) for v in out[out.index("(") + 1:out.rindex(")")].split(","))
+    statement = load_statement(path)
+    assert expr_value(statement.lhs, witness) != expr_value(statement.rhs, witness)
+    if constraint:
+        a, b, c, d = witness
+        assert a * d == b * c
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(" * 3000 + "a" + ")" * 3000 + " == a", " + ".join(["a"] * 5000) + " == 5000*a"],
+    ids=["nested-parentheses", "flat-sum"],
+)
+def test_verify_deeply_nested_statement_exits_two(capsys, tmp_path, text):
+    path = tmp_path / "deep.rid"
+    path.write_text(text + "\n", encoding="utf-8")
+    code, out, err = invoke(capsys, "verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("trigident:")
+
+
 def test_verify_unknown_name_exits_two(capsys):
     code, out, err = invoke(capsys, "verify", "missing-name")
     assert code == 2
@@ -153,6 +197,15 @@ def test_discover_plain_listing(capsys):
     assert out.splitlines() == [
         "m=3 n=7 p=5 harmonic=3 square_factor=21 product_factor=25",
         "m=6 n=10 p=8 harmonic=6 square_factor=45 product_factor=64",
+    ]
+
+    code, out, _ = invoke(capsys, "discover", "-N", "5", "--max-n", "13")
+    assert code == 0
+    assert out.splitlines() == [
+        "m=5 n=9 p=7 harmonic=5 square_factor=36 product_factor=49",
+        "m=5 n=13 p=9 harmonic=5 square_factor=715 product_factor=1296",
+        "m=7 n=11 p=9 harmonic=5 square_factor=385 product_factor=432",
+        "m=9 n=13 p=11 harmonic=5 square_factor=52 product_factor=55",
     ]
 
 
@@ -206,6 +259,18 @@ def test_discover_latex_emission(capsys):
     )
     assert code == 0
     assert "f_{5}(\\theta_1)" in out
+    assert out == (
+        "49\\bigl(f_{5}(\\theta_1)-f_{5}(\\theta_2)\\bigr)"
+        "\\bigl(f_{9}(\\theta_1)-f_{9}(\\theta_2)\\bigr)"
+        " = 36\\bigl(f_{7}(\\theta_1)-f_{7}(\\theta_2)\\bigr)^{2}\n"
+    )
+
+    code, out, _ = invoke(
+        capsys, "discover", "-N", "5", "--max-n", "9", "--mode", "point",
+        "--emit", "latex",
+    )
+    assert code == 0
+    assert out == "49f_{5}(\\theta)f_{9}(\\theta) = 36f_{7}(\\theta)^{2}\n"
 
 
 def test_discover_empty_result_is_success(capsys):
@@ -260,6 +325,13 @@ def test_catalog_listing(capsys):
         "ramanujan-6-10-8: 64*D(6)*D(10) == 45*D(8)^2 assuming a*d = b*c"
     )
     assert all(":" in line for line in lines)
+    assert lines[1:] == [
+        "gen-3-7-5-six: 25*D(3)*D(7) == 21*D(5)^2 assuming a*d = b*c",
+        "gen-3-7-5-three: 25*A(3)*A(7) == 21*A(5)^2, unconditional",
+        "asym-6-8-factored: 8*(a^2+a*b+b^2)*(a^2+a*c+c^2)*D(6) == 3*a^2*D(8)"
+        " assuming a*d = b*c",
+        "asym-6-8-r2: 4*A(2)*D(6) == 3*D(8) assuming a*d = b*c",
+    ]
 
 
 def test_unknown_subcommand_exits_two(capsys):
