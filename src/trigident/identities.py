@@ -21,7 +21,11 @@ assuming a*d - b*c = 0.  ``verify`` decides the statement symbolically:
 expand both sides to polynomials, subtract, eliminate d via d := b*c/a
 (clearing denominators) when the constraint is assumed, and test for the
 zero polynomial.  ``spot_check`` corroborates numerically with exact
-rational sampling and never expands anything on the passing path.
+rational sampling and never expands anything on the passing path: each
+sample point is lifted to integers over one common denominator, and the
+tree is evaluated in integer (numerator, denominator) pairs.  A spot check
+is random corroboration, not a proof: a false statement whose difference
+vanishes on every point the sampler can draw passes it.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Optional, Union
 
 from .algebra import Polynomial
@@ -163,38 +168,84 @@ def expr_to_poly(expr: Expr) -> Polynomial:
 def expr_value(expr: Expr, point: Point) -> Fraction:
     """Exact value at a rational point, computed without polynomial expansion.
 
-    Brackets are evaluated by powering the three linear-form values directly,
-    so this route is independent of ``expr_to_poly`` and of the symbolic
-    verifier that builds on it.
+    The point is lifted to integers over one common denominator and the
+    tree is evaluated as integer (numerator, denominator) pairs; brackets
+    are evaluated by powering the three linear-form values directly, so
+    this route is independent of ``expr_to_poly`` and of the symbolic
+    verifier that builds on it.  Negative powers raise ``ValueError``, as
+    they do there.
     """
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Var):
-        return point["abcd".index(expr.name)]
-    if isinstance(expr, Bracket):
-        return _bracket_value(expr.kind, expr.power, point)
-    if isinstance(expr, Add):
-        return expr_value(expr.left, point) + expr_value(expr.right, point)
-    if isinstance(expr, Sub):
-        return expr_value(expr.left, point) - expr_value(expr.right, point)
-    if isinstance(expr, Mul):
-        return expr_value(expr.left, point) * expr_value(expr.right, point)
-    if isinstance(expr, Pow):
-        return expr_value(expr.base, point) ** expr.exponent
-    raise TypeError(f"not an expression node: {expr!r}")
+    numerator, denominator = _LiftedPoint(point).value(expr)
+    return Fraction(numerator, denominator)
 
 
-def _bracket_value(kind: BracketKind, power: int, point: Point) -> Fraction:
-    a, b, c, d = point
-    if kind is BracketKind.D:
-        one = _bracket_value(BracketKind.A, power, point)
-        two = _bracket_value(BracketKind.B, power, point)
-        return one - two
-    if kind is BracketKind.A:
-        x, y, z = b + c + d, -(a + b + c), a - d
-    else:
-        x, y, z = a + c + d, -(a + b + d), b - c
-    return x ** power + y ** power + z ** power
+class _LiftedPoint:
+    """A rational point as integer coordinates over one common denominator.
+
+    With ``scale`` the lcm of the four denominators, each coordinate is
+    ``coords[i] / scale``.  Values are unnormalized (numerator, denominator)
+    pairs of ints with a positive denominator; no gcd is ever taken, and a
+    bracket is ``(X^n + Y^n + Z^n, scale^n)`` over the integer linear forms.
+    Brackets are cached per point, so both sides of a statement share them.
+    """
+
+    __slots__ = ("coords", "scale", "brackets")
+
+    def __init__(self, point: Point):
+        self.scale = lcm(*(v.denominator for v in point))
+        self.coords = tuple(v.numerator * (self.scale // v.denominator) for v in point)
+        self.brackets: dict[tuple[BracketKind, int], tuple[int, int]] = {}
+
+    def value(self, expr: Expr) -> tuple[int, int]:
+        if isinstance(expr, Bracket):
+            return self.bracket(expr.kind, expr.power)
+        if isinstance(expr, Mul):
+            ln, ld = self.value(expr.left)
+            rn, rd = self.value(expr.right)
+            return ln * rn, ld * rd
+        if isinstance(expr, (Add, Sub)):
+            ln, ld = self.value(expr.left)
+            rn, rd = self.value(expr.right)
+            if isinstance(expr, Sub):
+                rn = -rn
+            if ld == rd:
+                return ln + rn, ld
+            return ln * rd + rn * ld, ld * rd
+        if isinstance(expr, Pow):
+            exponent = expr.exponent
+            if not isinstance(exponent, int) or exponent < 0:
+                raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")
+            n, d = self.value(expr.base)
+            return n ** exponent, d ** exponent
+        if isinstance(expr, Num):
+            return expr.value.numerator, expr.value.denominator
+        if isinstance(expr, Var):
+            return self.coords["abcd".index(expr.name)], self.scale
+        raise TypeError(f"not an expression node: {expr!r}")
+
+    def bracket(self, kind: BracketKind, power: int) -> tuple[int, int]:
+        key = (kind, power)
+        cached = self.brackets.get(key)
+        if cached is not None:
+            return cached
+        if power < 0:
+            raise ValueError(f"bracket power must be non-negative, got {power}")
+        a, b, c, d = self.coords
+        one = two = 0
+        if kind is not BracketKind.B:
+            one = (b + c + d) ** power + (-(a + b + c)) ** power + (a - d) ** power
+        if kind is not BracketKind.A:
+            two = (a + c + d) ** power + (-(a + b + d)) ** power + (b - c) ** power
+        numerator = one - two if kind is BracketKind.D else one + two
+        result = self.brackets[key] = numerator, self.scale ** power
+        return result
+
+
+def _sides_agree(statement: IdentityStatement, point: Point) -> bool:
+    lifted = _LiftedPoint(point)
+    ln, ld = lifted.value(statement.lhs)
+    rn, rd = lifted.value(statement.rhs)
+    return ln * rd == rn * ld
 
 
 # ----------------------------------------------------------------------
@@ -269,7 +320,7 @@ def spot_check(statement: IdentityStatement, trials: int = 100, seed: int = 0) -
     rng = random.Random(seed)
     for _ in range(trials):
         point = _sample_point(statement.constrained, rng)
-        if expr_value(statement.lhs, point) != expr_value(statement.rhs, point):
+        if not _sides_agree(statement, point):
             reduced = reduce_difference(statement)
             return VerificationReport(
                 statement.name,
@@ -309,7 +360,7 @@ def _search_witness(
     # whose zero set covers the sampling box.
     for _ in range(_WITNESS_DRAWS):
         point = _sample_point(statement.constrained, rng)
-        if expr_value(statement.lhs, point) != expr_value(statement.rhs, point):
+        if not _sides_agree(statement, point):
             return point
     return _integer_witness(reduced, statement.constrained)
 

@@ -105,6 +105,21 @@ def test_verify_falsified_exits_one(capsys, tmp_path):
     assert code == 1
     assert out.startswith("FALSIFIED wrong witness=(")
 
+    for seed_args, witness in [
+        ((), ["3/7", "-8/5", "7/8", "-49/15"]),
+        (("--seed", "3"), ["-2/9", "-5/6", "3", "45/4"]),
+    ]:
+        code, out, err = invoke(capsys, "verify", str(path), "--numeric", "--format", "json", *seed_args)
+        assert (code, err) == (1, "")
+        payload = json.loads(out)
+        del payload["elapsed_ms"]
+        assert payload == {
+            "verdict": "FALSIFIED",
+            "name": "wrong",
+            "reduced_terms": 169,
+            "witness": witness,
+        }
+
 
 @pytest.mark.parametrize(
     "name, text, reduced_terms, witness",

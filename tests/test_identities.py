@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trigident.algebra import Polynomial
 from trigident.identities import (
@@ -20,11 +22,13 @@ from trigident.identities import (
     catalog_entry,
     expr_to_poly,
     expr_value,
+    reduce_difference,
     render_report,
     report_json,
     spot_check,
     verify,
 )
+from trigident.identities import _WITNESS_DRAWS, _integer_witness, _sample_point
 
 A = Polynomial.variable("a")
 B = Polynomial.variable("b")
@@ -176,6 +180,8 @@ def test_spot_check_catches_the_corrupted_constant():
     for v in (a, b, c):
         assert v != 0
         assert abs(v.numerator) <= 9 and 1 <= v.denominator <= 9
+    assert report.witness == (Fraction(3, 7), Fraction(-8, 5), Fraction(7, 8), Fraction(-49, 15))
+    assert report.reduced_terms == 169
     repeat = spot_check(corrupted_ramanujan(), trials=100, seed=0)
     assert repeat.witness == report.witness
 
@@ -228,3 +234,172 @@ def test_report_json_shape():
     payload = json.loads(report_json(verify(corrupted_ramanujan())))
     assert payload["verdict"] == "FALSIFIED"
     assert len(payload["witness"]) == 4
+
+
+def test_negative_powers_raise_on_both_routes():
+    point = (Fraction(3, 7), Fraction(-8, 5), Fraction(7, 8), Fraction(-49, 15))
+    cases = [
+        (Pow(Var("a"), -2), "exponent must be a non-negative integer, got -2"),
+        (Bracket(BracketKind.A, -1), "bracket power must be non-negative, got -1"),
+        (Mul(Num(Fraction(2)), Bracket(BracketKind.D, -3)), "bracket power must be non-negative, got -3"),
+    ]
+    for expr, message in cases:
+        with pytest.raises(ValueError, match=message):
+            expr_to_poly(expr)
+        with pytest.raises(ValueError, match=message):
+            expr_value(expr, point)
+        statement = IdentityStatement("negative", expr, Num(Fraction(0)), constrained=False)
+        with pytest.raises(ValueError, match=message):
+            spot_check(statement, trials=1)
+        with pytest.raises(ValueError, match=message):
+            verify(statement)
+
+
+# ----------------------------------------------------------------------
+# differential tests against the all-Fraction evaluator
+
+
+def reference_value(expr, point):
+    """The all-Fraction evaluator that the integer-pair evaluator replaced."""
+    if isinstance(expr, Num):
+        return expr.value
+    if isinstance(expr, Var):
+        return point["abcd".index(expr.name)]
+    if isinstance(expr, Bracket):
+        return reference_bracket_value(expr.kind, expr.power, point)
+    if isinstance(expr, Add):
+        return reference_value(expr.left, point) + reference_value(expr.right, point)
+    if isinstance(expr, Sub):
+        return reference_value(expr.left, point) - reference_value(expr.right, point)
+    if isinstance(expr, Mul):
+        return reference_value(expr.left, point) * reference_value(expr.right, point)
+    if isinstance(expr, Pow):
+        return reference_value(expr.base, point) ** expr.exponent
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
+def reference_bracket_value(kind, power, point):
+    a, b, c, d = point
+    if kind is BracketKind.D:
+        one = reference_bracket_value(BracketKind.A, power, point)
+        two = reference_bracket_value(BracketKind.B, power, point)
+        return one - two
+    if kind is BracketKind.A:
+        x, y, z = b + c + d, -(a + b + c), a - d
+    else:
+        x, y, z = a + c + d, -(a + b + d), b - c
+    return x ** power + y ** power + z ** power
+
+
+def reference_reports(statement, trials, seed):
+    """(verdict, witness, reduced_terms) of spot_check and of verify, by reference_value."""
+
+    def differs(point):
+        return reference_value(statement.lhs, point) != reference_value(statement.rhs, point)
+
+    rng = random.Random(seed)
+    spot = (Verdict.PROVED, None, 0)
+    for _ in range(trials):
+        point = _sample_point(statement.constrained, rng)
+        if differs(point):
+            spot = (Verdict.FALSIFIED, point, len(reduce_difference(statement).terms))
+            break
+    reduced = reduce_difference(statement)
+    if not reduced:
+        return spot, (Verdict.PROVED, None, 0)
+    rng = random.Random(seed)
+    for _ in range(_WITNESS_DRAWS):
+        point = _sample_point(statement.constrained, rng)
+        if differs(point):
+            return spot, (Verdict.FALSIFIED, point, len(reduced.terms))
+    witness = _integer_witness(reduced, statement.constrained)
+    return spot, (Verdict.FALSIFIED, witness, len(reduced.terms))
+
+
+def degree_bound(expr):
+    """An upper bound on the degree of every subexpression the expansion builds."""
+    if isinstance(expr, Var):
+        return 1
+    if isinstance(expr, Bracket):
+        return expr.power
+    if isinstance(expr, (Add, Sub)):
+        return max(degree_bound(expr.left), degree_bound(expr.right))
+    if isinstance(expr, Mul):
+        return degree_bound(expr.left) + degree_bound(expr.right)
+    if isinstance(expr, Pow):
+        return degree_bound(expr.base) * max(expr.exponent, 1)
+    return 0
+
+
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+leaves = st.one_of(
+    rationals.map(Num),
+    st.sampled_from("abcd").map(Var),
+    st.builds(Bracket, st.sampled_from(list(BracketKind)), st.integers(0, 12)),
+)
+expressions = st.recursive(
+    leaves,
+    lambda children: st.one_of(
+        st.builds(Add, children, children),
+        st.builds(Sub, children, children),
+        st.builds(Mul, children, children),
+        st.builds(Pow, children, st.integers(0, 3)),
+    ),
+    max_leaves=8,
+)
+a_zero_slice = st.one_of(
+    st.tuples(st.just(Fraction(0)), rationals, st.just(Fraction(0)), rationals),
+    st.tuples(st.just(Fraction(0)), st.just(Fraction(0)), rationals, rationals),
+)
+points = st.one_of(st.tuples(rationals, rationals, rationals, rationals), a_zero_slice)
+differential = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@differential
+@given(expressions, points)
+@example(Sub(Pow(Sub(Bracket(BracketKind.D, 12), Num(Fraction(3, 4))), 3), Var("a")),
+         (Fraction(0), Fraction(5), Fraction(0), Fraction(-7, 9)))
+@example(Add(Mul(Num(Fraction(1, 2)), Bracket(BracketKind.A, 5)), Bracket(BracketKind.B, 5)),
+         (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), Fraction(1, 9)))
+def test_expr_value_matches_the_fraction_reference(expr, point):
+    value = expr_value(expr, point)
+    assert type(value) is Fraction
+    assert value == reference_value(expr, point)
+
+
+def statement_strategy():
+    catalog_identities = st.sampled_from(catalog())
+
+    def scaled(pair):
+        identity, factor = pair
+        return IdentityStatement(
+            "scaled", Mul(factor, identity.lhs), Mul(identity.rhs, factor), identity.constrained
+        )
+
+    def either_constraint(identity):
+        return st.builds(
+            IdentityStatement, st.just(identity.name), st.just(identity.lhs),
+            st.just(identity.rhs), st.booleans(),
+        )
+
+    def commuted(left, right, constrained):
+        # True, but each side combines the two values in the other order.
+        return IdentityStatement("commuted", Add(left, right), Add(right, left), constrained)
+
+    small = expressions.filter(lambda e: degree_bound(e) <= 12)
+    return st.one_of(
+        st.builds(IdentityStatement, st.just("generated"), small, small, st.booleans()),
+        st.builds(commuted, small, small, st.booleans()),
+        st.tuples(catalog_identities, small).map(scaled),
+        catalog_identities.flatmap(either_constraint),
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(statement_strategy(), st.integers(0, 50))
+def test_spot_check_and_verify_match_the_fraction_reference(statement, seed):
+    reference_spot, reference_verify = reference_reports(statement, trials=20, seed=seed)
+    spot = spot_check(statement, trials=20, seed=seed)
+    assert (spot.verdict, spot.witness, spot.reduced_terms) == reference_spot
+    report = verify(statement, seed=seed)
+    assert (report.verdict, report.witness, report.reduced_terms) == reference_verify
