@@ -13,6 +13,12 @@ end of the line):
     rational   := [ "-" ] natural [ "/" natural ]
     variable   := "a" | "b" | "c" | "d"
 
+Every token is ASCII: numbers use the digits 0-9 only, so a non-ASCII digit
+such as a superscript two is a syntax error.  Whitespace is any character
+str.isspace accepts.  Errors report a 1-based ``line:column`` counted in
+characters, where only a newline ends a line and comments count like any
+other text, plus the 0-based character ``offset``.
+
 The only side condition the language admits is a*d - b*c = 0; any other
 constraint clause is rejected as unsupported after parsing.  ``parse`` and
 ``render(..., Format.PLAIN)`` are mutually inverse on abstract syntax
@@ -23,12 +29,13 @@ associativity requires them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import re
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple
 
+from .algebra import VARIABLES
 from .identities import (
     Add,
     Bracket,
@@ -94,8 +101,7 @@ class _TokenKind(Enum):
     END = "end of input"
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: _TokenKind
     text: str
     line: int
@@ -115,81 +121,61 @@ _SYMBOLS = {
     ";": _TokenKind.SEMICOLON,
 }
 
+# Every fixed lexeme and its kind; numbers are the only other tokens.
+_LEXEMES = {
+    **_SYMBOLS,
+    "=": _TokenKind.EQUAL,
+    "==": _TokenKind.EQUALITY,
+    "constraint": _TokenKind.CONSTRAINT,
+    **dict.fromkeys(VARIABLES, _TokenKind.VARIABLE),
+    **dict.fromkeys((kind.value for kind in BracketKind), _TokenKind.BRACKET),
+}
+
+# One match per lexeme, in source order, covering the whole source.  Digits
+# are ASCII; blanks are whatever str.isspace accepts.  Words, "==" and any
+# other single character are looked up in _LEXEMES.
+_LEXEME = re.compile(
+    r"(?P<skip>[^\S\n]+|#.*)"
+    r"|(?P<newline>\n)"
+    r"|(?P<number>[0-9]+)"
+    r"|(?P<word>[A-Za-z_]\w*)"
+    r"|==|."
+)
+
 
 def _tokenize(source: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, column = 1, 1
-    i = 0
-    while i < len(source):
-        ch = source[i]
-        if ch == "\n":
+    line, line_start = 1, 0
+    for match in _LEXEME.finditer(source):
+        group = match.lastgroup
+        if group == "skip":
+            continue
+        offset = match.start()
+        if group == "newline":
             line += 1
-            column = 1
-            i += 1
+            line_start = offset + 1
             continue
-        if ch.isspace():
-            column += 1
-            i += 1
-            continue
-        if ch == "#":
-            while i < len(source) and source[i] != "\n":
-                i += 1
-            continue
-        start_line, start_column, start_offset = line, column, i
-        if ch.isdigit():
-            j = i
-            while j < len(source) and source[j].isdigit():
-                j += 1
-            tokens.append(_Token(_TokenKind.NUMBER, source[i:j], start_line, start_column, start_offset))
-            column += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(source) and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            if word == "constraint":
-                kind = _TokenKind.CONSTRAINT
-            elif word in ("a", "b", "c", "d"):
-                kind = _TokenKind.VARIABLE
-            elif word in ("D", "A", "B"):
-                kind = _TokenKind.BRACKET
-            else:
-                raise DslSyntaxError(
-                    f"unknown word {word!r}",
-                    start_line,
-                    start_column,
-                    start_offset,
-                    expected=("variable", "bracket", "'constraint'"),
-                )
-            tokens.append(_Token(kind, word, start_line, start_column, start_offset))
-            column += j - i
-            i = j
-            continue
-        if ch == "=":
-            if i + 1 < len(source) and source[i + 1] == "=":
-                tokens.append(_Token(_TokenKind.EQUALITY, "==", start_line, start_column, start_offset))
-                column += 2
-                i += 2
-            else:
-                tokens.append(_Token(_TokenKind.EQUAL, "=", start_line, start_column, start_offset))
-                column += 1
-                i += 1
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(_Token(_SYMBOLS[ch], ch, start_line, start_column, start_offset))
-            column += 1
-            i += 1
-            continue
-        raise DslSyntaxError(
-            f"unexpected character {ch!r}",
-            start_line,
-            start_column,
-            start_offset,
-            expected=tuple(k.value for k in _SYMBOLS.values()),
-        )
-    tokens.append(_Token(_TokenKind.END, "", line, column, len(source)))
+        text = match.group()
+        column = offset - line_start + 1
+        kind = _TokenKind.NUMBER if group == "number" else _LEXEMES.get(text)
+        if kind is None and group == "word":
+            raise DslSyntaxError(
+                f"unknown word {text!r}",
+                line,
+                column,
+                offset,
+                expected=("variable", "bracket", "'constraint'"),
+            )
+        if kind is None:
+            raise DslSyntaxError(
+                f"unexpected character {text!r}",
+                line,
+                column,
+                offset,
+                expected=tuple(k.value for k in _SYMBOLS.values()),
+            )
+        tokens.append(_Token(kind, text, line, column, offset))
+    tokens.append(_Token(_TokenKind.END, "", line, len(source) - line_start + 1, len(source)))
     return tokens
 
 

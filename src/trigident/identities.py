@@ -40,7 +40,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Optional, Union
 
-from .algebra import Polynomial
+from .algebra import VARIABLES, Polynomial
 
 # ----------------------------------------------------------------------
 # expression AST
@@ -220,7 +220,7 @@ class _LiftedPoint:
         if isinstance(expr, Num):
             return expr.value.numerator, expr.value.denominator
         if isinstance(expr, Var):
-            return self.coords["abcd".index(expr.name)], self.scale
+            return self.coords[VARIABLES.index(expr.name)], self.scale
         raise TypeError(f"not an expression node: {expr!r}")
 
     def bracket(self, kind: BracketKind, power: int) -> tuple[int, int]:
@@ -317,21 +317,29 @@ def spot_check(statement: IdentityStatement, trials: int = 100, seed: int = 0) -
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     start = time.perf_counter()
-    rng = random.Random(seed)
-    for _ in range(trials):
+    point = _first_disagreement(statement, trials, random.Random(seed))
+    if point is None:
+        return VerificationReport(
+            statement.name, Verdict.PROVED, None, 0, time.perf_counter() - start
+        )
+    return VerificationReport(
+        statement.name,
+        Verdict.FALSIFIED,
+        point,
+        len(reduce_difference(statement).terms),
+        time.perf_counter() - start,
+    )
+
+
+def _first_disagreement(
+    statement: IdentityStatement, draws: int, rng: random.Random
+) -> Optional[Point]:
+    """The first of ``draws`` sample points where the sides differ, else None."""
+    for _ in range(draws):
         point = _sample_point(statement.constrained, rng)
         if not _sides_agree(statement, point):
-            reduced = reduce_difference(statement)
-            return VerificationReport(
-                statement.name,
-                Verdict.FALSIFIED,
-                point,
-                len(reduced.terms),
-                time.perf_counter() - start,
-            )
-    return VerificationReport(
-        statement.name, Verdict.PROVED, None, 0, time.perf_counter() - start
-    )
+            return point
+    return None
 
 
 def _sample_point(constrained: bool, rng: random.Random) -> Point:
@@ -358,11 +366,9 @@ def _search_witness(
     # points miss its zero set with overwhelming probability and the first
     # draw almost always succeeds.  The cap only bounds the rare statement
     # whose zero set covers the sampling box.
-    for _ in range(_WITNESS_DRAWS):
-        point = _sample_point(statement.constrained, rng)
-        if not _sides_agree(statement, point):
-            return point
-    return _integer_witness(reduced, statement.constrained)
+    return _first_disagreement(statement, _WITNESS_DRAWS, rng) or _integer_witness(
+        reduced, statement.constrained
+    )
 
 
 def _integer_witness(reduced: Polynomial, constrained: bool) -> Point:

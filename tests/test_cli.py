@@ -144,19 +144,22 @@ def test_verify_json_pins_reduced_terms_and_witness(capsys, tmp_path, name, text
     assert payload["witness"] == witness
 
 
+# The sampler draws every coordinate from these 110 rationals n/d with
+# 1 <= |n|, d <= 9, so this product of (a - r) vanishes at every point it
+# can sample.
+SAMPLED_RATIONALS = sorted({Fraction(n, d) for n in range(-9, 10) if n for d in range(1, 10)})
+assert len(SAMPLED_RATIONALS) == 110
+ROOT_PRODUCT = "*".join(f"(a - {r})" if r > 0 else f"(a + {-r})" for r in SAMPLED_RATIONALS)
+
+
 @pytest.mark.parametrize(
     "constraint, expected",
     [("", "(10,1,1,1)"), ("constraint: a*d - b*c = 0; ", "(10,1,1,1/10)")],
     ids=["unconstrained", "constrained"],
 )
 def test_verify_finds_a_witness_when_every_draw_is_a_root(capsys, tmp_path, constraint, expected):
-    # The witness search draws a from these 110 rationals, so the left side
-    # vanishes at every point it can sample.
-    roots = sorted({Fraction(n, d) for n in range(-9, 10) if n for d in range(1, 10)})
-    assert len(roots) == 110
-    factors = "*".join(f"(a - {r})" if r > 0 else f"(a + {-r})" for r in roots)
     path = tmp_path / "roots.rid"
-    path.write_text(f"{constraint}{factors} == 0\n", encoding="utf-8")
+    path.write_text(f"{constraint}{ROOT_PRODUCT} == 0\n", encoding="utf-8")
     start = time.perf_counter()
     code, out, err = invoke(capsys, "verify", str(path))
     assert time.perf_counter() - start < 2.0
@@ -168,6 +171,27 @@ def test_verify_finds_a_witness_when_every_draw_is_a_root(capsys, tmp_path, cons
     if constraint:
         a, b, c, d = witness
         assert a * d == b * c
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a spot check only draws from the sampling box, where the false "
+    "ROOT_PRODUCT == 0 holds; it reports PROVED until an exact certificate exists",
+)
+def test_verify_numeric_falsifies_a_statement_that_vanishes_on_the_sampling_box(capsys, tmp_path):
+    path = tmp_path / "roots.rid"
+    path.write_text(f"{ROOT_PRODUCT} == 0\n", encoding="utf-8")
+    code, out, _ = invoke(capsys, "verify", str(path), "--numeric")
+    assert code == 1, out
+
+
+def test_verify_non_ascii_digit_exits_two_with_its_position(capsys, tmp_path):
+    path = tmp_path / "superscript.rid"
+    path.write_text("D(\u00b2) == 0\n", encoding="utf-8")
+    code, out, err = invoke(capsys, "verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"{path}: 1:3: unexpected character" in err
 
 
 @pytest.mark.parametrize(

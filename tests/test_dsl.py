@@ -3,8 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trigident.dsl import (
+    DslError,
     DslSemanticError,
     DslSyntaxError,
     Format,
@@ -87,6 +90,7 @@ def test_whitespace_and_comments_are_ignored():
         == 45 * D( 8 ) ^ 2   # conclusion
     """
     assert parse(source) == catalog_entry("ramanujan-6-10-8")
+    assert parse("a\u00a0==\u2003a") == parse("a == a")
 
 
 def test_precedence_and_associativity():
@@ -113,25 +117,84 @@ def test_round_trip_on_random_statements():
         assert parse(text) == statement, text
 
 
+OPERAND = ("number", "variable", "bracket", "'('")
+
+
 def test_syntax_errors_carry_positions_and_expectations():
-    cases = [
-        "64*D(6",
-        "D(2)^-2",
-        "a == ",
-        "a = b",
-        "a == b c",
-        "E(2) == 0",
-        "== a",
-        "a ++ b == c",
-        "constraint a*d - b*c = 0; a == a",
-    ]
-    for source in cases:
+    # source -> (line, column, offset, expected)
+    cases = {
+        "64*D(6": (1, 7, 6, ("')'",)),
+        "D(2)^-2": (1, 6, 5, ("number",)),
+        "a == ": (1, 6, 5, OPERAND),
+        "a = b": (1, 3, 2, ("'=='",)),
+        "a == b c": (1, 8, 7, ("end of input",)),
+        "E(2) == 0": (1, 1, 0, ("variable", "bracket", "'constraint'")),
+        "== a": (1, 1, 0, OPERAND),
+        "a ++ b == c": (1, 4, 3, OPERAND),
+        "constraint a*d - b*c = 0; a == a": (1, 12, 11, ("':'",)),
+        "a ==\n  b c": (2, 5, 9, ("end of input",)),
+        "a\t== $": (
+            1,
+            6,
+            5,
+            ("'+'", "'-'", "'*'", "'/'", "'^'", "'('", "')'", "':'", "';'"),
+        ),
+    }
+    for source, position in cases.items():
         with pytest.raises(DslSyntaxError) as excinfo:
             parse(source)
         error = excinfo.value
+        assert (error.line, error.column, error.offset, error.expected) == position, source
+        assert str(error).startswith(f"{error.line}:{error.column}: ")
+
+
+def test_comments_count_towards_columns():
+    with pytest.raises(DslSyntaxError) as excinfo:
+        parse("a == # note")
+    error = excinfo.value
+    assert (error.line, error.column, error.offset) == (1, 12, 11)
+    assert error.expected == OPERAND
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["D(\u00b2) == 0", "D(\u0663) == D(3)"],
+    ids=["superscript-two", "arabic-indic-three"],
+)
+def test_non_ascii_digits_are_syntax_errors(source):
+    with pytest.raises(DslSyntaxError) as excinfo:
+        parse(source)
+    error = excinfo.value
+    assert (error.line, error.column, error.offset) == (1, 3, 2)
+    assert f"unexpected character {source[2]!r}" in str(error)
+
+
+def position_of(source, offset):
+    line_start = source.rfind("\n", 0, offset) + 1
+    return source.count("\n", 0, offset) + 1, offset - line_start + 1
+
+
+# The language's lexemes and characters, plus a non-ASCII digit that is not
+# a decimal digit, one that is, a non-breaking space and a non-ASCII letter.
+FUZZ_PIECES = list("abcdDAB0123456789+-*/^()=:;# \t\n_x") + [
+    "constraint",
+    "==",
+    "\u00b2",
+    "\u0663",
+    "\u00a0",
+    "\u00e9",
+]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from(FUZZ_PIECES), max_size=40).map("".join))
+def test_parse_returns_or_raises_a_positioned_error(source):
+    try:
+        parse(source)
+    except DslError as error:
         assert 0 <= error.offset <= len(source)
-        assert error.line >= 1 and error.column >= 1
-        assert error.expected
+        assert (error.line, error.column) == position_of(source, error.offset)
+        assert str(error).startswith(f"{error.line}:{error.column}: ")
 
 
 def test_unsupported_constraint_is_a_semantic_error():
