@@ -60,11 +60,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify_cmd.add_argument("target", metavar="name|path.rid")
     verify_cmd.add_argument("--numeric", action="store_true",
-                            help="spot-check numerically instead of proving")
+                            help="decide by exact evaluation at integer points"
+                            " instead of expanding polynomials")
     verify_cmd.add_argument("--trials", type=int, default=100,
-                            help="spot-check sample count (default 100)")
+                            help="seeded random draws that pick a --numeric witness"
+                            " (default 100)")
     verify_cmd.add_argument("--seed", type=int, default=0,
-                            help="sampling seed (default 0)")
+                            help="witness draw seed (default 0)")
     verify_cmd.add_argument("--format", choices=("plain", "json"), default="plain")
     verify_cmd.set_defaults(handler=_run_verify)
 

@@ -20,7 +20,9 @@ characters, where only a newline ends a line and comments count like any
 other text, plus the 0-based character ``offset``.
 
 The only side condition the language admits is a*d - b*c = 0; any other
-constraint clause is rejected as unsupported after parsing.  ``parse`` and
+constraint clause is rejected as unsupported after parsing, as are a zero
+denominator and a number with more digits than ``int`` converts
+(``sys.get_int_max_str_digits``, 4,300 by default).  ``parse`` and
 ``render(..., Format.PLAIN)`` are mutually inverse on abstract syntax
 trees, with PLAIN output inserting parentheses only where precedence or
 associativity requires them.
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
@@ -204,6 +207,18 @@ class _Parser:
             self._fail(token, (kind.value,))
         return self._advance()
 
+    def _natural(self) -> int:
+        token = self._expect(_TokenKind.NUMBER)
+        try:
+            return int(token.text)
+        except ValueError:  # more digits than int() converts
+            raise DslSemanticError(
+                f"number has {len(token.text)} digits, over the limit of {sys.get_int_max_str_digits()}",
+                token.line,
+                token.column,
+                token.offset,
+            ) from None
+
     def _fail(self, token: _Token, expected: tuple[str, ...]) -> None:
         got = token.text or "end of input"
         raise DslSyntaxError(
@@ -259,8 +274,7 @@ class _Parser:
         base = self._parse_base()
         if self._peek().kind is _TokenKind.CARET:
             self._advance()
-            exponent = int(self._expect(_TokenKind.NUMBER).text)
-            return Pow(base, exponent)
+            return Pow(base, self._natural())
         return base
 
     def _parse_base(self) -> Expr:
@@ -272,7 +286,7 @@ class _Parser:
         if token.kind is _TokenKind.BRACKET:
             kind = BracketKind(self._advance().text)
             self._expect(_TokenKind.LPAREN)
-            power = int(self._expect(_TokenKind.NUMBER).text)
+            power = self._natural()
             self._expect(_TokenKind.RPAREN)
             return Bracket(kind, power)
         if token.kind is _TokenKind.LPAREN:
@@ -287,13 +301,12 @@ class _Parser:
         if self._peek().kind is _TokenKind.MINUS:
             self._advance()
             negative = True
-        numerator_token = self._expect(_TokenKind.NUMBER)
-        numerator = int(numerator_token.text)
+        numerator = self._natural()
         denominator = 1
         if self._peek().kind is _TokenKind.SLASH:
             self._advance()
-            denominator_token = self._expect(_TokenKind.NUMBER)
-            denominator = int(denominator_token.text)
+            denominator_token = self._peek()
+            denominator = self._natural()
             if denominator == 0:
                 raise DslSemanticError(
                     "zero denominator",

@@ -20,12 +20,15 @@ rationals, the variables, brackets, +, -, *, and integer powers, optionally
 assuming a*d - b*c = 0.  ``verify`` decides the statement symbolically:
 expand both sides to polynomials, subtract, eliminate d via d := b*c/a
 (clearing denominators) when the constraint is assumed, and test for the
-zero polynomial.  ``spot_check`` corroborates numerically with exact
-rational sampling and never expands anything on the passing path: each
-sample point is lifted to integers over one common denominator, and the
-tree is evaluated in integer (numerator, denominator) pairs.  A spot check
-is random corroboration, not a proof: a false statement whose difference
-vanishes on every point the sampler can draw passes it.
+zero polynomial.  ``spot_check`` decides the same question without
+expanding anything: it evaluates both sides exactly at a few hundred
+integer points read off the statement's degrees, and agreement at all of
+them is a certificate that the difference is the zero polynomial (see
+``_certificate``).  Only a disagreement, or a statement needing more than
+``_POINT_BUDGET`` points, runs the seeded random draws that pick the
+reported witness.  Every point is lifted to integers over one common
+denominator, and the tree is evaluated in integer (numerator,
+denominator) pairs.
 """
 
 from __future__ import annotations
@@ -37,8 +40,9 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-from typing import Optional, Union
+from itertools import product
+from math import comb, lcm, prod
+from typing import Iterator, Optional, Union
 
 from .algebra import VARIABLES, Polynomial
 
@@ -175,26 +179,32 @@ def expr_value(expr: Expr, point: Point) -> Fraction:
     verifier that builds on it.  Negative powers raise ``ValueError``, as
     they do there.
     """
-    numerator, denominator = _LiftedPoint(point).value(expr)
+    numerator, denominator = _LiftedPoint.of(point).value(expr)
     return Fraction(numerator, denominator)
 
 
 class _LiftedPoint:
     """A rational point as integer coordinates over one common denominator.
 
-    With ``scale`` the lcm of the four denominators, each coordinate is
-    ``coords[i] / scale``.  Values are unnormalized (numerator, denominator)
-    pairs of ints with a positive denominator; no gcd is ever taken, and a
-    bracket is ``(X^n + Y^n + Z^n, scale^n)`` over the integer linear forms.
-    Brackets are cached per point, so both sides of a statement share them.
+    Each coordinate is ``coords[i] / scale``; ``of`` lifts a rational point
+    with ``scale`` the lcm of its four denominators, and an integer point
+    has scale 1.  Values are unnormalized (numerator, denominator) pairs of
+    ints with a positive denominator; no gcd is ever taken, and a bracket is
+    ``(X^n + Y^n + Z^n, scale^n)`` over the integer linear forms.  Brackets
+    are cached per point, so both sides of a statement share them.
     """
 
     __slots__ = ("coords", "scale", "brackets")
 
-    def __init__(self, point: Point):
-        self.scale = lcm(*(v.denominator for v in point))
-        self.coords = tuple(v.numerator * (self.scale // v.denominator) for v in point)
+    def __init__(self, coords: tuple[int, ...], scale: int = 1):
+        self.coords = coords
+        self.scale = scale
         self.brackets: dict[tuple[BracketKind, int], tuple[int, int]] = {}
+
+    @classmethod
+    def of(cls, point: Point) -> _LiftedPoint:
+        scale = lcm(*(v.denominator for v in point))
+        return cls(tuple(v.numerator * (scale // v.denominator) for v in point), scale)
 
     def value(self, expr: Expr) -> tuple[int, int]:
         if isinstance(expr, Bracket):
@@ -241,11 +251,141 @@ class _LiftedPoint:
         return result
 
 
-def _sides_agree(statement: IdentityStatement, point: Point) -> bool:
-    lifted = _LiftedPoint(point)
+def _sides_agree(statement: IdentityStatement, lifted: _LiftedPoint) -> bool:
     ln, ld = lifted.value(statement.lhs)
     rn, rd = lifted.value(statement.rhs)
     return ln * rd == rn * ld
+
+
+# ----------------------------------------------------------------------
+# exact evaluation certificate
+#
+# Split the difference P = lhs - rhs into homogeneous parts P_j, j in J.  At
+# the points t*(1, b, c, d) it takes the value sum_j t^j * P_j(1, b, c, d);
+# for t = 1..|J| these sums form a generalized Vandermonde system, which is
+# nonsingular for distinct positive t (Descartes' rule of signs), so
+# agreement at all of them gives P_j(1, b, c, d) = 0 for each j.  Each
+# P_j(1, b, c, d) has degree at most min(bound, max J) in each free
+# variable and total degree at most max J, so it is the zero polynomial
+# once it vanishes on the tensor grid 0..min(bound, max J) (Alon,
+# "Combinatorial Nullstellensatz", 1999, Lemma 2.1) or on the simplex
+# lattice of total degree max J (Chung & Yao, SIAM J. Numer. Anal. 14,
+# 1977); a homogeneous P_j is then zero as well.  Under the constraint the
+# points are t*(1, b, c, b*c), the free variables are b and c, and the total
+# degree is at most 2*max J; agreement then proves that P vanishes on the
+# a != 0 chart of a*d = b*c, which is what ``verify`` proves.
+
+# Most integer points ``spot_check`` evaluates for a certificate.  The
+# catalog entries need 81-289 and the benchmark's statements up to 625;
+# D(99) == D(99) under the constraint needs exactly 10,000 and takes about
+# 0.13 s on a 2-core x86 host.
+_POINT_BUDGET = 10_000
+
+_CONSTANT = frozenset({0})
+
+
+class _OverBudget(Exception):
+    """The certificate needs at least ``points`` > _POINT_BUDGET points."""
+
+    def __init__(self, points: int):
+        super().__init__(points)
+        self.points = points
+
+
+def _degrees(expr: Expr, free: str) -> tuple[frozenset[int], tuple[int, ...]]:
+    """The homogeneous degrees J of an expression, and a degree bound per free variable.
+
+    ``free`` is "bcd", or "bc" under the constraint, where d := b*c; a
+    becomes the scale t.  J is empty for a tree that is zero by
+    construction.  Raises _OverBudget as soon as J alone outgrows the
+    budget, before building it where the size follows from its parts.
+    """
+    if isinstance(expr, Num):
+        return (frozenset() if expr.value == 0 else _CONSTANT), (0,) * len(free)
+    if isinstance(expr, Var):
+        names = "bc" if expr.name == "d" and "d" not in free else expr.name
+        return frozenset({1}), tuple(int(name in names) for name in free)
+    if isinstance(expr, Bracket):
+        if expr.power < 0:
+            raise ValueError(f"bracket power must be non-negative, got {expr.power}")
+        return frozenset({expr.power}), (expr.power,) * len(free)
+    if isinstance(expr, Pow):
+        exponent = expr.exponent
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")
+        degrees, bounds = _degrees(expr.base, free)
+        return _multiple(degrees, exponent), tuple(exponent * bound for bound in bounds)
+    if isinstance(expr, (Add, Sub, Mul)):
+        left, left_bounds = _degrees(expr.left, free)
+        right, right_bounds = _degrees(expr.right, free)
+        if isinstance(expr, Mul):
+            return _sumset(left, right), tuple(x + y for x, y in zip(left_bounds, right_bounds))
+        return _within_budget(left | right), tuple(map(max, left_bounds, right_bounds))
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
+def _within_budget(degrees: frozenset[int]) -> frozenset[int]:
+    # Every degree needs its own t, so |J| points at least.
+    if len(degrees) > _POINT_BUDGET:
+        raise _OverBudget(len(degrees))
+    return degrees
+
+
+def _sumset(left: frozenset[int], right: frozenset[int]) -> frozenset[int]:
+    # A sumset of nonempty integer sets has at least |left| + |right| - 1 members.
+    if left and right and len(left) + len(right) - 1 > _POINT_BUDGET:
+        raise _OverBudget(len(left) + len(right) - 1)
+    return _within_budget(frozenset(i + j for i in left for j in right))
+
+
+def _multiple(degrees: frozenset[int], exponent: int) -> frozenset[int]:
+    # The exponent-fold sumset, by doubling; with two or more members it has
+    # at least exponent * (|J| - 1) + 1 of them.
+    if len(degrees) > 1 and exponent * (len(degrees) - 1) + 1 > _POINT_BUDGET:
+        raise _OverBudget(exponent * (len(degrees) - 1) + 1)
+    result = _CONSTANT
+    while exponent:
+        if exponent & 1:
+            result = _sumset(result, degrees)
+        exponent >>= 1
+        if exponent:
+            degrees = _sumset(degrees, degrees)
+    return result
+
+
+def _certificate(statement: IdentityStatement) -> Iterator[tuple[int, int, int, int]]:
+    """The integer points at which agreement of both sides proves the statement.
+
+    Points are t*(1, b, c, d), or t*(1, b, c, b*c) under the constraint,
+    for t = 1..|J| and (b, c[, d]) on the smaller of the tensor grid and the
+    simplex lattice; they are generated lazily.  Raises _OverBudget when
+    there would be more than _POINT_BUDGET of them.
+    """
+    free = "bc" if statement.constrained else "bcd"
+    degrees, bounds = _degrees(Sub(statement.lhs, statement.rhs), free)
+    top = max(degrees, default=0)
+    sides = [min(bound, top) + 1 for bound in bounds]
+    grid, size = product(*map(range, sides)), prod(sides)
+    # Under the constraint the simplex lattice, of total degree 2*max J in
+    # (b, c), is never smaller than the (max J + 1)^2 tensor grid.
+    if not statement.constrained and comb(top + 3, 3) < size:
+        grid, size = _simplex(top), comb(top + 3, 3)
+    if len(degrees) * size > _POINT_BUDGET:
+        raise _OverBudget(len(degrees) * size)
+    scales = range(1, len(degrees) + 1)
+    if statement.constrained:
+        return ((t, t * b, t * c, t * b * c) for b, c in grid for t in scales)
+    return ((t, t * b, t * c, t * d) for b, c, d in grid for t in scales)
+
+
+def _simplex(total: int) -> Iterator[tuple[int, int, int]]:
+    """Nonnegative integer triples with sum at most ``total``."""
+    return (
+        (b, c, d)
+        for b in range(total + 1)
+        for c in range(total + 1 - b)
+        for d in range(total + 1 - b - c)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -306,26 +446,48 @@ def verify(statement: IdentityStatement, seed: int = 0) -> VerificationReport:
 
 
 def spot_check(statement: IdentityStatement, trials: int = 100, seed: int = 0) -> VerificationReport:
-    """Exact rational sampling of both sides at random admissible points.
+    """Decide the statement by exact evaluation at integer points.
 
-    Free coordinates are nonzero rationals with numerator and denominator
-    bounded by 9; for a constrained statement the fourth coordinate is
-    derived as d = b*c/a so every point satisfies a*d = b*c exactly.  The
-    passing path never expands a polynomial; on a failure the reduced
-    difference is expanded once so the report's term count stays truthful.
+    Both sides are evaluated, never expanded, at the points of
+    ``_certificate``; agreement at every one of them proves the statement,
+    exactly as ``verify`` would.  On a disagreement the witness comes from
+    ``trials`` seeded random draws: free coordinates are nonzero rationals
+    with numerator and denominator bounded by 9, and for a constrained
+    statement d = b*c/a, so every point satisfies a*d = b*c exactly.  The
+    first draw where the sides differ is reported; the integer point is
+    reported only if every draw agrees.  A statement whose certificate
+    needs more than ``_POINT_BUDGET`` points gets the draws alone: a
+    differing draw falsifies it, and if every draw agrees ``ValueError`` is
+    raised, since nothing was proved.  On a failure the reduced difference
+    is expanded once so the report's term count stays truthful.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     start = time.perf_counter()
-    point = _first_disagreement(statement, trials, random.Random(seed))
-    if point is None:
-        return VerificationReport(
-            statement.name, Verdict.PROVED, None, 0, time.perf_counter() - start
+    over_budget = disagreement = None
+    try:
+        points = _certificate(statement)
+    except _OverBudget as exc:
+        over_budget = exc.points
+    else:
+        disagreement = next(
+            (p for p in points if not _sides_agree(statement, _LiftedPoint(p))), None
+        )
+        if disagreement is None:
+            return VerificationReport(
+                statement.name, Verdict.PROVED, None, 0, time.perf_counter() - start
+            )
+    witness = _first_disagreement(statement, trials, random.Random(seed))
+    if witness is None and disagreement is None:
+        raise ValueError(
+            f"{statement.name}: deciding it exactly needs at least {over_budget} integer"
+            f" points, over the budget of {_POINT_BUDGET}, and all {trials} seeded draws"
+            " agree; verify it symbolically instead"
         )
     return VerificationReport(
         statement.name,
         Verdict.FALSIFIED,
-        point,
+        witness or tuple(map(Fraction, disagreement)),
         len(reduce_difference(statement).terms),
         time.perf_counter() - start,
     )
@@ -337,7 +499,7 @@ def _first_disagreement(
     """The first of ``draws`` sample points where the sides differ, else None."""
     for _ in range(draws):
         point = _sample_point(statement.constrained, rng)
-        if not _sides_agree(statement, point):
+        if not _sides_agree(statement, _LiftedPoint.of(point)):
             return point
     return None
 

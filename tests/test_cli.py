@@ -6,7 +6,7 @@ import pytest
 
 from trigident.cli import run
 from trigident.dsl import load_statement
-from trigident.identities import expr_value
+from trigident.identities import _certificate, expr_value
 
 
 def invoke(capsys, *argv):
@@ -173,16 +173,49 @@ def test_verify_finds_a_witness_when_every_draw_is_a_root(capsys, tmp_path, cons
         assert a * d == b * c
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a spot check only draws from the sampling box, where the false "
-    "ROOT_PRODUCT == 0 holds; it reports PROVED until an exact certificate exists",
-)
 def test_verify_numeric_falsifies_a_statement_that_vanishes_on_the_sampling_box(capsys, tmp_path):
+    # Every seeded draw is a root, so the witness is the certificate's
+    # integer point: a = 10 is the first of t = 1..111 that is no root.
     path = tmp_path / "roots.rid"
     path.write_text(f"{ROOT_PRODUCT} == 0\n", encoding="utf-8")
-    code, out, _ = invoke(capsys, "verify", str(path), "--numeric")
-    assert code == 1, out
+    code, out, err = invoke(capsys, "verify", str(path), "--numeric")
+    assert (code, err) == (1, "")
+    assert out == "FALSIFIED roots witness=(10,0,0,0)\n"
+    witness = tuple(Fraction(v) for v in out[out.index("(") + 1:out.rindex(")")].split(","))
+    statement = load_statement(path)
+    assert expr_value(statement.lhs, witness) != expr_value(statement.rhs, witness)
+    assert sum(1 for _ in _certificate(statement)) == 111
+
+
+# False statements whose sides agree on a certificate one point short: at
+# t = 1 alone; at b = 0..15 alone; on the simplex lattice of total degree 3
+# in (b, c, d) alone; at b = 0..2, for a cubic in b spelled with powers;
+# and, under the constraint, where d = b*c is 0 or 1.
+B_ROOTS = "*".join(["b"] + [f"(b - {k}*a)" for k in range(1, 16)])
+SUM_ROOTS = "*".join(["(b + c + d)"] + [f"(b + c + d - {k}*a)" for k in range(1, 4)])
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a^2 == a",
+        f"constraint: a*d - b*c = 0; {B_ROOTS} == 0",
+        f"{SUM_ROOTS} == 0",
+        "b^3 + 2*a^2*b == 3*a*b^2",
+        "constraint: a*d - b*c = 0; d*(d - a) == 0",
+    ],
+    ids=["one-scale", "one-short-in-b", "simplex", "power-degree", "d-under-constraint"],
+)
+def test_verify_numeric_falsifies_a_statement_that_vanishes_on_a_smaller_grid(capsys, tmp_path, text):
+    path = tmp_path / "short.rid"
+    path.write_text(text + "\n", encoding="utf-8")
+    code, out, err = invoke(capsys, "verify", str(path), "--numeric", "--format", "json")
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert payload["verdict"] == "FALSIFIED"
+    witness = tuple(Fraction(v) for v in payload["witness"])
+    statement = load_statement(path)
+    assert expr_value(statement.lhs, witness) != expr_value(statement.rhs, witness)
 
 
 def test_verify_non_ascii_digit_exits_two_with_its_position(capsys, tmp_path):
@@ -192,6 +225,36 @@ def test_verify_non_ascii_digit_exits_two_with_its_position(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert f"{path}: 1:3: unexpected character" in err
+
+
+def test_verify_numeric_point_budget(capsys, tmp_path):
+    # D(n) under the constraint needs (n + 1)^2 grid points: 10,000 for
+    # D(99), exactly the budget, and 10,201 for D(100).
+    path = tmp_path / "over.rid"
+    path.write_text("constraint: a*d - b*c = 0; D(99) == D(99)\n", encoding="utf-8")
+    code, out, err = invoke(capsys, "verify", str(path), "--numeric")
+    assert (code, err) == (0, "")
+    assert out.startswith("PROVED over reduced_terms=0 ")
+    path.write_text("constraint: a*d - b*c = 0; D(100) == D(100)\n", encoding="utf-8")
+    code, out, err = invoke(capsys, "verify", str(path), "--numeric")
+    assert (code, out) == (2, "")
+    assert err == (
+        "trigident: over: deciding it exactly needs at least 10201 integer points,"
+        " over the budget of 10000, and all 100 seeded draws agree; verify it symbolically instead\n"
+    )
+    # A false statement over the budget still gets its first seeded draw.
+    path.write_text("constraint: a*d - b*c = 0; b^100*c^100 == b^100*c^100 + 1\n", encoding="utf-8")
+    code, out, err = invoke(capsys, "verify", str(path), "--numeric")
+    assert (code, err) == (1, "")
+    assert out == "FALSIFIED over witness=(3/7,-8/5,7/8,-49/15)\n"
+
+
+def test_verify_overlong_number_exits_two_with_its_position(capsys, tmp_path):
+    path = tmp_path / "long.rid"
+    path.write_text("1" * 5000 + " == a\n", encoding="utf-8")
+    code, out, err = invoke(capsys, "verify", str(path), "--numeric")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"trigident: {path}: 1:1: number has 5000 digits")
 
 
 @pytest.mark.parametrize(

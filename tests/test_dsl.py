@@ -169,6 +169,28 @@ def test_non_ascii_digits_are_syntax_errors(source):
     assert f"unexpected character {source[2]!r}" in str(error)
 
 
+LONG = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "source, position",
+    [
+        (f"{LONG} == a", (1, 1, 0)),
+        (f"a == -2/{LONG}", (1, 9, 8)),
+        (f"D({LONG}) == 0", (1, 3, 2)),
+        (f"a ==\n  a^{LONG}", (2, 5, 9)),
+    ],
+    ids=["rational", "denominator", "bracket-power", "exponent"],
+)
+def test_overlong_numbers_are_positioned_errors(source, position):
+    # int() refuses more than 4,300 digits; the parser reports where.
+    with pytest.raises(DslSemanticError) as excinfo:
+        parse(source)
+    error = excinfo.value
+    assert (error.line, error.column, error.offset) == position
+    assert str(error).startswith(f"{position[0]}:{position[1]}: number has 5000 digits, over the limit of ")
+
+
 def position_of(source, offset):
     line_start = source.rfind("\n", 0, offset) + 1
     return source.count("\n", 0, offset) + 1, offset - line_start + 1

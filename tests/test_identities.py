@@ -28,7 +28,15 @@ from trigident.identities import (
     spot_check,
     verify,
 )
-from trigident.identities import _WITNESS_DRAWS, _integer_witness, _sample_point
+from trigident import identities
+from trigident.identities import (
+    _WITNESS_DRAWS,
+    _OverBudget,
+    _certificate,
+    _degrees,
+    _integer_witness,
+    _sample_point,
+)
 
 A = Polynomial.variable("a")
 B = Polynomial.variable("b")
@@ -248,11 +256,53 @@ def test_negative_powers_raise_on_both_routes():
             expr_to_poly(expr)
         with pytest.raises(ValueError, match=message):
             expr_value(expr, point)
+        with pytest.raises(ValueError, match=message):
+            _degrees(expr, "bcd")
         statement = IdentityStatement("negative", expr, Num(Fraction(0)), constrained=False)
         with pytest.raises(ValueError, match=message):
             spot_check(statement, trials=1)
         with pytest.raises(ValueError, match=message):
             verify(statement)
+
+
+# ----------------------------------------------------------------------
+# the exact evaluation certificate
+
+
+@pytest.mark.parametrize(
+    "name, points",
+    [
+        ("ramanujan-6-10-8", 289),
+        ("gen-3-7-5-six", 121),
+        ("gen-3-7-5-three", 286),
+        ("asym-6-8-factored", 81),
+        ("asym-6-8-r2", 81),
+    ],
+)
+def test_certificate_point_counts(name, points):
+    statement = catalog_entry(name)
+    grid = list(_certificate(statement))
+    assert len(grid) == len(set(grid)) == points
+    for a, b, c, d in grid:
+        assert a >= 1
+        assert a * d == b * c or not statement.constrained
+
+
+def test_degree_sets_are_sumsets():
+    sum_of_two = Add(Mul(Var("a"), Var("b")), Pow(Add(Var("a"), Bracket(BracketKind.D, 5)), 2))
+    assert _degrees(sum_of_two, "bcd") == (frozenset({2, 10, 6}), (10, 10, 10))
+    assert _degrees(Mul(Num(Fraction(0)), Var("d")), "bc") == (frozenset(), (1, 1))
+    assert _degrees(Pow(Num(Fraction(0)), 0), "bc") == (frozenset({0}), (0, 0))
+
+
+def test_a_huge_power_is_over_budget_before_any_degree_set_is_built(monkeypatch):
+    def unexpected(left, right):
+        raise AssertionError("built a degree set")
+
+    monkeypatch.setattr(identities, "_sumset", unexpected)
+    with pytest.raises(_OverBudget) as excinfo:
+        _degrees(Pow(Add(Var("a"), Num(Fraction(1))), 10**12), "bcd")
+    assert excinfo.value.points == 10**12 + 1
 
 
 # ----------------------------------------------------------------------
@@ -292,28 +342,28 @@ def reference_bracket_value(kind, power, point):
 
 
 def reference_reports(statement, trials, seed):
-    """(verdict, witness, reduced_terms) of spot_check and of verify, by reference_value."""
+    """(verdict, witness, reduced_terms) of spot_check and of verify, by reference_value.
 
-    def differs(point):
-        return reference_value(statement.lhs, point) != reference_value(statement.rhs, point)
-
-    rng = random.Random(seed)
-    spot = (Verdict.PROVED, None, 0)
-    for _ in range(trials):
-        point = _sample_point(statement.constrained, rng)
-        if differs(point):
-            spot = (Verdict.FALSIFIED, point, len(reduce_difference(statement).terms))
-            break
+    Both verdicts are FALSIFIED exactly when the reduced difference is
+    nonzero, and the witness is then the first seeded draw where the sides
+    differ.  When none of the ``trials`` draws differs, spot_check reports a
+    point of its certificate instead; its witness here is None.
+    """
     reduced = reduce_difference(statement)
     if not reduced:
-        return spot, (Verdict.PROVED, None, 0)
-    rng = random.Random(seed)
-    for _ in range(_WITNESS_DRAWS):
-        point = _sample_point(statement.constrained, rng)
-        if differs(point):
-            return spot, (Verdict.FALSIFIED, point, len(reduced.terms))
-    witness = _integer_witness(reduced, statement.constrained)
-    return spot, (Verdict.FALSIFIED, witness, len(reduced.terms))
+        return (Verdict.PROVED, None, 0), (Verdict.PROVED, None, 0)
+
+    def first_difference(draws):
+        rng = random.Random(seed)
+        for _ in range(draws):
+            point = _sample_point(statement.constrained, rng)
+            if reference_value(statement.lhs, point) != reference_value(statement.rhs, point):
+                return point
+        return None
+
+    terms = len(reduced.terms)
+    witness = first_difference(_WITNESS_DRAWS) or _integer_witness(reduced, statement.constrained)
+    return (Verdict.FALSIFIED, first_difference(trials), terms), (Verdict.FALSIFIED, witness, terms)
 
 
 def degree_bound(expr):
@@ -400,6 +450,17 @@ def statement_strategy():
 def test_spot_check_and_verify_match_the_fraction_reference(statement, seed):
     reference_spot, reference_verify = reference_reports(statement, trials=20, seed=seed)
     spot = spot_check(statement, trials=20, seed=seed)
-    assert (spot.verdict, spot.witness, spot.reduced_terms) == reference_spot
+    verdict, witness, terms = reference_spot
+    if verdict is Verdict.FALSIFIED and witness is None:
+        witness = spot.witness
+        assert all(v.denominator == 1 for v in witness)
+        assert reference_value(statement.lhs, witness) != reference_value(statement.rhs, witness)
+    assert (spot.verdict, spot.witness, spot.reduced_terms) == (verdict, witness, terms)
     report = verify(statement, seed=seed)
     assert (report.verdict, report.witness, report.reduced_terms) == reference_verify
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(statement_strategy())
+def test_spot_check_decides_what_verify_decides(statement):
+    assert spot_check(statement, trials=1).verdict is verify(statement).verdict
