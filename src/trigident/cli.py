@@ -18,6 +18,7 @@ from .discovery import DiscoveryQuery, discover, render_relation
 from .dsl import DslError, Format, load_statement
 from .fourier import Mode, linearize_closed, render_latex, render_plain, to_json
 from .identities import (
+    _WITNESS_DRAWS,
     CATALOG,
     IdentityStatement,
     Verdict,
@@ -62,9 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify_cmd.add_argument("--numeric", action="store_true",
                             help="decide by exact evaluation at integer points"
                             " instead of expanding polynomials")
-    verify_cmd.add_argument("--trials", type=int, default=100,
+    verify_cmd.add_argument("--trials", type=int, default=_WITNESS_DRAWS,
                             help="seeded random draws that pick a --numeric witness"
-                            " (default 100)")
+                            " (default %(default)s)")
     verify_cmd.add_argument("--seed", type=int, default=0,
                             help="witness draw seed (default 0)")
     verify_cmd.add_argument("--format", choices=("plain", "json"), default="plain")

@@ -26,9 +26,9 @@ integer points read off the statement's degrees, and agreement at all of
 them is a certificate that the difference is the zero polynomial (see
 ``_certificate``).  Only a disagreement, or a statement needing more than
 ``_POINT_BUDGET`` points, runs the seeded random draws that pick the
-reported witness.  Every point is lifted to integers over one common
-denominator, and the tree is evaluated in integer (numerator,
-denominator) pairs.
+reported witness; a draw is lifted to integers over the lcm of its
+denominators.  The tree is evaluated in integer (numerator, denominator)
+pairs.
 """
 
 from __future__ import annotations
@@ -172,88 +172,67 @@ def expr_to_poly(expr: Expr) -> Polynomial:
 def expr_value(expr: Expr, point: Point) -> Fraction:
     """Exact value at a rational point, computed without polynomial expansion.
 
-    The point is lifted to integers over one common denominator and the
-    tree is evaluated as integer (numerator, denominator) pairs; brackets
-    are evaluated by powering the three linear-form values directly, so
-    this route is independent of ``expr_to_poly`` and of the symbolic
-    verifier that builds on it.  Negative powers raise ``ValueError``, as
-    they do there.
+    The point is lifted to integers over the lcm of its denominators and
+    the tree is evaluated as one integer (numerator, denominator) pair per
+    node; each bracket powers the three integer linear-form values
+    directly, so this route is independent of ``expr_to_poly`` and of the
+    symbolic verifier that builds on it.  Negative powers raise
+    ``ValueError``, as they do there.
     """
-    numerator, denominator = _LiftedPoint.of(point).value(expr)
-    return Fraction(numerator, denominator)
+    return Fraction(*_value(expr, *_lift(point)))
 
 
-class _LiftedPoint:
-    """A rational point as integer coordinates over one common denominator.
+def _lift(point: Point) -> tuple[tuple[int, ...], int]:
+    """Integer coordinates and their common denominator, the lcm of the point's."""
+    scale = lcm(*(v.denominator for v in point))
+    return tuple(v.numerator * (scale // v.denominator) for v in point), scale
 
-    Each coordinate is ``coords[i] / scale``; ``of`` lifts a rational point
-    with ``scale`` the lcm of its four denominators, and an integer point
-    has scale 1.  Values are unnormalized (numerator, denominator) pairs of
-    ints with a positive denominator; no gcd is ever taken, and a bracket is
-    ``(X^n + Y^n + Z^n, scale^n)`` over the integer linear forms.  Brackets
-    are cached per point, so both sides of a statement share them.
+
+def _value(expr: Expr, coords: tuple[int, ...], scale: int) -> tuple[int, int]:
+    """Value at the point ``coords / scale`` as an unnormalized (num, den) pair.
+
+    Both are ints, the denominator positive; no gcd is ever taken, and a
+    bracket is ``(X^n + Y^n + Z^n, scale^n)`` over the integer linear forms.
     """
-
-    __slots__ = ("coords", "scale", "brackets")
-
-    def __init__(self, coords: tuple[int, ...], scale: int = 1):
-        self.coords = coords
-        self.scale = scale
-        self.brackets: dict[tuple[BracketKind, int], tuple[int, int]] = {}
-
-    @classmethod
-    def of(cls, point: Point) -> _LiftedPoint:
-        scale = lcm(*(v.denominator for v in point))
-        return cls(tuple(v.numerator * (scale // v.denominator) for v in point), scale)
-
-    def value(self, expr: Expr) -> tuple[int, int]:
-        if isinstance(expr, Bracket):
-            return self.bracket(expr.kind, expr.power)
-        if isinstance(expr, Mul):
-            ln, ld = self.value(expr.left)
-            rn, rd = self.value(expr.right)
-            return ln * rn, ld * rd
-        if isinstance(expr, (Add, Sub)):
-            ln, ld = self.value(expr.left)
-            rn, rd = self.value(expr.right)
-            if isinstance(expr, Sub):
-                rn = -rn
-            if ld == rd:
-                return ln + rn, ld
-            return ln * rd + rn * ld, ld * rd
-        if isinstance(expr, Pow):
-            exponent = expr.exponent
-            if not isinstance(exponent, int) or exponent < 0:
-                raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")
-            n, d = self.value(expr.base)
-            return n ** exponent, d ** exponent
-        if isinstance(expr, Num):
-            return expr.value.numerator, expr.value.denominator
-        if isinstance(expr, Var):
-            return self.coords[VARIABLES.index(expr.name)], self.scale
-        raise TypeError(f"not an expression node: {expr!r}")
-
-    def bracket(self, kind: BracketKind, power: int) -> tuple[int, int]:
-        key = (kind, power)
-        cached = self.brackets.get(key)
-        if cached is not None:
-            return cached
+    if isinstance(expr, Bracket):
+        kind, power = expr.kind, expr.power
         if power < 0:
             raise ValueError(f"bracket power must be non-negative, got {power}")
-        a, b, c, d = self.coords
+        a, b, c, d = coords
         one = two = 0
         if kind is not BracketKind.B:
             one = (b + c + d) ** power + (-(a + b + c)) ** power + (a - d) ** power
         if kind is not BracketKind.A:
             two = (a + c + d) ** power + (-(a + b + d)) ** power + (b - c) ** power
-        numerator = one - two if kind is BracketKind.D else one + two
-        result = self.brackets[key] = numerator, self.scale ** power
-        return result
+        return (one - two if kind is BracketKind.D else one + two), scale ** power
+    if isinstance(expr, Mul):
+        ln, ld = _value(expr.left, coords, scale)
+        rn, rd = _value(expr.right, coords, scale)
+        return ln * rn, ld * rd
+    if isinstance(expr, (Add, Sub)):
+        ln, ld = _value(expr.left, coords, scale)
+        rn, rd = _value(expr.right, coords, scale)
+        if isinstance(expr, Sub):
+            rn = -rn
+        if ld == rd:
+            return ln + rn, ld
+        return ln * rd + rn * ld, ld * rd
+    if isinstance(expr, Pow):
+        exponent = expr.exponent
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")
+        n, d = _value(expr.base, coords, scale)
+        return n ** exponent, d ** exponent
+    if isinstance(expr, Num):
+        return expr.value.numerator, expr.value.denominator
+    if isinstance(expr, Var):
+        return coords[VARIABLES.index(expr.name)], scale
+    raise TypeError(f"not an expression node: {expr!r}")
 
 
-def _sides_agree(statement: IdentityStatement, lifted: _LiftedPoint) -> bool:
-    ln, ld = lifted.value(statement.lhs)
-    rn, rd = lifted.value(statement.rhs)
+def _sides_agree(statement: IdentityStatement, coords: tuple[int, ...], scale: int = 1) -> bool:
+    ln, ld = _value(statement.lhs, coords, scale)
+    rn, rd = _value(statement.rhs, coords, scale)
     return ln * rd == rn * ld
 
 
@@ -285,11 +264,16 @@ _CONSTANT = frozenset({0})
 
 
 class _OverBudget(Exception):
-    """The certificate needs at least ``points`` > _POINT_BUDGET points."""
+    """The certificate needs at least ``points`` > _POINT_BUDGET points.
 
-    def __init__(self, points: int):
+    ``degree`` is max J, or None when J outgrew the budget before it was
+    built; max J >= |J| - 1 >= _POINT_BUDGET then.
+    """
+
+    def __init__(self, points: int, degree: Optional[int] = None):
         super().__init__(points)
         self.points = points
+        self.degree = degree
 
 
 def _degrees(expr: Expr, free: str) -> tuple[frozenset[int], tuple[int, ...]]:
@@ -365,13 +349,14 @@ def _certificate(statement: IdentityStatement) -> Iterator[tuple[int, int, int, 
     degrees, bounds = _degrees(Sub(statement.lhs, statement.rhs), free)
     top = max(degrees, default=0)
     sides = [min(bound, top) + 1 for bound in bounds]
-    grid, size = product(*map(range, sides)), prod(sides)
     # Under the constraint the simplex lattice, of total degree 2*max J in
     # (b, c), is never smaller than the (max J + 1)^2 tensor grid.
-    if not statement.constrained and comb(top + 3, 3) < size:
-        grid, size = _simplex(top), comb(top + 3, 3)
+    simplex = not statement.constrained and comb(top + 3, 3) < prod(sides)
+    size = comb(top + 3, 3) if simplex else prod(sides)
     if len(degrees) * size > _POINT_BUDGET:
-        raise _OverBudget(len(degrees) * size)
+        raise _OverBudget(len(degrees) * size, top)
+    # product() reads its ranges into tuples, so build the grid only in budget.
+    grid = _simplex(top) if simplex else product(*map(range, sides))
     scales = range(1, len(degrees) + 1)
     if statement.constrained:
         return ((t, t * b, t * c, t * b * c) for b, c in grid for t in scales)
@@ -390,6 +375,9 @@ def _simplex(total: int) -> Iterator[tuple[int, int, int]]:
 
 # ----------------------------------------------------------------------
 # verification
+
+# Seeded draws for a witness, in ``verify`` and by default in ``spot_check``.
+_WITNESS_DRAWS = 100
 
 
 class Verdict(Enum):
@@ -445,7 +433,7 @@ def verify(statement: IdentityStatement, seed: int = 0) -> VerificationReport:
     )
 
 
-def spot_check(statement: IdentityStatement, trials: int = 100, seed: int = 0) -> VerificationReport:
+def spot_check(statement: IdentityStatement, trials: int = _WITNESS_DRAWS, seed: int = 0) -> VerificationReport:
     """Decide the statement by exact evaluation at integer points.
 
     Both sides are evaluated, never expanded, at the points of
@@ -455,11 +443,12 @@ def spot_check(statement: IdentityStatement, trials: int = 100, seed: int = 0) -
     with numerator and denominator bounded by 9, and for a constrained
     statement d = b*c/a, so every point satisfies a*d = b*c exactly.  The
     first draw where the sides differ is reported; the integer point is
-    reported only if every draw agrees.  A statement whose certificate
-    needs more than ``_POINT_BUDGET`` points gets the draws alone: a
+    reported only if every draw agrees.  Over ``_POINT_BUDGET`` points, a
+    statement of degree at most ``_POINT_BUDGET`` gets the draws alone: a
     differing draw falsifies it, and if every draw agrees ``ValueError`` is
-    raised, since nothing was proved.  On a failure the reduced difference
-    is expanded once so the report's term count stays truthful.
+    raised, since nothing was proved; a higher degree raises it at once.
+    On a failure the reduced difference is expanded once so the report's
+    term count stays truthful.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
@@ -468,11 +457,13 @@ def spot_check(statement: IdentityStatement, trials: int = 100, seed: int = 0) -
     try:
         points = _certificate(statement)
     except _OverBudget as exc:
+        # A draw is a rational point, so its values grow with the degree.
+        if exc.degree is None or exc.degree > _POINT_BUDGET:
+            degree = f"at least {exc.points - 1}" if exc.degree is None else exc.degree
+            raise ValueError(f"{statement.name}: degree {degree} is over the budget of {_POINT_BUDGET}") from None
         over_budget = exc.points
     else:
-        disagreement = next(
-            (p for p in points if not _sides_agree(statement, _LiftedPoint(p))), None
-        )
+        disagreement = next((p for p in points if not _sides_agree(statement, p)), None)
         if disagreement is None:
             return VerificationReport(
                 statement.name, Verdict.PROVED, None, 0, time.perf_counter() - start
@@ -499,7 +490,7 @@ def _first_disagreement(
     """The first of ``draws`` sample points where the sides differ, else None."""
     for _ in range(draws):
         point = _sample_point(statement.constrained, rng)
-        if not _sides_agree(statement, _LiftedPoint.of(point)):
+        if not _sides_agree(statement, *_lift(point)):
             return point
     return None
 
@@ -516,9 +507,6 @@ def _nonzero_rational(rng: random.Random) -> Fraction:
     while numerator == 0:
         numerator = rng.randint(-9, 9)
     return Fraction(numerator, rng.randint(1, 9))
-
-
-_WITNESS_DRAWS = 100
 
 
 def _search_witness(

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from trigident import identities
 from trigident.cli import run
 from trigident.dsl import load_statement
 from trigident.identities import _certificate, expr_value
@@ -247,6 +248,23 @@ def test_verify_numeric_point_budget(capsys, tmp_path):
     code, out, err = invoke(capsys, "verify", str(path), "--numeric")
     assert (code, err) == (1, "")
     assert out == "FALSIFIED over witness=(3/7,-8/5,7/8,-49/15)\n"
+
+
+@pytest.mark.parametrize("text, degree", [
+    ("(a+1)^1000000000000 == 0", "at least 1000000000000"),
+    ("b^1000000000000 == b^1000000000000", "1000000000000"),
+])
+def test_verify_numeric_over_the_degree_budget_draws_nothing(capsys, tmp_path, monkeypatch, text, degree):
+    # A seeded draw would compute the huge power at a rational point.
+    def no_draws(*args):
+        raise AssertionError("seeded draws ran over the degree budget")
+
+    monkeypatch.setattr(identities, "_first_disagreement", no_draws)
+    path = tmp_path / "huge.rid"
+    path.write_text(text + "\n", encoding="utf-8")
+    code, out, err = invoke(capsys, "verify", str(path), "--numeric")
+    assert (code, out) == (2, "")
+    assert err == f"trigident: huge: degree {degree} is over the budget of 10000\n"
 
 
 def test_verify_overlong_number_exits_two_with_its_position(capsys, tmp_path):

@@ -411,6 +411,11 @@ differential = settings(max_examples=150, deadline=None, derandomize=True, datab
          (Fraction(0), Fraction(5), Fraction(0), Fraction(-7, 9)))
 @example(Add(Mul(Num(Fraction(1, 2)), Bracket(BracketKind.A, 5)), Bracket(BracketKind.B, 5)),
          (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), Fraction(1, 9)))
+# One bracket twice in a product and again on the other side of the difference.
+@example(Sub(Mul(Bracket(BracketKind.D, 6), Bracket(BracketKind.D, 6)), Bracket(BracketKind.D, 6)),
+         (Fraction(2), Fraction(-3), Fraction(5), Fraction(1)))
+@example(Sub(Mul(Bracket(BracketKind.D, 6), Bracket(BracketKind.D, 6)), Bracket(BracketKind.D, 6)),
+         (Fraction(2, 3), Fraction(-3, 4), Fraction(5, 7), Fraction(1, 9)))
 def test_expr_value_matches_the_fraction_reference(expr, point):
     value = expr_value(expr, point)
     assert type(value) is Fraction
