@@ -18,13 +18,13 @@ so each relation extends to arbitrary radius.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
 
-from .dsl import Format, render
+from .dsl import Format, parse, render
 from .fourier import Mode, linearize_closed, single_harmonic
-from .identities import Bracket, BracketKind, IdentityStatement, Mul, Num, Pow
+from .identities import CATALOG, IdentityStatement
 
 
 @dataclass(frozen=True)
@@ -110,33 +110,26 @@ def emit_statement(
     bracket triples parameterize two angles of a common radius (the second
     one under a*d = b*c), so DIFFERENCE relations become D-bracket
     statements with the constraint on and POINTWISE relations become
-    A-bracket statements with it off.  The classical (6, 10, 8) triple
-    keeps its catalog name.  For any other shift count the relation is
-    returned as plain text over f_k evaluations.
+    A-bracket statements with it off.  A relation the catalog holds keeps
+    its catalog name.  For any other shift count the relation is returned
+    as plain text over f_k evaluations.
     """
-    if shift_count == 3:
-        if mode is Mode.DIFFERENCE:
-            kind = BracketKind.D
-            suffix = "six"
-            constrained = True
-        else:
-            kind = BracketKind.A
-            suffix = "three"
-            constrained = False
-        triple = (identity.m, identity.n, identity.p)
-        if mode is Mode.DIFFERENCE and triple == (6, 10, 8):
-            name = "ramanujan-6-10-8"
-        else:
-            name = f"gen-{identity.m}-{identity.n}-{identity.p}-{suffix}"
-        lhs = Mul(
-            Mul(Num(Fraction(identity.product_factor)), Bracket(kind, identity.m)),
-            Bracket(kind, identity.n),
-        )
-        rhs = Mul(
-            Num(Fraction(identity.square_factor)), Pow(Bracket(kind, identity.p), 2)
-        )
-        return IdentityStatement(name, lhs, rhs, constrained)
-    return render_relation(identity, shift_count, mode, Format.PLAIN)
+    if shift_count != 3:
+        return render_relation(identity, shift_count, mode, Format.PLAIN)
+    kind, suffix = ("D", "six") if mode is Mode.DIFFERENCE else ("A", "three")
+    constrained = mode is Mode.DIFFERENCE
+    # Catalog-style text; P is the square factor and Q the product factor.
+    text = "{Q}*{K}({m})*{K}({n}) == {P}*{K}({p})^2".format(
+        K=kind, m=identity.m, n=identity.n, p=identity.p,
+        P=identity.square_factor, Q=identity.product_factor,
+    )
+    name = f"gen-{identity.m}-{identity.n}-{identity.p}-{suffix}"
+    name = _CATALOG_NAMES.get((text, constrained), name)
+    return replace(parse(text, name), constrained=constrained)
+
+
+# Catalog name of each (text, constrained) entry, for relations it holds.
+_CATALOG_NAMES = {entry: name for name, entry in CATALOG.items()}
 
 
 # Relation text for shift counts other than 3, which have no bracket form;

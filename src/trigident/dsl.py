@@ -3,8 +3,7 @@
 Grammar (whitespace-insensitive, ``#`` starts a comment that runs to the
 end of the line):
 
-    statement  := [ constraint ";" ] expr "==" expr
-    constraint := "constraint" ":" "a" "*" "d" "-" "b" "*" "c" "=" "0"
+    statement  := [ "constraint" ":" expr "=" expr ";" ] expr "==" expr
     expr       := term { ("+" | "-") term }
     term       := factor { "*" factor }
     factor     := base [ "^" natural ]
@@ -19,13 +18,14 @@ str.isspace accepts.  Errors report a 1-based ``line:column`` counted in
 characters, where only a newline ends a line and comments count like any
 other text, plus the 0-based character ``offset``.
 
-The only side condition the language admits is a*d - b*c = 0; any other
-constraint clause is rejected as unsupported after parsing, as are a zero
-denominator and a number with more digits than ``int`` converts
-(``sys.get_int_max_str_digits``, 4,300 by default).  ``parse`` and
-``render(..., Format.PLAIN)`` are mutually inverse on abstract syntax
-trees, with PLAIN output inserting parentheses only where precedence or
-associativity requires them.
+The only side condition the language admits is a*d - b*c = 0: a clause
+whose two expressions parse to other trees than those of ``a*d - b*c`` and
+``0`` (``a*d - c*b``, say, but not ``(a*d) - (b*c)`` or ``0/7``) is rejected
+as unsupported after parsing, as are a zero denominator and a number with
+more digits than ``int`` converts (``sys.get_int_max_str_digits``, 4,300
+by default).  ``parse`` and ``render(..., Format.PLAIN)`` are mutually
+inverse on abstract syntax trees, with PLAIN output inserting parentheses
+only where precedence or associativity requires them.
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ averaging cos(h*theta + 2*k*h*pi/N) over the N shifts kills every h that is
 not a multiple of N and leaves the rest untouched.  Two independent routes
 compute the surviving coefficients exactly over the rationals:
 
-* ``linearize_closed`` evaluates a closed form in central binomial
-  coefficients, one formula per parity of n.
+* ``linearize_closed`` evaluates the power-reduction formula
+  cos^n theta = 2^(1-n) * sum_{k < n/2} C(n, k) * cos((n - 2k) theta),
+  plus 2^-n * C(n, n/2) for even n, one harmonic per k.
 * ``linearize_oracle`` expands cos^n theta = 2^-n * sum_k C(n, k) *
   cos((n - 2k) theta) directly and keeps the harmonics divisible by N.
 
@@ -59,32 +60,17 @@ class FourierExpansion:
 def linearize_closed(shift_count: int, power: int) -> FourierExpansion:
     """Closed-form coefficients of f_power for shift_count shifts.
 
-    For even power n = 2p the coefficient of cos(2m * theta), m >= 1, is
-    N * C(2p, p+m) / 2^(2p-1), and the constant term is N * C(2p, p) / 2^(2p).
-    For odd power n = 2p+1 the coefficient of cos((2m+1) * theta) is
-    N * C(2p+1, p-m) / 2^(2p).  Only harmonics divisible by N are kept.
+    By power reduction, the coefficient of cos(h * theta) for h = n - 2k > 0
+    is N * C(n, k) / 2^(n-1), and the constant term (h = 0, even n only) is
+    N * C(n, n/2) / 2^n.  Only harmonics divisible by N are kept.
     """
     _check_arguments(shift_count, power)
     coefficients: dict[int, Fraction] = {}
-    if power % 2 == 0:
-        p = power // 2
-        for m in range(p + 1):
-            harmonic = 2 * m
-            if harmonic % shift_count:
-                continue
-            if m == 0:
-                value = Fraction(math.comb(2 * p, p), 2 ** (2 * p))
-            else:
-                value = Fraction(math.comb(2 * p, p + m), 2 ** (2 * p - 1))
-            coefficients[harmonic] = shift_count * value
-    else:
-        p = (power - 1) // 2
-        for m in range(p + 1):
-            harmonic = 2 * m + 1
-            if harmonic % shift_count:
-                continue
-            value = Fraction(math.comb(2 * p + 1, p - m), 2 ** (2 * p))
-            coefficients[harmonic] = shift_count * value
+    for k in range(power // 2, -1, -1):
+        harmonic = power - 2 * k
+        if harmonic % shift_count == 0:
+            scale = 2 ** (power - (harmonic > 0))
+            coefficients[harmonic] = shift_count * Fraction(math.comb(power, k), scale)
     return FourierExpansion(shift_count, power, coefficients)
 
 

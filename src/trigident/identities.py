@@ -264,10 +264,11 @@ _CONSTANT = frozenset({0})
 
 
 class _OverBudget(Exception):
-    """The certificate needs at least ``points`` > _POINT_BUDGET points.
+    """The certificate needs ``points`` > _POINT_BUDGET points, or has degree over it.
 
     ``degree`` is max J, or None when J outgrew the budget before it was
-    built; max J >= |J| - 1 >= _POINT_BUDGET then.
+    built; max J >= |J| - 1 >= _POINT_BUDGET then.  Over that degree even
+    one point can be too costly, as a value then has huge powers in it.
     """
 
     def __init__(self, points: int, degree: Optional[int] = None):
@@ -343,7 +344,7 @@ def _certificate(statement: IdentityStatement) -> Iterator[tuple[int, int, int, 
     Points are t*(1, b, c, d), or t*(1, b, c, b*c) under the constraint,
     for t = 1..|J| and (b, c[, d]) on the smaller of the tensor grid and the
     simplex lattice; they are generated lazily.  Raises _OverBudget when
-    there would be more than _POINT_BUDGET of them.
+    there would be more than _POINT_BUDGET of them or max J is over it.
     """
     free = "bc" if statement.constrained else "bcd"
     degrees, bounds = _degrees(Sub(statement.lhs, statement.rhs), free)
@@ -353,7 +354,7 @@ def _certificate(statement: IdentityStatement) -> Iterator[tuple[int, int, int, 
     # (b, c), is never smaller than the (max J + 1)^2 tensor grid.
     simplex = not statement.constrained and comb(top + 3, 3) < prod(sides)
     size = comb(top + 3, 3) if simplex else prod(sides)
-    if len(degrees) * size > _POINT_BUDGET:
+    if len(degrees) * size > _POINT_BUDGET or top > _POINT_BUDGET:
         raise _OverBudget(len(degrees) * size, top)
     # product() reads its ranges into tuples, so build the grid only in budget.
     grid = _simplex(top) if simplex else product(*map(range, sides))
@@ -443,10 +444,10 @@ def spot_check(statement: IdentityStatement, trials: int = _WITNESS_DRAWS, seed:
     with numerator and denominator bounded by 9, and for a constrained
     statement d = b*c/a, so every point satisfies a*d = b*c exactly.  The
     first draw where the sides differ is reported; the integer point is
-    reported only if every draw agrees.  Over ``_POINT_BUDGET`` points, a
-    statement of degree at most ``_POINT_BUDGET`` gets the draws alone: a
-    differing draw falsifies it, and if every draw agrees ``ValueError`` is
-    raised, since nothing was proved; a higher degree raises it at once.
+    reported only if every draw agrees.  A degree over ``_POINT_BUDGET``
+    raises ``ValueError`` at once.  Over ``_POINT_BUDGET`` points, a lower
+    degree gets the draws alone: a differing draw falsifies it, and if
+    every draw agrees ``ValueError`` is raised, since nothing was proved.
     On a failure the reduced difference is expanded once so the report's
     term count stays truthful.
     """

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trigident import identities
 from trigident.cli import run
@@ -253,6 +257,9 @@ def test_verify_numeric_point_budget(capsys, tmp_path):
 @pytest.mark.parametrize("text, degree", [
     ("(a+1)^1000000000000 == 0", "at least 1000000000000"),
     ("b^1000000000000 == b^1000000000000", "1000000000000"),
+    # One certificate point would do for these, but its value is too large.
+    ("a^1000000000000 == 0", "1000000000000"),
+    ("(2*a)^1000000000000 == 0", "1000000000000"),
 ])
 def test_verify_numeric_over_the_degree_budget_draws_nothing(capsys, tmp_path, monkeypatch, text, degree):
     # A seeded draw would compute the huge power at a rational point.
@@ -462,3 +469,46 @@ def test_unknown_subcommand_exits_two(capsys):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+# Pieces of the statement language, plus hostile characters.  Numbers are the
+# digits 0-3, each ending its own lexeme, and a text holds at most one "^", so
+# every statement is cheap to decide.
+DIGITS = [f"{digit} " for digit in "0123"]
+VERIFY_PIECES = list("abcd") + DIGITS + [
+    "A(", "B(", "D(", "(", ")", "+", "-", "*", "/", "^", "==", "=",
+    "constraint: a*d - b*c = 0;", "#", "\n", "$", "\u00e9", "\u00b2",
+]
+# A side is mostly well formed: operator-operand pieces, minus the first operator.
+OPERANDS = list("abcd") + DIGITS + [f"{kind}({digit})" for kind in "ABD" for digit in DIGITS]
+SIDE_PIECES = [op + operand for op in "+-*" for operand in OPERANDS] + [
+    op + digit for op in "/^" for digit in DIGITS
+]
+SIDE = st.lists(st.sampled_from(SIDE_PIECES), min_size=1, max_size=4).map(
+    lambda pieces: "".join(pieces)[1:]
+)
+JUNK = st.lists(st.sampled_from(VERIFY_PIECES), max_size=3).map("".join)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(
+    st.builds(
+        "{}{}=={}{}".format,
+        st.sampled_from(["", "constraint: a*d - b*c = 0;"]) | JUNK,
+        SIDE,
+        SIDE | JUNK,
+        st.just("") | JUNK,
+    ).filter(lambda text: text.count("^") <= 1)
+)
+def test_verify_exit_code_contract(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.rid"
+    path.write_text(text, encoding="utf-8")
+    for extra in ([], ["--numeric"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = run(["verify", str(path), *extra])
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert out.getvalue().startswith("FALSIFIED ")
+        if code == 2:
+            assert out.getvalue() == ""

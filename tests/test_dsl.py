@@ -226,6 +226,11 @@ def test_unsupported_constraint_is_a_semantic_error():
         parse("constraint: a*d - b*c = 1; D(2) == 0")
     with pytest.raises(DslSemanticError):
         parse("1/0 == a")
+    # The clause is read as two expressions and compared as trees.
+    assert parse("constraint: (a*d) - (b*c) = 0; D(2) == 0").constrained
+    assert parse("constraint: a*d - b*c = 0/7; D(2) == 0").constrained
+    with pytest.raises(DslSemanticError):
+        parse("constraint: a*d - c*b = 0; D(2) == 0")
 
 
 def test_latex_rendering_expands_brackets():

@@ -71,7 +71,7 @@ def test_small_cases():
 
 def test_closed_form_agrees_with_binomial_oracle():
     for shift_count in range(1, 9):
-        for power in range(0, 17):
+        for power in range(0, 41):
             closed = linearize_closed(shift_count, power)
             oracle = linearize_oracle(shift_count, power)
             assert dict(closed.coefficients) == dict(oracle.coefficients), (
