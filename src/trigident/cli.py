@@ -9,6 +9,7 @@ errors.  Diagnostics go to the error stream; results go to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -38,6 +39,7 @@ class CliError(Exception):
     """Invocation problem that should surface as a diagnostic and exit 2."""
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trigident",

@@ -26,9 +26,8 @@ integer points read off the statement's degrees, and agreement at all of
 them is a certificate that the difference is the zero polynomial (see
 ``_certificate``).  Only a disagreement, or a statement needing more than
 ``_POINT_BUDGET`` points, runs the seeded random draws that pick the
-reported witness; a draw is lifted to integers over the lcm of its
-denominators.  The tree is evaluated in integer (numerator, denominator)
-pairs.
+reported witness.  The tree is evaluated in plain exact arithmetic: ints
+where the point and the constants are integral, Fractions elsewhere.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, lcm, prod
+from math import comb, prod
 from typing import Iterator, Optional, Union
 
 from .algebra import VARIABLES, Polynomial
@@ -172,68 +171,52 @@ def expr_to_poly(expr: Expr) -> Polynomial:
 def expr_value(expr: Expr, point: Point) -> Fraction:
     """Exact value at a rational point, computed without polynomial expansion.
 
-    The point is lifted to integers over the lcm of its denominators and
-    the tree is evaluated as one integer (numerator, denominator) pair per
-    node; each bracket powers the three integer linear-form values
-    directly, so this route is independent of ``expr_to_poly`` and of the
-    symbolic verifier that builds on it.  Negative powers raise
-    ``ValueError``, as they do there.
+    Each bracket powers the three linear-form values at the point directly,
+    so this route is independent of ``expr_to_poly`` and of the symbolic
+    verifier that builds on it.  Negative powers raise ``ValueError``, as
+    they do there.
     """
-    return Fraction(*_value(expr, *_lift(point)))
+    return Fraction(_value(expr, point))
 
 
-def _lift(point: Point) -> tuple[tuple[int, ...], int]:
-    """Integer coordinates and their common denominator, the lcm of the point's."""
-    scale = lcm(*(v.denominator for v in point))
-    return tuple(v.numerator * (scale // v.denominator) for v in point), scale
+def _value(expr: Expr, point: tuple) -> Union[int, Fraction]:
+    """Value at the point as one exact number per node.
 
-
-def _value(expr: Expr, coords: tuple[int, ...], scale: int) -> tuple[int, int]:
-    """Value at the point ``coords / scale`` as an unnormalized (num, den) pair.
-
-    Both are ints, the denominator positive; no gcd is ever taken, and a
-    bracket is ``(X^n + Y^n + Z^n, scale^n)`` over the integer linear forms.
+    The number is an ``int`` wherever the point and the constants are
+    integral, as at every certificate point, and a ``Fraction`` elsewhere.
     """
     if isinstance(expr, Bracket):
         kind, power = expr.kind, expr.power
         if power < 0:
             raise ValueError(f"bracket power must be non-negative, got {power}")
-        a, b, c, d = coords
+        a, b, c, d = point
         one = two = 0
         if kind is not BracketKind.B:
             one = (b + c + d) ** power + (-(a + b + c)) ** power + (a - d) ** power
         if kind is not BracketKind.A:
             two = (a + c + d) ** power + (-(a + b + d)) ** power + (b - c) ** power
-        return (one - two if kind is BracketKind.D else one + two), scale ** power
+        return one - two if kind is BracketKind.D else one + two
     if isinstance(expr, Mul):
-        ln, ld = _value(expr.left, coords, scale)
-        rn, rd = _value(expr.right, coords, scale)
-        return ln * rn, ld * rd
-    if isinstance(expr, (Add, Sub)):
-        ln, ld = _value(expr.left, coords, scale)
-        rn, rd = _value(expr.right, coords, scale)
-        if isinstance(expr, Sub):
-            rn = -rn
-        if ld == rd:
-            return ln + rn, ld
-        return ln * rd + rn * ld, ld * rd
+        return _value(expr.left, point) * _value(expr.right, point)
+    if isinstance(expr, Add):
+        return _value(expr.left, point) + _value(expr.right, point)
+    if isinstance(expr, Sub):
+        return _value(expr.left, point) - _value(expr.right, point)
     if isinstance(expr, Pow):
         exponent = expr.exponent
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")
-        n, d = _value(expr.base, coords, scale)
-        return n ** exponent, d ** exponent
+        return _value(expr.base, point) ** exponent
     if isinstance(expr, Num):
-        return expr.value.numerator, expr.value.denominator
+        value = expr.value
+        return value.numerator if value.denominator == 1 else value
     if isinstance(expr, Var):
-        return coords[VARIABLES.index(expr.name)], scale
+        return point[VARIABLES.index(expr.name)]
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def _sides_agree(statement: IdentityStatement, coords: tuple[int, ...], scale: int = 1) -> bool:
-    ln, ld = _value(statement.lhs, coords, scale)
-    rn, rd = _value(statement.rhs, coords, scale)
-    return ln * rd == rn * ld
+def _sides_agree(statement: IdentityStatement, point: tuple) -> bool:
+    return _value(statement.lhs, point) == _value(statement.rhs, point)
 
 
 # ----------------------------------------------------------------------
@@ -417,18 +400,30 @@ def reduce_difference(statement: IdentityStatement) -> Polynomial:
 
 
 def verify(statement: IdentityStatement, seed: int = 0) -> VerificationReport:
-    """Symbolic verdict; a FALSIFIED verdict carries a concrete witness."""
+    """Symbolic verdict; a FALSIFIED verdict carries a concrete witness.
+
+    A degree over ``_POINT_BUDGET`` raises ``ValueError`` before anything
+    is expanded, as it does in ``spot_check``.
+    """
     start = time.perf_counter()
+    try:
+        _certificate(statement)
+    except _OverBudget as exc:
+        _refuse_degree(statement, exc)
     reduced = reduce_difference(statement)
     if not reduced:
         return VerificationReport(
             statement.name, Verdict.PROVED, None, 0, time.perf_counter() - start
         )
-    witness = _search_witness(statement, reduced, random.Random(seed))
+    # The reduced difference is a nonzero polynomial, so random rational
+    # points miss its zero set with overwhelming probability and the first
+    # draw almost always succeeds.  The cap only bounds the rare statement
+    # whose zero set covers the sampling box.
+    witness = _first_disagreement(statement, _WITNESS_DRAWS, random.Random(seed))
     return VerificationReport(
         statement.name,
         Verdict.FALSIFIED,
-        witness,
+        witness or _integer_witness(reduced, statement.constrained),
         len(reduced.terms),
         time.perf_counter() - start,
     )
@@ -458,10 +453,7 @@ def spot_check(statement: IdentityStatement, trials: int = _WITNESS_DRAWS, seed:
     try:
         points = _certificate(statement)
     except _OverBudget as exc:
-        # A draw is a rational point, so its values grow with the degree.
-        if exc.degree is None or exc.degree > _POINT_BUDGET:
-            degree = f"at least {exc.points - 1}" if exc.degree is None else exc.degree
-            raise ValueError(f"{statement.name}: degree {degree} is over the budget of {_POINT_BUDGET}") from None
+        _refuse_degree(statement, exc)
         over_budget = exc.points
     else:
         disagreement = next((p for p in points if not _sides_agree(statement, p)), None)
@@ -485,13 +477,20 @@ def spot_check(statement: IdentityStatement, trials: int = _WITNESS_DRAWS, seed:
     )
 
 
+def _refuse_degree(statement: IdentityStatement, exc: _OverBudget) -> None:
+    # Over this degree a value at any point, and any expansion, holds huge powers.
+    if exc.degree is None or exc.degree > _POINT_BUDGET:
+        degree = f"at least {exc.points - 1}" if exc.degree is None else exc.degree
+        raise ValueError(f"{statement.name}: degree {degree} is over the budget of {_POINT_BUDGET}") from None
+
+
 def _first_disagreement(
     statement: IdentityStatement, draws: int, rng: random.Random
 ) -> Optional[Point]:
     """The first of ``draws`` sample points where the sides differ, else None."""
     for _ in range(draws):
         point = _sample_point(statement.constrained, rng)
-        if not _sides_agree(statement, *_lift(point)):
+        if not _sides_agree(statement, point):
             return point
     return None
 
@@ -508,18 +507,6 @@ def _nonzero_rational(rng: random.Random) -> Fraction:
     while numerator == 0:
         numerator = rng.randint(-9, 9)
     return Fraction(numerator, rng.randint(1, 9))
-
-
-def _search_witness(
-    statement: IdentityStatement, reduced: Polynomial, rng: random.Random
-) -> Point:
-    # The reduced difference is a nonzero polynomial, so random rational
-    # points miss its zero set with overwhelming probability and the first
-    # draw almost always succeeds.  The cap only bounds the rare statement
-    # whose zero set covers the sampling box.
-    return _first_disagreement(statement, _WITNESS_DRAWS, rng) or _integer_witness(
-        reduced, statement.constrained
-    )
 
 
 def _integer_witness(reduced: Polynomial, constrained: bool) -> Point:

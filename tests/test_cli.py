@@ -1,8 +1,12 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -254,13 +258,16 @@ def test_verify_numeric_point_budget(capsys, tmp_path):
     assert out == "FALSIFIED over witness=(3/7,-8/5,7/8,-49/15)\n"
 
 
-@pytest.mark.parametrize("text, degree", [
+HUGE_POWERS = [
     ("(a+1)^1000000000000 == 0", "at least 1000000000000"),
     ("b^1000000000000 == b^1000000000000", "1000000000000"),
     # One certificate point would do for these, but its value is too large.
     ("a^1000000000000 == 0", "1000000000000"),
     ("(2*a)^1000000000000 == 0", "1000000000000"),
-])
+]
+
+
+@pytest.mark.parametrize("text, degree", HUGE_POWERS)
 def test_verify_numeric_over_the_degree_budget_draws_nothing(capsys, tmp_path, monkeypatch, text, degree):
     # A seeded draw would compute the huge power at a rational point.
     def no_draws(*args):
@@ -270,6 +277,20 @@ def test_verify_numeric_over_the_degree_budget_draws_nothing(capsys, tmp_path, m
     path = tmp_path / "huge.rid"
     path.write_text(text + "\n", encoding="utf-8")
     code, out, err = invoke(capsys, "verify", str(path), "--numeric")
+    assert (code, out) == (2, "")
+    assert err == f"trigident: huge: degree {degree} is over the budget of 10000\n"
+
+
+@pytest.mark.parametrize("text, degree", HUGE_POWERS)
+def test_verify_over_the_degree_budget_exits_two(capsys, tmp_path, monkeypatch, text, degree):
+    # Expanding the huge power would not end.
+    def no_expansion(expr):
+        raise AssertionError("expanded a statement over the degree budget")
+
+    monkeypatch.setattr(identities, "expr_to_poly", no_expansion)
+    path = tmp_path / "huge.rid"
+    path.write_text(text + "\n", encoding="utf-8")
+    code, out, err = invoke(capsys, "verify", str(path))
     assert (code, out) == (2, "")
     assert err == f"trigident: huge: degree {degree} is over the budget of 10000\n"
 
@@ -459,6 +480,25 @@ def test_catalog_listing(capsys):
         " assuming a*d = b*c",
         "asym-6-8-r2: 4*A(2)*D(6) == 3*D(8) assuming a*d = b*c",
     ]
+
+
+def test_process_exit_codes(tmp_path):
+    def trigident(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "trigident.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        )
+
+    assert trigident("verify", "ramanujan-6-10-8").returncode == 0
+    path = tmp_path / "wrong.rid"
+    path.write_text("constraint: a*d - b*c = 0; 64*D(6)*D(10) == 44*D(8)^2\n", encoding="utf-8")
+    falsified = trigident("verify", str(path))
+    assert falsified.returncode == 1
+    assert falsified.stdout.startswith("FALSIFIED ")
+    unknown = trigident("verify", "missing-name")
+    assert (unknown.returncode, unknown.stdout) == (2, "")
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -36,6 +36,7 @@ from trigident.identities import (
     _degrees,
     _integer_witness,
     _sample_point,
+    _value,
 )
 
 A = Polynomial.variable("a")
@@ -286,6 +287,14 @@ def test_certificate_point_counts(name, points):
     for a, b, c, d in grid:
         assert a >= 1
         assert a * d == b * c or not statement.constrained
+
+
+def test_values_at_certificate_points_are_ints():
+    # An integral point and integral constants keep the certificate out of Fraction.
+    for statement in catalog():
+        for point in _certificate(statement):
+            assert type(_value(statement.lhs, point)) is int
+            assert type(_value(statement.rhs, point)) is int
 
 
 def test_degree_sets_are_sumsets():
