@@ -17,17 +17,20 @@ a*d = b*c.
 
 An IdentityStatement asserts lhs == rhs for expressions built from
 rationals, the variables, brackets, +, -, *, and integer powers, optionally
-assuming a*d - b*c = 0.  ``verify`` decides the statement symbolically:
-expand both sides to polynomials, subtract, eliminate d via d := b*c/a
+assuming a*d - b*c = 0.  One evaluator, ``_value``, gives a statement its
+meaning at a point in plain exact arithmetic: ints where the point and the
+constants are integral, Fractions elsewhere, and Polynomials at the point
+(a, b, c, d) itself, which expands the statement.  ``verify`` decides it
+symbolically: expand both sides, subtract, eliminate d via d := b*c/a
 (clearing denominators) when the constraint is assumed, and test for the
-zero polynomial.  ``spot_check`` decides the same question without
-expanding anything: it evaluates both sides exactly at a few hundred
-integer points read off the statement's degrees, and agreement at all of
-them is a certificate that the difference is the zero polynomial (see
+zero polynomial.  ``spot_check`` decides the same question without expanding
+anything: it evaluates both sides exactly at a few hundred integer points
+read off the statement's degrees, and agreement at all of them is a
+certificate that the difference is the zero polynomial (see
 ``_certificate``).  Only a disagreement, or a statement needing more than
 ``_POINT_BUDGET`` points, runs the seeded random draws that pick the
-reported witness.  The tree is evaluated in plain exact arithmetic: ints
-where the point and the constants are integral, Fractions elsewhere.
+reported witness.  Both refuse a statement with a node of degree over
+``_POINT_BUDGET``, or a power of a constant with exponent over it.
 """
 
 from __future__ import annotations
@@ -113,77 +116,45 @@ class IdentityStatement:
 
 
 # ----------------------------------------------------------------------
-# bracket polynomials
+# evaluation
 
-_A_POLY = Polynomial.variable("a")
-_B_POLY = Polynomial.variable("b")
-_C_POLY = Polynomial.variable("c")
-_D_POLY = Polynomial.variable("d")
+Point = tuple[Fraction, Fraction, Fraction, Fraction]
 
-_TRIPLE_ONE = (
-    _B_POLY + _C_POLY + _D_POLY,
-    -(_A_POLY + _B_POLY + _C_POLY),
-    _A_POLY - _D_POLY,
-)
-_TRIPLE_TWO = (
-    _A_POLY + _C_POLY + _D_POLY,
-    -(_A_POLY + _B_POLY + _D_POLY),
-    _B_POLY - _C_POLY,
-)
+# A value at the point (a, b, c, d) itself is the expanded polynomial.
+_VARIABLE_POINT = tuple(map(Polynomial.variable, VARIABLES))
+
+
+def expr_to_poly(expr: Expr) -> Polynomial:
+    """Fully expanded polynomial of an expression: its value at (a, b, c, d)."""
+    value = _value(expr, _VARIABLE_POINT)
+    return value if isinstance(value, Polynomial) else Polynomial.constant(value)
 
 
 @lru_cache(maxsize=None)
 def bracket_poly(kind: BracketKind, power: int) -> Polynomial:
-    """Expanded polynomial of one bracket; homogeneous of degree ``power``."""
-    if power < 0:
-        raise ValueError(f"bracket power must be non-negative, got {power}")
-    if kind is BracketKind.D:
-        return bracket_poly(BracketKind.A, power) - bracket_poly(BracketKind.B, power)
-    triple = _TRIPLE_ONE if kind is BracketKind.A else _TRIPLE_TWO
-    return triple[0] ** power + triple[1] ** power + triple[2] ** power
-
-
-# ----------------------------------------------------------------------
-# evaluation routes
-
-Point = tuple[Fraction, Fraction, Fraction, Fraction]
-
-
-def expr_to_poly(expr: Expr) -> Polynomial:
-    """Fully expanded polynomial of an expression."""
-    if isinstance(expr, Num):
-        return Polynomial.constant(expr.value)
-    if isinstance(expr, Var):
-        return Polynomial.variable(expr.name)
-    if isinstance(expr, Bracket):
-        return bracket_poly(expr.kind, expr.power)
-    if isinstance(expr, Add):
-        return expr_to_poly(expr.left) + expr_to_poly(expr.right)
-    if isinstance(expr, Sub):
-        return expr_to_poly(expr.left) - expr_to_poly(expr.right)
-    if isinstance(expr, Mul):
-        return expr_to_poly(expr.left) * expr_to_poly(expr.right)
-    if isinstance(expr, Pow):
-        return expr_to_poly(expr.base) ** expr.exponent
-    raise TypeError(f"not an expression node: {expr!r}")
+    """Cached ``expr_to_poly`` of one bracket; homogeneous of degree ``power``."""
+    return expr_to_poly(Bracket(kind, power))
 
 
 def expr_value(expr: Expr, point: Point) -> Fraction:
     """Exact value at a rational point, computed without polynomial expansion.
 
-    Each bracket powers the three linear-form values at the point directly,
-    so this route is independent of ``expr_to_poly`` and of the symbolic
-    verifier that builds on it.  Negative powers raise ``ValueError``, as
-    they do there.
+    It shares ``_value`` with ``expr_to_poly``, but the two decision
+    procedures stay independent: ``verify`` tests the expanded difference
+    for zero, ``spot_check`` evaluates at a certificate's points.  The tests
+    check the tree semantics against a plain Fraction reference.  Negative
+    powers raise ``ValueError``.
     """
     return Fraction(_value(expr, point))
 
 
-def _value(expr: Expr, point: tuple) -> Union[int, Fraction]:
+def _value(expr: Expr, point: tuple) -> Union[int, Fraction, Polynomial]:
     """Value at the point as one exact number per node.
 
+    The brackets' two zero-sum triples are written here and nowhere else.
     The number is an ``int`` wherever the point and the constants are
-    integral, as at every certificate point, and a ``Fraction`` elsewhere.
+    integral, as at every certificate point, a ``Fraction`` elsewhere, and a
+    ``Polynomial`` at ``_VARIABLE_POINT``, which mixes exactly with both.
     """
     if isinstance(expr, Bracket):
         kind, power = expr.kind, expr.power
@@ -247,17 +218,19 @@ _CONSTANT = frozenset({0})
 
 
 class _OverBudget(Exception):
-    """The certificate needs ``points`` > _POINT_BUDGET points, or has degree over it.
+    """The certificate needs at least ``points`` points, over _POINT_BUDGET.
 
-    ``degree`` is max J, or None when J outgrew the budget before it was
-    built; max J >= |J| - 1 >= _POINT_BUDGET then.  Over that degree even
-    one point can be too costly, as a value then has huge powers in it.
+    ``refusal`` names what is over the budget when even one point, or any
+    expansion, is too costly, as a value would hold huge powers: the degree
+    of some node, "at least |J| - 1" when J outgrew the budget before it was
+    built, or the exponent of a power of a constant.  It is None when only
+    the point count is over.
     """
 
-    def __init__(self, points: int, degree: Optional[int] = None):
+    def __init__(self, points: int, refusal: Optional[str] = None):
         super().__init__(points)
         self.points = points
-        self.degree = degree
+        self.refusal = refusal
 
 
 def _degrees(expr: Expr, free: str) -> tuple[frozenset[int], tuple[int, ...]]:
@@ -265,8 +238,9 @@ def _degrees(expr: Expr, free: str) -> tuple[frozenset[int], tuple[int, ...]]:
 
     ``free`` is "bcd", or "bc" under the constraint, where d := b*c; a
     becomes the scale t.  J is empty for a tree that is zero by
-    construction.  Raises _OverBudget as soon as J alone outgrows the
-    budget, before building it where the size follows from its parts.
+    construction.  Raises _OverBudget, with a refusal, for a node of degree
+    or a power of a constant with exponent over the budget, and as soon as
+    J outgrows it, before building J where its size follows from its parts.
     """
     if isinstance(expr, Num):
         return (frozenset() if expr.value == 0 else _CONSTANT), (0,) * len(free)
@@ -276,41 +250,55 @@ def _degrees(expr: Expr, free: str) -> tuple[frozenset[int], tuple[int, ...]]:
     if isinstance(expr, Bracket):
         if expr.power < 0:
             raise ValueError(f"bracket power must be non-negative, got {expr.power}")
-        return frozenset({expr.power}), (expr.power,) * len(free)
-    if isinstance(expr, Pow):
+        degrees, bounds = frozenset({expr.power}), (expr.power,) * len(free)
+    elif isinstance(expr, Pow):
         exponent = expr.exponent
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")
-        degrees, bounds = _degrees(expr.base, free)
-        return _multiple(degrees, exponent), tuple(exponent * bound for bound in bounds)
-    if isinstance(expr, (Add, Sub, Mul)):
+        base, base_bounds = _degrees(expr.base, free)
+        if exponent > _POINT_BUDGET and not any(base):
+            # Degree 0, but the value of the power is still huge.
+            raise _OverBudget(1, f"exponent {exponent}")
+        degrees, bounds = _multiple(base, exponent), tuple(exponent * bound for bound in base_bounds)
+    elif isinstance(expr, (Add, Sub, Mul)):
         left, left_bounds = _degrees(expr.left, free)
         right, right_bounds = _degrees(expr.right, free)
         if isinstance(expr, Mul):
-            return _sumset(left, right), tuple(x + y for x, y in zip(left_bounds, right_bounds))
-        return _within_budget(left | right), tuple(map(max, left_bounds, right_bounds))
-    raise TypeError(f"not an expression node: {expr!r}")
+            degrees, bounds = _sumset(left, right), tuple(x + y for x, y in zip(left_bounds, right_bounds))
+        else:
+            degrees, bounds = left | right, tuple(map(max, left_bounds, right_bounds))
+            _within_budget(len(degrees))
+    else:
+        raise TypeError(f"not an expression node: {expr!r}")
+    # Bound every node, not only the difference: a zero factor or a zeroth
+    # power would hide a huge one from the whole, but not from evaluation.
+    top = max(degrees, default=0)
+    if top > _POINT_BUDGET:
+        raise _OverBudget(len(degrees), f"degree {top}")
+    return degrees, bounds
 
 
-def _within_budget(degrees: frozenset[int]) -> frozenset[int]:
-    # Every degree needs its own t, so |J| points at least.
-    if len(degrees) > _POINT_BUDGET:
-        raise _OverBudget(len(degrees))
-    return degrees
+def _within_budget(size: int) -> None:
+    # Every degree needs its own t, so |J| points at least, and then
+    # max J >= |J| - 1 >= _POINT_BUDGET.
+    if size > _POINT_BUDGET:
+        raise _OverBudget(size, f"degree at least {size - 1}")
 
 
 def _sumset(left: frozenset[int], right: frozenset[int]) -> frozenset[int]:
     # A sumset of nonempty integer sets has at least |left| + |right| - 1 members.
-    if left and right and len(left) + len(right) - 1 > _POINT_BUDGET:
-        raise _OverBudget(len(left) + len(right) - 1)
-    return _within_budget(frozenset(i + j for i in left for j in right))
+    if left and right:
+        _within_budget(len(left) + len(right) - 1)
+    result = frozenset(i + j for i in left for j in right)
+    _within_budget(len(result))
+    return result
 
 
 def _multiple(degrees: frozenset[int], exponent: int) -> frozenset[int]:
     # The exponent-fold sumset, by doubling; with two or more members it has
     # at least exponent * (|J| - 1) + 1 of them.
-    if len(degrees) > 1 and exponent * (len(degrees) - 1) + 1 > _POINT_BUDGET:
-        raise _OverBudget(exponent * (len(degrees) - 1) + 1)
+    if len(degrees) > 1:
+        _within_budget(exponent * (len(degrees) - 1) + 1)
     result = _CONSTANT
     while exponent:
         if exponent & 1:
@@ -327,7 +315,7 @@ def _certificate(statement: IdentityStatement) -> Iterator[tuple[int, int, int, 
     Points are t*(1, b, c, d), or t*(1, b, c, b*c) under the constraint,
     for t = 1..|J| and (b, c[, d]) on the smaller of the tensor grid and the
     simplex lattice; they are generated lazily.  Raises _OverBudget when
-    there would be more than _POINT_BUDGET of them or max J is over it.
+    there would be more than _POINT_BUDGET of them, or as ``_degrees`` does.
     """
     free = "bc" if statement.constrained else "bcd"
     degrees, bounds = _degrees(Sub(statement.lhs, statement.rhs), free)
@@ -337,8 +325,8 @@ def _certificate(statement: IdentityStatement) -> Iterator[tuple[int, int, int, 
     # (b, c), is never smaller than the (max J + 1)^2 tensor grid.
     simplex = not statement.constrained and comb(top + 3, 3) < prod(sides)
     size = comb(top + 3, 3) if simplex else prod(sides)
-    if len(degrees) * size > _POINT_BUDGET or top > _POINT_BUDGET:
-        raise _OverBudget(len(degrees) * size, top)
+    if len(degrees) * size > _POINT_BUDGET:
+        raise _OverBudget(len(degrees) * size)
     # product() reads its ranges into tuples, so build the grid only in budget.
     grid = _simplex(top) if simplex else product(*map(range, sides))
     scales = range(1, len(degrees) + 1)
@@ -395,21 +383,22 @@ def reduce_difference(statement: IdentityStatement) -> Polynomial:
     """
     difference = expr_to_poly(statement.lhs) - expr_to_poly(statement.rhs)
     if statement.constrained:
-        return difference.substitute_clear("d", _B_POLY * _C_POLY, _A_POLY)
+        a, b, c, _ = _VARIABLE_POINT
+        return difference.substitute_clear("d", b * c, a)
     return difference
 
 
 def verify(statement: IdentityStatement, seed: int = 0) -> VerificationReport:
     """Symbolic verdict; a FALSIFIED verdict carries a concrete witness.
 
-    A degree over ``_POINT_BUDGET`` raises ``ValueError`` before anything
-    is expanded, as it does in ``spot_check``.
+    What ``spot_check`` refuses over ``_POINT_BUDGET`` raises the same
+    ``ValueError`` here, before anything is expanded.
     """
     start = time.perf_counter()
     try:
         _certificate(statement)
     except _OverBudget as exc:
-        _refuse_degree(statement, exc)
+        _refuse(statement, exc)
     reduced = reduce_difference(statement)
     if not reduced:
         return VerificationReport(
@@ -439,7 +428,8 @@ def spot_check(statement: IdentityStatement, trials: int = _WITNESS_DRAWS, seed:
     with numerator and denominator bounded by 9, and for a constrained
     statement d = b*c/a, so every point satisfies a*d = b*c exactly.  The
     first draw where the sides differ is reported; the integer point is
-    reported only if every draw agrees.  A degree over ``_POINT_BUDGET``
+    reported only if every draw agrees.  A node of degree over
+    ``_POINT_BUDGET``, or a power of a constant with exponent over it,
     raises ``ValueError`` at once.  Over ``_POINT_BUDGET`` points, a lower
     degree gets the draws alone: a differing draw falsifies it, and if
     every draw agrees ``ValueError`` is raised, since nothing was proved.
@@ -453,7 +443,7 @@ def spot_check(statement: IdentityStatement, trials: int = _WITNESS_DRAWS, seed:
     try:
         points = _certificate(statement)
     except _OverBudget as exc:
-        _refuse_degree(statement, exc)
+        _refuse(statement, exc)
         over_budget = exc.points
     else:
         disagreement = next((p for p in points if not _sides_agree(statement, p)), None)
@@ -477,11 +467,10 @@ def spot_check(statement: IdentityStatement, trials: int = _WITNESS_DRAWS, seed:
     )
 
 
-def _refuse_degree(statement: IdentityStatement, exc: _OverBudget) -> None:
-    # Over this degree a value at any point, and any expansion, holds huge powers.
-    if exc.degree is None or exc.degree > _POINT_BUDGET:
-        degree = f"at least {exc.points - 1}" if exc.degree is None else exc.degree
-        raise ValueError(f"{statement.name}: degree {degree} is over the budget of {_POINT_BUDGET}") from None
+def _refuse(statement: IdentityStatement, exc: _OverBudget) -> None:
+    # A value at any point, and any expansion, would hold huge powers.
+    if exc.refusal:
+        raise ValueError(f"{statement.name}: {exc.refusal} is over the budget of {_POINT_BUDGET}") from None
 
 
 def _first_disagreement(

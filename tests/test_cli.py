@@ -264,6 +264,11 @@ HUGE_POWERS = [
     # One certificate point would do for these, but its value is too large.
     ("a^1000000000000 == 0", "1000000000000"),
     ("(2*a)^1000000000000 == 0", "1000000000000"),
+    # A zero factor hides the huge power from the whole difference.
+    ("0*(2*a)^1000000000000 == 0", "1000000000000"),
+    ("0*(2*a)^1000000000000 == 1", "1000000000000"),
+    ("0*D(1000000000000) == 0", "1000000000000"),
+    ("0*D(1000000000000) == 1", "1000000000000"),
 ]
 
 
@@ -274,6 +279,7 @@ def test_verify_numeric_over_the_degree_budget_draws_nothing(capsys, tmp_path, m
         raise AssertionError("seeded draws ran over the degree budget")
 
     monkeypatch.setattr(identities, "_first_disagreement", no_draws)
+    monkeypatch.setattr(identities, "_sides_agree", no_draws)
     path = tmp_path / "huge.rid"
     path.write_text(text + "\n", encoding="utf-8")
     code, out, err = invoke(capsys, "verify", str(path), "--numeric")
@@ -293,6 +299,22 @@ def test_verify_over_the_degree_budget_exits_two(capsys, tmp_path, monkeypatch, 
     code, out, err = invoke(capsys, "verify", str(path))
     assert (code, out) == (2, "")
     assert err == f"trigident: huge: degree {degree} is over the budget of 10000\n"
+
+
+@pytest.mark.parametrize("route", [[], ["--numeric"]], ids=["symbolic", "numeric"])
+@pytest.mark.parametrize("text", ["2^1000000000000 == 0", "(1/2)^1000000000000 == a"])
+def test_verify_power_of_a_constant_over_the_budget_exits_two(capsys, tmp_path, monkeypatch, text, route):
+    # Degree 0, so only the exponent shows that the value is huge.
+    def no_evaluation(*args):
+        raise AssertionError("evaluated a power over the budget")
+
+    for name in ("expr_to_poly", "_sides_agree", "_first_disagreement"):
+        monkeypatch.setattr(identities, name, no_evaluation)
+    path = tmp_path / "huge.rid"
+    path.write_text(text + "\n", encoding="utf-8")
+    code, out, err = invoke(capsys, "verify", str(path), *route)
+    assert (code, out) == (2, "")
+    assert err == "trigident: huge: exponent 1000000000000 is over the budget of 10000\n"
 
 
 def test_verify_overlong_number_exits_two_with_its_position(capsys, tmp_path):

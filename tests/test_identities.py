@@ -429,6 +429,10 @@ def test_expr_value_matches_the_fraction_reference(expr, point):
     value = expr_value(expr, point)
     assert type(value) is Fraction
     assert value == reference_value(expr, point)
+    # Expansion shares _value, the reference does not.  As for the statements
+    # below, only trees of degree at most 12 expand; higher ones take minutes.
+    if degree_bound(expr) <= 12:
+        assert expr_to_poly(expr).evaluate(point) == reference_value(expr, point)
 
 
 def statement_strategy():
