@@ -14,16 +14,22 @@ holds identically, with square_factor / product_factor equal to the
 amplitude ratio A_m * A_n / A_p^2 in lowest terms.  The m + n = 2p shape
 makes both sides scale as rho^(m + n) when the cosines are scaled by rho,
 so each relation extends to arbitrary radius.
+
+Which powers qualify follows from arithmetic alone (see ``fourier``): f_k
+has one positive harmonic h0 exactly when h0 <= k < h0 + lcm(2, N), so no
+power k >= 2 * lcm(2, N) qualifies.  The search classifies only the powers
+below that bound, and expands none.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
 
 from .dsl import Format, parse, render
-from .fourier import Mode, linearize_closed, single_harmonic
+from .fourier import Mode
 from .identities import CATALOG, IdentityStatement
 
 
@@ -49,6 +55,27 @@ class DiscoveredIdentity:
 _Harmonic = Optional[tuple[int, Fraction]]
 
 
+def _classify(shift_count: int, power: int, mode: Mode) -> _Harmonic:
+    """``single_harmonic(linearize_closed(shift_count, power), mode)``, by arithmetic.
+
+    The positive harmonics of f_power step by lcm(2, N) from the least
+    multiple of N with the parity of power, so there is one exactly when
+    that least harmonic h0 satisfies h0 <= power < h0 + lcm(2, N).  An even
+    power also has the constant term, which POINTWISE mode rejects.
+    """
+    if shift_count < 1:
+        raise ValueError(f"shift count must be positive, got {shift_count}")
+    if power < 0:
+        raise ValueError(f"power must be non-negative, got {power}")
+    if mode is Mode.POINTWISE and power % 2 == 0:
+        return None
+    least = shift_count if (power - shift_count) % 2 == 0 else 2 * shift_count
+    if (power - least) % 2 or not least <= power < least + math.lcm(2, shift_count):
+        return None
+    binomial = math.comb(power, (power - least) // 2)
+    return least, shift_count * Fraction(binomial, 2 ** (power - 1))
+
+
 def _relate(m: _Harmonic, n: _Harmonic, p: _Harmonic) -> Optional[tuple[int, int, int]]:
     # (harmonic, square_factor, product_factor) from the single_harmonic
     # results for f_m, f_n and f_p, or None when the triple does not qualify.
@@ -70,29 +97,31 @@ def derive_constant(
     several positive harmonics, the harmonics disagree, or (POINTWISE) a
     constant term survives.
     """
-    related = _relate(
-        *(single_harmonic(linearize_closed(shift_count, k), mode) for k in (m, n, p))
-    )
+    related = _relate(*(_classify(shift_count, k, mode) for k in (m, n, p)))
     return None if related is None else related[1:]
 
 
 def discover(query: DiscoveryQuery) -> list[DiscoveredIdentity]:
     """All qualifying triples, sorted by (p, m, n); deterministic.
 
-    Each power is linearized and classified once; the pairs then only
-    compare classifications.
+    Only the powers below 2 * lcm(2, N) can qualify, so only those are
+    classified, and only the qualifying ones are paired.  The cost does not
+    depend on max_power beyond that bound.
     """
     if query.shift_count < 1:
         raise ValueError(f"shift count must be positive, got {query.shift_count}")
     if query.max_power < 1:
         raise ValueError(f"max power must be positive, got {query.max_power}")
+    bound = min(query.max_power, 2 * math.lcm(2, query.shift_count) - 1)
     harmonics = {
-        k: single_harmonic(linearize_closed(query.shift_count, k), query.mode)
-        for k in range(1, query.max_power + 1)
+        k: _classify(query.shift_count, k, query.mode) for k in range(1, bound + 1)
     }
+    qualifying = [k for k, harmonic in harmonics.items() if harmonic is not None]
     found: list[DiscoveredIdentity] = []
-    for m in range(1, query.max_power + 1):
-        for n in range(m + 2, query.max_power + 1, 2):
+    for i, m in enumerate(qualifying):
+        for n in qualifying[i + 1:]:
+            if (m + n) % 2:
+                continue
             p = (m + n) // 2
             related = _relate(harmonics[m], harmonics[n], harmonics[p])
             if related is not None:

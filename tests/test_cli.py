@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from trigident import identities
 from trigident.cli import run
 from trigident.dsl import load_statement
+from trigident.fourier import POWER_BUDGET
 from trigident.identities import _certificate, expr_value
 
 
@@ -54,6 +55,15 @@ def test_linearize_rejects_bad_arguments(capsys):
     assert code == 2
     code, _, _ = invoke(capsys, "linearize", "-N", "3", "-n", "6", "--format", "xml")
     assert code == 2
+
+
+def test_linearize_over_the_power_budget_exits_two(capsys):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "linearize", "-N", "3", "-n", "20000")
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (2, "")
+    assert err == f"trigident: power 20000 is over the budget of {POWER_BUDGET}\n"
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
 
 
 def test_verify_catalog_entry(capsys):
@@ -533,6 +543,13 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+def run_quietly(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    return code, out.getvalue()
+
+
 # Pieces of the statement language, plus hostile characters.  Numbers are the
 # digits 0-3, each ending its own lexeme, and a text holds at most one "^", so
 # every statement is cheap to decide.
@@ -566,11 +583,36 @@ def test_verify_exit_code_contract(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "fuzz.rid"
     path.write_text(text, encoding="utf-8")
     for extra in ([], ["--numeric"]):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = run(["verify", str(path), *extra])
+        code, out = run_quietly(["verify", str(path), *extra])
         assert code in (0, 1, 2)
         if code == 1:
-            assert out.getvalue().startswith("FALSIFIED ")
+            assert out.startswith("FALSIFIED ")
         if code == 2:
-            assert out.getvalue() == ""
+            assert out == ""
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(-2, 64),
+    st.sampled_from([-1, 0, 10**6, 10**12]) | st.integers(1, 200),
+    st.sampled_from(["diff", "point"]),
+)
+def test_discover_exit_code_contract(shift_count, max_power, mode):
+    code, out = run_quietly(
+        ["discover", "-N", str(shift_count), "--max-n", str(max_power), "--mode", mode]
+    )
+    assert code in (0, 2)
+    if code == 2:
+        assert out == ""
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(-2, 64),
+    st.sampled_from([-1, POWER_BUDGET, POWER_BUDGET + 1, 10**12]) | st.integers(0, 400),
+)
+def test_linearize_exit_code_contract(shift_count, power):
+    code, out = run_quietly(["linearize", "-N", str(shift_count), "-n", str(power)])
+    assert code in (0, 2)
+    if code == 2:
+        assert out == ""

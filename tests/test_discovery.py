@@ -1,15 +1,17 @@
 import math
+import time
 
 import pytest
 
 from trigident.discovery import (
     DiscoveredIdentity,
     DiscoveryQuery,
+    _classify,
     derive_constant,
     discover,
     emit_statement,
 )
-from trigident.fourier import Mode
+from trigident.fourier import Mode, linearize_closed, single_harmonic
 from trigident.identities import Verdict, catalog_entry, verify
 
 GRID_SIZE = 64
@@ -146,6 +148,29 @@ def test_constants_are_coprime_with_positive_denominator():
         for d in discover(DiscoveryQuery(shift_count, 14, Mode.DIFFERENCE)):
             assert math.gcd(d.square_factor, d.product_factor) == 1
             assert d.product_factor > 0
+
+
+def test_classifier_matches_the_expansion():
+    for shift_count in range(1, 13):
+        for power in range(0, 301):
+            expansion = linearize_closed(shift_count, power)
+            for mode in Mode:
+                assert _classify(shift_count, power, mode) == single_harmonic(
+                    expansion, mode
+                ), (shift_count, power, mode)
+
+
+def test_search_stops_at_the_last_power_that_can_qualify():
+    # No power k >= 2*lcm(2, N) <= 4N has a single positive harmonic, so a
+    # huge bound finds what 4N finds, at the same cost.
+    start = time.perf_counter()
+    for shift_count in range(1, 13):
+        for mode in Mode:
+            assert discover(DiscoveryQuery(shift_count, 10**6, mode)) == discover(
+                DiscoveryQuery(shift_count, 4 * shift_count, mode)
+            ), (shift_count, mode)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
 
 
 def test_invalid_queries_are_rejected():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from trigident.fourier import (
+    POWER_BUDGET,
     Mode,
     eval_expansion,
     linearize_closed,
@@ -142,3 +143,11 @@ def test_argument_validation():
         linearize_closed(3, -1)
     with pytest.raises(ValueError):
         linearize_oracle(-2, 4)
+
+
+def test_powers_over_the_budget_are_refused():
+    for linearize in (linearize_closed, linearize_oracle):
+        with pytest.raises(ValueError, match=f"budget of {POWER_BUDGET}"):
+            linearize(3, POWER_BUDGET + 1)
+        with pytest.raises(ValueError, match="budget"):
+            linearize(3, 10**12)
