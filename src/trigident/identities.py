@@ -21,9 +21,12 @@ assuming a*d - b*c = 0.  One evaluator, ``_value``, gives a statement its
 meaning at a point in plain exact arithmetic: ints where the point and the
 constants are integral, Fractions elsewhere, and Polynomials at the point
 (a, b, c, d) itself, which expands the statement.  ``verify`` decides it
-symbolically: expand both sides, subtract, eliminate d via d := b*c/a
-(clearing denominators) when the constraint is assumed, and test for the
-zero polynomial.  ``spot_check`` decides the same question without expanding
+symbolically.  A statement of brackets and numbers alone is first written
+in the two triples' invariants by Newton's identities (``_PowerSums``); a
+zero difference there is a proof.  Otherwise it expands both sides,
+subtracts, eliminates d via d := b*c/a (clearing denominators) when the
+constraint is assumed, and tests for the zero polynomial; only this route
+falsifies.  ``spot_check`` decides the same question without expanding
 anything: it evaluates both sides exactly at a few hundred integer points
 read off the statement's degrees, and agreement at all of them is a
 certificate that the difference is the zero polynomial (see
@@ -140,7 +143,7 @@ def expr_value(expr: Expr, point: Point) -> Fraction:
     """Exact value at a rational point, computed without polynomial expansion.
 
     It shares ``_value`` with ``expr_to_poly``, but the two decision
-    procedures stay independent: ``verify`` tests the expanded difference
+    procedures stay independent: ``verify`` tests a polynomial difference
     for zero, ``spot_check`` evaluates at a certificate's points.  The tests
     check the tree semantics against a plain Fraction reference.  Negative
     powers raise ``ValueError``.
@@ -148,19 +151,29 @@ def expr_value(expr: Expr, point: Point) -> Fraction:
     return Fraction(_value(expr, point))
 
 
-def _value(expr: Expr, point: tuple) -> Union[int, Fraction, Polynomial]:
+def _value(expr: Expr, point: Union[tuple, _PowerSums]) -> Union[int, Fraction, Polynomial]:
     """Value at the point as one exact number per node.
 
     The brackets' two zero-sum triples are written here and nowhere else.
     The number is an ``int`` wherever the point and the constants are
     integral, as at every certificate point, a ``Fraction`` elsewhere, and a
     ``Polynomial`` at ``_VARIABLE_POINT``, which mixes exactly with both.
+    In place of a point, a ``_PowerSums`` table gives each bracket as a
+    polynomial in the triples' invariants, and a variable has no value.
     """
     if isinstance(expr, Bracket):
         kind, power = expr.kind, expr.power
         if power < 0:
             raise ValueError(f"bracket power must be non-negative, got {power}")
-        a, b, c, d = point
+        try:
+            a, b, c, d = point
+        except TypeError:
+            if not isinstance(point, _PowerSums):
+                raise
+            # Checked only here, so the points pay nothing for the table.
+            one = point.of(0, power) if kind is not BracketKind.B else 0
+            two = point.of(1, power) if kind is not BracketKind.A else 0
+            return one - two if kind is BracketKind.D else one + two
         one = two = 0
         if kind is not BracketKind.B:
             one = (b + c + d) ** power + (-(a + b + c)) ** power + (a - d) ** power
@@ -186,8 +199,59 @@ def _value(expr: Expr, point: tuple) -> Union[int, Fraction, Polynomial]:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def _sides_agree(statement: IdentityStatement, point: tuple) -> bool:
+def _sides_agree(statement: IdentityStatement, point: Union[tuple, _PowerSums]) -> bool:
     return _value(statement.lhs, point) == _value(statement.rhs, point)
+
+
+# ----------------------------------------------------------------------
+# power sums by Newton's identities
+
+
+class _PowerSums:
+    """The power sums of both triples, as polynomials in (e2, e3, e2', e3').
+
+    A zero-sum triple with e2 = xy + yz + zx and e3 = xyz has p_0 = 3,
+    p_1 = 0, p_2 = -2*e2 and p_n = -e2*p_(n-2) + e3*p_(n-3), so A(n) =
+    p_n(e2, e3) and B(n) = p_n(e2', e3').  Since e2 - e2' = 3*(a*d - b*c),
+    e2' is e2 on the whole constraint surface, a = 0 included; in polar form
+    e2 = -3/4*rho^2 and e3 = 1/4*rho^3*cos(3*theta), the paper's one radius
+    and two angles.  The slots a, b, c, d of ``Polynomial`` hold e2, e3, e2',
+    e3', and each triple's table grows on demand.
+    """
+
+    def __init__(self, constrained: bool):
+        e2, e3, e2p, e3p = _VARIABLE_POINT
+        if constrained:
+            e2p = e2
+        self._invariants = ((e2, e3), (e2p, e3p))
+        self._sums = ([3, 0, -2 * e2], [3, 0, -2 * e2p])
+
+    def of(self, triple: int, power: int) -> Union[int, Polynomial]:
+        """p_power of triple 0 (the A brackets) or triple 1 (the B brackets)."""
+        (e2, e3), sums = self._invariants[triple], self._sums[triple]
+        while len(sums) <= power:
+            sums.append(e3 * sums[-3] - e2 * sums[-2])
+        return sums[power]
+
+
+def _bracket_only(expr: Expr) -> bool:
+    """Whether every leaf of the tree is a bracket or a number."""
+    if isinstance(expr, (Add, Sub, Mul)):
+        return _bracket_only(expr.left) and _bracket_only(expr.right)
+    if isinstance(expr, Pow):
+        return _bracket_only(expr.base)
+    return not isinstance(expr, Var)
+
+
+def _proved_by_power_sums(statement: IdentityStatement) -> bool:
+    """Whether lhs - rhs is zero as a polynomial in the triples' invariants.
+
+    Zero in independent symbols stays zero once the actual invariants are
+    put in, so True is a proof; False, also given for a variable, is none.
+    """
+    if not (_bracket_only(statement.lhs) and _bracket_only(statement.rhs)):
+        return False
+    return _sides_agree(statement, _PowerSums(statement.constrained))
 
 
 # ----------------------------------------------------------------------
@@ -315,10 +379,10 @@ def _certificate(statement: IdentityStatement) -> Iterator[tuple[int, int, int, 
     Points are t*(1, b, c, d), or t*(1, b, c, b*c) under the constraint,
     for t = 1..|J| and (b, c[, d]) on the smaller of the tensor grid and the
     simplex lattice; they are generated lazily.  Raises _OverBudget when
-    there would be more than _POINT_BUDGET of them, or as ``_degrees`` does.
+    there would be more than _POINT_BUDGET of them, and ``ValueError`` as
+    ``_degree_pass`` does.
     """
-    free = "bc" if statement.constrained else "bcd"
-    degrees, bounds = _degrees(Sub(statement.lhs, statement.rhs), free)
+    degrees, bounds = _degree_pass(statement)
     top = max(degrees, default=0)
     sides = [min(bound, top) + 1 for bound in bounds]
     # Under the constraint the simplex lattice, of total degree 2*max J in
@@ -333,6 +397,16 @@ def _certificate(statement: IdentityStatement) -> Iterator[tuple[int, int, int, 
     if statement.constrained:
         return ((t, t * b, t * c, t * b * c) for b, c in grid for t in scales)
     return ((t, t * b, t * c, t * d) for b, c, d in grid for t in scales)
+
+
+def _degree_pass(statement: IdentityStatement) -> tuple[frozenset[int], tuple[int, ...]]:
+    """``_degrees`` of lhs - rhs; what is over the budget raises ``ValueError``."""
+    free = "bc" if statement.constrained else "bcd"
+    try:
+        return _degrees(Sub(statement.lhs, statement.rhs), free)
+    except _OverBudget as exc:
+        # A value at any point, and any expansion, would hold huge powers.
+        raise ValueError(f"{statement.name}: {exc.refusal} is over the budget of {_POINT_BUDGET}") from None
 
 
 def _simplex(total: int) -> Iterator[tuple[int, int, int]]:
@@ -391,15 +465,17 @@ def reduce_difference(statement: IdentityStatement) -> Polynomial:
 def verify(statement: IdentityStatement, seed: int = 0) -> VerificationReport:
     """Symbolic verdict; a FALSIFIED verdict carries a concrete witness.
 
-    What ``spot_check`` refuses over ``_POINT_BUDGET`` raises the same
-    ``ValueError`` here, before anything is expanded.
+    A statement of brackets and numbers alone is PROVED without expanding
+    anything when ``_proved_by_power_sums`` holds, on every point of the
+    constraint surface when constrained.  Otherwise, as for any statement
+    with a variable, ``reduce_difference`` expands it; only that route
+    reports FALSIFIED, its term count and its witness.  What ``spot_check``
+    refuses over ``_POINT_BUDGET`` raises the same ``ValueError`` here,
+    before either route runs.
     """
     start = time.perf_counter()
-    try:
-        _certificate(statement)
-    except _OverBudget as exc:
-        _refuse(statement, exc)
-    reduced = reduce_difference(statement)
+    _degree_pass(statement)
+    reduced = None if _proved_by_power_sums(statement) else reduce_difference(statement)
     if not reduced:
         return VerificationReport(
             statement.name, Verdict.PROVED, None, 0, time.perf_counter() - start
@@ -443,7 +519,6 @@ def spot_check(statement: IdentityStatement, trials: int = _WITNESS_DRAWS, seed:
     try:
         points = _certificate(statement)
     except _OverBudget as exc:
-        _refuse(statement, exc)
         over_budget = exc.points
     else:
         disagreement = next((p for p in points if not _sides_agree(statement, p)), None)
@@ -465,12 +540,6 @@ def spot_check(statement: IdentityStatement, trials: int = _WITNESS_DRAWS, seed:
         len(reduce_difference(statement).terms),
         time.perf_counter() - start,
     )
-
-
-def _refuse(statement: IdentityStatement, exc: _OverBudget) -> None:
-    # A value at any point, and any expansion, would hold huge powers.
-    if exc.refusal:
-        raise ValueError(f"{statement.name}: {exc.refusal} is over the budget of {_POINT_BUDGET}") from None
 
 
 def _first_disagreement(

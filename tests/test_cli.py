@@ -268,6 +268,27 @@ def test_verify_numeric_point_budget(capsys, tmp_path):
     assert out == "FALSIFIED over witness=(3/7,-8/5,7/8,-49/15)\n"
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["A(200)*A(2) == A(2)*A(200)", "constraint: a*d - b*c = 0; D(240)*D(240) == D(240)^2"],
+    ids=["commuted", "squared-under-constraint"],
+)
+def test_verify_proves_high_bracket_powers_without_expanding(capsys, tmp_path, monkeypatch, text):
+    # Expanded in a, b, c, d either statement takes minutes; written in the
+    # triples' invariants by Newton's identities it takes milliseconds.
+    def no_expansion(expr):
+        raise AssertionError("expanded a statement the power sums prove")
+
+    monkeypatch.setattr(identities, "expr_to_poly", no_expansion)
+    path = tmp_path / "high.rid"
+    path.write_text(text + "\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "verify", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    assert out.startswith("PROVED high reduced_terms=0 ")
+
+
 HUGE_POWERS = [
     ("(a+1)^1000000000000 == 0", "at least 1000000000000"),
     ("b^1000000000000 == b^1000000000000", "1000000000000"),

@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from functools import cache
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trigident.algebra import Polynomial
+from trigident.fourier import linearize_closed
 from trigident.identities import (
     Add,
     Bracket,
@@ -32,9 +35,11 @@ from trigident import identities
 from trigident.identities import (
     _WITNESS_DRAWS,
     _OverBudget,
+    _PowerSums,
     _certificate,
     _degrees,
     _integer_witness,
+    _proved_by_power_sums,
     _sample_point,
     _value,
 )
@@ -396,16 +401,18 @@ leaves = st.one_of(
     st.sampled_from("abcd").map(Var),
     st.builds(Bracket, st.sampled_from(list(BracketKind)), st.integers(0, 12)),
 )
-expressions = st.recursive(
-    leaves,
-    lambda children: st.one_of(
+
+
+def branches(children):
+    return st.one_of(
         st.builds(Add, children, children),
         st.builds(Sub, children, children),
         st.builds(Mul, children, children),
         st.builds(Pow, children, st.integers(0, 3)),
-    ),
-    max_leaves=8,
-)
+    )
+
+
+expressions = st.recursive(leaves, branches, max_leaves=8)
 a_zero_slice = st.one_of(
     st.tuples(st.just(Fraction(0)), rationals, st.just(Fraction(0)), rationals),
     st.tuples(st.just(Fraction(0)), st.just(Fraction(0)), rationals, rationals),
@@ -482,3 +489,139 @@ def test_spot_check_and_verify_match_the_fraction_reference(statement, seed):
 @given(statement_strategy())
 def test_spot_check_decides_what_verify_decides(statement):
     assert spot_check(statement, trials=1).verdict is verify(statement).verdict
+
+
+# ----------------------------------------------------------------------
+# power sums by Newton's identities
+
+
+def triple_invariants(x, y, z):
+    return x * y + y * z + z * x, x * y * z
+
+
+TRIPLE_ONE = triple_invariants(B + C + D, -(A + B + C), A - D)
+TRIPLE_TWO = triple_invariants(A + C + D, -(A + B + D), B - C)
+INVARIANTS = TRIPLE_ONE + TRIPLE_TWO
+
+
+@cache
+def composed_monomial(monomial):
+    """e2^i * e3^j * e2'^k * e3'^l of the two triples, for the exponents (i, j, k, l)."""
+    if not any(monomial):
+        return Polynomial.constant(1)
+    index = next(i for i, exponent in enumerate(monomial) if exponent)
+    lower = list(monomial)
+    lower[index] -= 1
+    return composed_monomial(tuple(lower)) * INVARIANTS[index]
+
+
+def compose(value):
+    """A power-sum table entry with its slots (e2, e3, e2', e3') replaced by the triples' invariants."""
+    if not isinstance(value, Polynomial):
+        return Polynomial.constant(value)
+    total = Polynomial.zero()
+    for monomial, coefficient in value.terms.items():
+        total = total + coefficient * composed_monomial(monomial)
+    return total
+
+
+def test_the_triples_share_e2_exactly_on_the_constraint_surface():
+    assert TRIPLE_ONE[0] - TRIPLE_TWO[0] == 3 * (A * D - B * C)
+
+
+def test_power_sum_table_composes_to_the_expansion():
+    sums = _PowerSums(constrained=False)
+    for power in range(31):
+        for kind in BracketKind:
+            assert compose(_value(Bracket(kind, power), sums)) == bracket_poly(kind, power), (kind, power)
+
+
+def test_power_sum_table_shares_e2_under_the_constraint():
+    # Under the constraint slot c, e2', is e2: B(n) = p_n(e2, e3').
+    free, constrained = _PowerSums(constrained=False), _PowerSums(constrained=True)
+    for power in range(2, 31):
+        assert constrained.of(0, power) == free.of(0, power)
+        assert constrained.of(1, power) == free.of(1, power).substitute_clear("c", A, Polynomial.constant(1))
+
+
+def chebyshev(count):
+    """Coefficient lists, lowest degree first, of T_0 .. T_(count-1)."""
+    polynomials = [[1], [0, 1]]
+    while len(polynomials) < count:
+        twice_x = [0] + [2 * t for t in polynomials[-1]]
+        previous = polynomials[-2] + [0] * (len(twice_x) - len(polynomials[-2]))
+        polynomials.append([x - y for x, y in zip(twice_x, previous)])
+    return polynomials
+
+
+def test_power_sums_are_the_papers_polar_reading():
+    # The triple rho*cos(theta + 2*k*pi/3) has p_n = rho^n * f_n(theta), with
+    # f_n = sum_h c_h*cos(h*theta) over the harmonics h = 3*m of
+    # linearize_closed(3, n) and cos(3*m*theta) = T_m(cos(3*theta)).  With
+    # rho^2 = -4/3*e2 and cos(3*theta) = 4*e3/rho^3, the term x^k of T_m
+    # contributes (4*e3)^k * (rho^2)^((n - 3k)/2): 3k <= h <= n, and k, m, h
+    # and n share their parity, so every power of rho is even and non-negative.
+    e2, e3 = A, B
+    rho_squared = Fraction(-4, 3) * e2
+    sums = _PowerSums(constrained=False)
+    polynomials = chebyshev(41 // 3 + 1)
+    for power in range(41):
+        polar = Polynomial.zero()
+        for harmonic, amplitude in linearize_closed(3, power).coefficients.items():
+            for k, t in enumerate(polynomials[harmonic // 3]):
+                if t:
+                    assert (power - 3 * k) % 2 == 0 and 3 * k <= power
+                    polar = polar + amplitude * t * (4 * e3) ** k * rho_squared ** ((power - 3 * k) // 2)
+        assert polar == _value(Bracket(BracketKind.A, power), sums), power
+
+
+bracket_expressions = st.recursive(
+    st.one_of(rationals.map(Num), st.builds(Bracket, st.sampled_from(list(BracketKind)), st.integers(0, 12))),
+    branches,
+    max_leaves=6,
+).filter(lambda e: degree_bound(e) <= 12)
+
+
+def bracket_statements():
+    def commuted(left, right, constrained):
+        return IdentityStatement("commuted", Mul(left, right), Mul(right, left), constrained)
+
+    def scaled(identity, factor, constrained):
+        return IdentityStatement("scaled", Mul(factor, identity.lhs), Mul(identity.rhs, factor), constrained)
+
+    bracket_catalog = st.sampled_from([s for s in catalog() if s.name != "asym-6-8-factored"])
+    return st.one_of(
+        st.builds(IdentityStatement, st.just("generated"), bracket_expressions, bracket_expressions, st.booleans()),
+        st.builds(commuted, bracket_expressions, bracket_expressions, st.booleans()),
+        st.builds(scaled, bracket_catalog, bracket_expressions.filter(lambda e: degree_bound(e) <= 4), st.booleans()),
+    )
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(bracket_statements(), st.integers(0, 50))
+# Newton's identities: p_5 = -5*e2*e3 = 5/6 * p_2 * p_3, for either triple.
+@example(IdentityStatement("newton", Mul(Num(Fraction(6)), Bracket(BracketKind.A, 5)),
+                           Mul(Mul(Num(Fraction(5)), Bracket(BracketKind.A, 2)), Bracket(BracketKind.A, 3)),
+                           constrained=False), 0)
+# True only under the constraint, where both triples share e2.
+@example(IdentityStatement("d2", Bracket(BracketKind.D, 2), Num(Fraction(0)), constrained=False), 0)
+@example(IdentityStatement("d2", Bracket(BracketKind.D, 2), Num(Fraction(0)), constrained=True), 0)
+def test_power_sum_route_agrees_with_the_full_route(statement, seed):
+    if _proved_by_power_sums(statement):
+        assert not reduce_difference(statement)
+    report = verify(statement, seed=seed)
+    with mock.patch.object(identities, "_proved_by_power_sums", return_value=False):
+        full = verify(statement, seed=seed)
+    assert (report.verdict, report.witness, report.reduced_terms) == (full.verdict, full.witness, full.reduced_terms)
+
+
+def test_only_bracket_statements_take_the_power_sum_route(monkeypatch):
+    for statement in catalog():
+        assert _proved_by_power_sums(statement) is (statement.name != "asym-6-8-factored"), statement.name
+
+    def no_table(self, constrained):
+        raise AssertionError("built a power-sum table for a statement with a variable")
+
+    monkeypatch.setattr(_PowerSums, "__init__", no_table)
+    report = verify(catalog_entry("asym-6-8-factored"))
+    assert (report.verdict, report.reduced_terms, report.witness) == (Verdict.PROVED, 0, None)
