@@ -154,12 +154,14 @@ def expr_value(expr: Expr, point: Point) -> Fraction:
 def _value(expr: Expr, point: Union[tuple, _PowerSums]) -> Union[int, Fraction, Polynomial]:
     """Value at the point as one exact number per node.
 
-    The brackets' two zero-sum triples are written here and nowhere else.
-    The number is an ``int`` wherever the point and the constants are
-    integral, as at every certificate point, a ``Fraction`` elsewhere, and a
-    ``Polynomial`` at ``_VARIABLE_POINT``, which mixes exactly with both.
-    In place of a point, a ``_PowerSums`` table gives each bracket as a
-    polynomial in the triples' invariants, and a variable has no value.
+    The brackets' two zero-sum triples are written here and nowhere else
+    in the engine; ``dsl._BRACKET_LATEX`` spells them again as LaTeX text,
+    in bytes the tests pin.  The number is an ``int`` wherever the point
+    and the constants are integral, as at every certificate point, a
+    ``Fraction`` elsewhere, and a ``Polynomial`` at ``_VARIABLE_POINT``,
+    which mixes exactly with both.  In place of a point, a ``_PowerSums``
+    gives each bracket as a polynomial in the triples' invariants, and a
+    variable has no value.
     """
     if isinstance(expr, Bracket):
         kind, power = expr.kind, expr.power
@@ -170,7 +172,7 @@ def _value(expr: Expr, point: Union[tuple, _PowerSums]) -> Union[int, Fraction, 
         except TypeError:
             if not isinstance(point, _PowerSums):
                 raise
-            # Checked only here, so the points pay nothing for the table.
+            # Checked only here, so the points pay nothing for the power sums.
             one = point.of(0, power) if kind is not BracketKind.B else 0
             two = point.of(1, power) if kind is not BracketKind.A else 0
             return one - two if kind is BracketKind.D else one + two
@@ -210,28 +212,32 @@ def _sides_agree(statement: IdentityStatement, point: Union[tuple, _PowerSums]) 
 class _PowerSums:
     """The power sums of both triples, as polynomials in (e2, e3, e2', e3').
 
-    A zero-sum triple with e2 = xy + yz + zx and e3 = xyz has p_0 = 3,
-    p_1 = 0, p_2 = -2*e2 and p_n = -e2*p_(n-2) + e3*p_(n-3), so A(n) =
-    p_n(e2, e3) and B(n) = p_n(e2', e3').  Since e2 - e2' = 3*(a*d - b*c),
-    e2' is e2 on the whole constraint surface, a = 0 included; in polar form
-    e2 = -3/4*rho^2 and e3 = 1/4*rho^3*cos(3*theta), the paper's one radius
-    and two angles.  The slots a, b, c, d of ``Polynomial`` hold e2, e3, e2',
-    e3', and each triple's table grows on demand.
+    A zero-sum triple with e2 = xy + yz + zx and e3 = xyz has p_0 = 3 and,
+    by Girard-Waring with e1 = 0, p_n = sum over 2j + 3k = n of
+    (-1)^j * n*C(j+k, k)/(j+k) * e2^j * e3^k, the closed form of Newton's
+    p_n = -e2*p_(n-2) + e3*p_(n-3); so A(n) = p_n(e2, e3) and B(n) =
+    p_n(e2', e3').  Since e2 - e2' = 3*(a*d - b*c), e2' is e2 on the whole
+    constraint surface, a = 0 included; in polar form e2 = -3/4*rho^2 and
+    e3 = 1/4*rho^3*cos(3*theta), the paper's one radius and two angles.  The
+    slots a, b, c, d of ``Polynomial`` hold e2, e3, e2', e3'.
     """
 
     def __init__(self, constrained: bool):
-        e2, e3, e2p, e3p = _VARIABLE_POINT
-        if constrained:
-            e2p = e2
-        self._invariants = ((e2, e3), (e2p, e3p))
-        self._sums = ([3, 0, -2 * e2], [3, 0, -2 * e2p])
+        # The slots of each triple's (e2, e3).
+        self._slots = ((0, 1), (0 if constrained else 2, 3))
 
     def of(self, triple: int, power: int) -> Union[int, Polynomial]:
         """p_power of triple 0 (the A brackets) or triple 1 (the B brackets)."""
-        (e2, e3), sums = self._invariants[triple], self._sums[triple]
-        while len(sums) <= power:
-            sums.append(e3 * sums[-3] - e2 * sums[-2])
-        return sums[power]
+        if power == 0:
+            return 3
+        two, three = self._slots[triple]
+        terms = {}
+        for k in range(power % 2, power // 3 + 1, 2):
+            j, monomial = (power - 3 * k) // 2, [0, 0, 0, 0]
+            monomial[two], monomial[three] = j, k
+            # n*C(j+k, k) is a multiple of j + k.
+            terms[tuple(monomial)] = (-1) ** j * power * comb(j + k, k) // (j + k)
+        return Polynomial(terms)
 
 
 def _bracket_only(expr: Expr) -> bool:
@@ -281,30 +287,14 @@ _POINT_BUDGET = 10_000
 _CONSTANT = frozenset({0})
 
 
-class _OverBudget(Exception):
-    """The certificate needs at least ``points`` points, over _POINT_BUDGET.
-
-    ``refusal`` names what is over the budget when even one point, or any
-    expansion, is too costly, as a value would hold huge powers: the degree
-    of some node, "at least |J| - 1" when J outgrew the budget before it was
-    built, or the exponent of a power of a constant.  It is None when only
-    the point count is over.
-    """
-
-    def __init__(self, points: int, refusal: Optional[str] = None):
-        super().__init__(points)
-        self.points = points
-        self.refusal = refusal
-
-
 def _degrees(expr: Expr, free: str) -> tuple[frozenset[int], tuple[int, ...]]:
     """The homogeneous degrees J of an expression, and a degree bound per free variable.
 
     ``free`` is "bcd", or "bc" under the constraint, where d := b*c; a
     becomes the scale t.  J is empty for a tree that is zero by
-    construction.  Raises _OverBudget, with a refusal, for a node of degree
-    or a power of a constant with exponent over the budget, and as soon as
-    J outgrows it, before building J where its size follows from its parts.
+    construction.  Raises ``ValueError`` for a node of degree or a power of
+    a constant with exponent over the budget, and as soon as J outgrows it,
+    before building J where its size follows from its parts.
     """
     if isinstance(expr, Num):
         return (frozenset() if expr.value == 0 else _CONSTANT), (0,) * len(free)
@@ -322,7 +312,7 @@ def _degrees(expr: Expr, free: str) -> tuple[frozenset[int], tuple[int, ...]]:
         base, base_bounds = _degrees(expr.base, free)
         if exponent > _POINT_BUDGET and not any(base):
             # Degree 0, but the value of the power is still huge.
-            raise _OverBudget(1, f"exponent {exponent}")
+            raise _over_budget(f"exponent {exponent}")
         degrees, bounds = _multiple(base, exponent), tuple(exponent * bound for bound in base_bounds)
     elif isinstance(expr, (Add, Sub, Mul)):
         left, left_bounds = _degrees(expr.left, free)
@@ -338,7 +328,7 @@ def _degrees(expr: Expr, free: str) -> tuple[frozenset[int], tuple[int, ...]]:
     # power would hide a huge one from the whole, but not from evaluation.
     top = max(degrees, default=0)
     if top > _POINT_BUDGET:
-        raise _OverBudget(len(degrees), f"degree {top}")
+        raise _over_budget(f"degree {top}")
     return degrees, bounds
 
 
@@ -346,7 +336,12 @@ def _within_budget(size: int) -> None:
     # Every degree needs its own t, so |J| points at least, and then
     # max J >= |J| - 1 >= _POINT_BUDGET.
     if size > _POINT_BUDGET:
-        raise _OverBudget(size, f"degree at least {size - 1}")
+        raise _over_budget(f"degree at least {size - 1}")
+
+
+def _over_budget(what: str) -> ValueError:
+    # A value at any point, and any expansion, would hold huge powers.
+    return ValueError(f"{what} is over the budget of {_POINT_BUDGET}")
 
 
 def _sumset(left: frozenset[int], right: frozenset[int]) -> frozenset[int]:
@@ -373,13 +368,13 @@ def _multiple(degrees: frozenset[int], exponent: int) -> frozenset[int]:
     return result
 
 
-def _certificate(statement: IdentityStatement) -> Iterator[tuple[int, int, int, int]]:
-    """The integer points at which agreement of both sides proves the statement.
+def _certificate(statement: IdentityStatement) -> tuple[int, Optional[Iterator[tuple[int, int, int, int]]]]:
+    """How many integer points prove the statement by agreement, and the points.
 
     Points are t*(1, b, c, d), or t*(1, b, c, b*c) under the constraint,
     for t = 1..|J| and (b, c[, d]) on the smaller of the tensor grid and the
-    simplex lattice; they are generated lazily.  Raises _OverBudget when
-    there would be more than _POINT_BUDGET of them, and ``ValueError`` as
+    simplex lattice; they are generated lazily.  They are None when there
+    would be more than _POINT_BUDGET of them.  Raises ``ValueError`` as
     ``_degree_pass`` does.
     """
     degrees, bounds = _degree_pass(statement)
@@ -388,25 +383,24 @@ def _certificate(statement: IdentityStatement) -> Iterator[tuple[int, int, int, 
     # Under the constraint the simplex lattice, of total degree 2*max J in
     # (b, c), is never smaller than the (max J + 1)^2 tensor grid.
     simplex = not statement.constrained and comb(top + 3, 3) < prod(sides)
-    size = comb(top + 3, 3) if simplex else prod(sides)
-    if len(degrees) * size > _POINT_BUDGET:
-        raise _OverBudget(len(degrees) * size)
+    count = len(degrees) * (comb(top + 3, 3) if simplex else prod(sides))
+    if count > _POINT_BUDGET:
+        return count, None
     # product() reads its ranges into tuples, so build the grid only in budget.
     grid = _simplex(top) if simplex else product(*map(range, sides))
     scales = range(1, len(degrees) + 1)
     if statement.constrained:
-        return ((t, t * b, t * c, t * b * c) for b, c in grid for t in scales)
-    return ((t, t * b, t * c, t * d) for b, c, d in grid for t in scales)
+        return count, ((t, t * b, t * c, t * b * c) for b, c in grid for t in scales)
+    return count, ((t, t * b, t * c, t * d) for b, c, d in grid for t in scales)
 
 
 def _degree_pass(statement: IdentityStatement) -> tuple[frozenset[int], tuple[int, ...]]:
-    """``_degrees`` of lhs - rhs; what is over the budget raises ``ValueError``."""
+    """``_degrees`` of lhs - rhs; its ``ValueError`` is prefixed with the statement's name."""
     free = "bc" if statement.constrained else "bcd"
     try:
         return _degrees(Sub(statement.lhs, statement.rhs), free)
-    except _OverBudget as exc:
-        # A value at any point, and any expansion, would hold huge powers.
-        raise ValueError(f"{statement.name}: {exc.refusal} is over the budget of {_POINT_BUDGET}") from None
+    except ValueError as exc:
+        raise ValueError(f"{statement.name}: {exc}") from None
 
 
 def _simplex(total: int) -> Iterator[tuple[int, int, int]]:
@@ -477,21 +471,13 @@ def verify(statement: IdentityStatement, seed: int = 0) -> VerificationReport:
     _degree_pass(statement)
     reduced = None if _proved_by_power_sums(statement) else reduce_difference(statement)
     if not reduced:
-        return VerificationReport(
-            statement.name, Verdict.PROVED, None, 0, time.perf_counter() - start
-        )
+        return _report(statement, start)
     # The reduced difference is a nonzero polynomial, so random rational
     # points miss its zero set with overwhelming probability and the first
     # draw almost always succeeds.  The cap only bounds the rare statement
     # whose zero set covers the sampling box.
     witness = _first_disagreement(statement, _WITNESS_DRAWS, random.Random(seed))
-    return VerificationReport(
-        statement.name,
-        Verdict.FALSIFIED,
-        witness or _integer_witness(reduced, statement.constrained),
-        len(reduced.terms),
-        time.perf_counter() - start,
-    )
+    return _report(statement, start, witness or _integer_witness(reduced, statement.constrained), reduced)
 
 
 def spot_check(statement: IdentityStatement, trials: int = _WITNESS_DRAWS, seed: int = 0) -> VerificationReport:
@@ -506,40 +492,39 @@ def spot_check(statement: IdentityStatement, trials: int = _WITNESS_DRAWS, seed:
     first draw where the sides differ is reported; the integer point is
     reported only if every draw agrees.  A node of degree over
     ``_POINT_BUDGET``, or a power of a constant with exponent over it,
-    raises ``ValueError`` at once.  Over ``_POINT_BUDGET`` points, a lower
-    degree gets the draws alone: a differing draw falsifies it, and if
-    every draw agrees ``ValueError`` is raised, since nothing was proved.
+    raises ``ValueError`` at once.  Over ``_POINT_BUDGET`` points, where
+    ``_certificate`` gives only their count, a lower degree gets the draws
+    alone: a differing draw falsifies it, and if every draw agrees
+    ``ValueError`` is raised, naming the count, since nothing was proved.
     On a failure the reduced difference is expanded once so the report's
     term count stays truthful.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     start = time.perf_counter()
-    over_budget = disagreement = None
-    try:
-        points = _certificate(statement)
-    except _OverBudget as exc:
-        over_budget = exc.points
-    else:
+    count, points = _certificate(statement)
+    disagreement = None
+    if points is not None:
         disagreement = next((p for p in points if not _sides_agree(statement, p)), None)
         if disagreement is None:
-            return VerificationReport(
-                statement.name, Verdict.PROVED, None, 0, time.perf_counter() - start
-            )
+            return _report(statement, start)
     witness = _first_disagreement(statement, trials, random.Random(seed))
     if witness is None and disagreement is None:
         raise ValueError(
-            f"{statement.name}: deciding it exactly needs at least {over_budget} integer"
+            f"{statement.name}: deciding it exactly needs at least {count} integer"
             f" points, over the budget of {_POINT_BUDGET}, and all {trials} seeded draws"
             " agree; verify it symbolically instead"
         )
-    return VerificationReport(
-        statement.name,
-        Verdict.FALSIFIED,
-        witness or tuple(map(Fraction, disagreement)),
-        len(reduce_difference(statement).terms),
-        time.perf_counter() - start,
-    )
+    witness = witness or tuple(map(Fraction, disagreement))
+    return _report(statement, start, witness, reduce_difference(statement))
+
+
+def _report(
+    statement: IdentityStatement, start: float, witness: Optional[Point] = None, reduced: Optional[Polynomial] = None
+) -> VerificationReport:
+    """PROVED with no witness and 0 terms, else FALSIFIED with the witness and ``reduced``'s term count."""
+    verdict, terms = (Verdict.PROVED, 0) if witness is None else (Verdict.FALSIFIED, len(reduced.terms))
+    return VerificationReport(statement.name, verdict, witness, terms, time.perf_counter() - start)
 
 
 def _first_disagreement(

@@ -203,7 +203,8 @@ def test_verify_numeric_falsifies_a_statement_that_vanishes_on_the_sampling_box(
     witness = tuple(Fraction(v) for v in out[out.index("(") + 1:out.rindex(")")].split(","))
     statement = load_statement(path)
     assert expr_value(statement.lhs, witness) != expr_value(statement.rhs, witness)
-    assert sum(1 for _ in _certificate(statement)) == 111
+    count, points = _certificate(statement)
+    assert count == sum(1 for _ in points) == 111
 
 
 # False statements whose sides agree on a certificate one point short: at
@@ -270,12 +271,17 @@ def test_verify_numeric_point_budget(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "text",
-    ["A(200)*A(2) == A(2)*A(200)", "constraint: a*d - b*c = 0; D(240)*D(240) == D(240)^2"],
-    ids=["commuted", "squared-under-constraint"],
+    [
+        "A(200)*A(2) == A(2)*A(200)",
+        "constraint: a*d - b*c = 0; D(240)*D(240) == D(240)^2",
+        "A(2000) == A(2000)",
+        "A(5000)*A(2) == A(2)*A(5000)",
+    ],
+    ids=["commuted", "squared-under-constraint", "reflexive-2000", "commuted-5000"],
 )
 def test_verify_proves_high_bracket_powers_without_expanding(capsys, tmp_path, monkeypatch, text):
-    # Expanded in a, b, c, d either statement takes minutes; written in the
-    # triples' invariants by Newton's identities it takes milliseconds.
+    # Expanded in a, b, c, d each statement takes minutes; written in the
+    # triples' invariants by Newton's identities it takes well under a second.
     def no_expansion(expr):
         raise AssertionError("expanded a statement the power sums prove")
 

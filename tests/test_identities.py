@@ -34,7 +34,6 @@ from trigident.identities import (
 from trigident import identities
 from trigident.identities import (
     _WITNESS_DRAWS,
-    _OverBudget,
     _PowerSums,
     _certificate,
     _degrees,
@@ -287,8 +286,9 @@ def test_negative_powers_raise_on_both_routes():
 )
 def test_certificate_point_counts(name, points):
     statement = catalog_entry(name)
-    grid = list(_certificate(statement))
-    assert len(grid) == len(set(grid)) == points
+    count, grid = _certificate(statement)
+    grid = list(grid)
+    assert count == len(grid) == len(set(grid)) == points
     for a, b, c, d in grid:
         assert a >= 1
         assert a * d == b * c or not statement.constrained
@@ -297,7 +297,7 @@ def test_certificate_point_counts(name, points):
 def test_values_at_certificate_points_are_ints():
     # An integral point and integral constants keep the certificate out of Fraction.
     for statement in catalog():
-        for point in _certificate(statement):
+        for point in _certificate(statement)[1]:
             assert type(_value(statement.lhs, point)) is int
             assert type(_value(statement.rhs, point)) is int
 
@@ -314,9 +314,15 @@ def test_a_huge_power_is_over_budget_before_any_degree_set_is_built(monkeypatch)
         raise AssertionError("built a degree set")
 
     monkeypatch.setattr(identities, "_sumset", unexpected)
-    with pytest.raises(_OverBudget) as excinfo:
+    with pytest.raises(ValueError) as excinfo:
         _degrees(Pow(Add(Var("a"), Num(Fraction(1))), 10**12), "bcd")
-    assert excinfo.value.points == 10**12 + 1
+    assert str(excinfo.value) == "degree at least 1000000000000 is over the budget of 10000"
+
+
+def test_a_certificate_over_the_point_budget_has_no_points():
+    # (100 + 1)^2 points on the (b, c) grid, for the single degree 100.
+    statement = IdentityStatement("over", Bracket(BracketKind.D, 100), Bracket(BracketKind.D, 100), constrained=True)
+    assert _certificate(statement) == (10_201, None)
 
 
 # ----------------------------------------------------------------------
@@ -534,6 +540,18 @@ def test_power_sum_table_composes_to_the_expansion():
     for power in range(31):
         for kind in BracketKind:
             assert compose(_value(Bracket(kind, power), sums)) == bracket_poly(kind, power), (kind, power)
+
+
+def test_power_sums_follow_newtons_recurrence():
+    # The reference: p_0 = 3, p_1 = 0, p_2 = -2*e2, p_n = -e2*p_(n-2) + e3*p_(n-3).
+    for constrained in (False, True):
+        sums = _PowerSums(constrained)
+        for triple, (e2, e3) in enumerate([(A, B), (A if constrained else C, D)]):
+            expected = [3, 0, -2 * e2]
+            while len(expected) <= 200:
+                expected.append(-e2 * expected[-2] + e3 * expected[-3])
+            for power, p in enumerate(expected):
+                assert sums.of(triple, power) == p, (constrained, triple, power)
 
 
 def test_power_sum_table_shares_e2_under_the_constraint():
