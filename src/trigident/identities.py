@@ -20,20 +20,20 @@ rationals, the variables, brackets, +, -, *, and integer powers, optionally
 assuming a*d - b*c = 0.  One evaluator, ``_value``, gives a statement its
 meaning at a point in plain exact arithmetic: ints where the point and the
 constants are integral, Fractions elsewhere, and Polynomials at the point
-(a, b, c, d) itself, which expands the statement.  ``verify`` decides it
-symbolically.  A statement of brackets and numbers alone is first written
-in the two triples' invariants by Newton's identities (``_PowerSums``); a
-zero difference there is a proof.  Otherwise it expands both sides,
-subtracts, eliminates d via d := b*c/a (clearing denominators) when the
-constraint is assumed, and tests for the zero polynomial; only this route
-falsifies.  ``spot_check`` decides the same question without expanding
-anything: it evaluates both sides exactly at a few hundred integer points
-read off the statement's degrees, and agreement at all of them is a
-certificate that the difference is the zero polynomial (see
-``_certificate``).  Only a disagreement, or a statement needing more than
-``_POINT_BUDGET`` points, runs the seeded random draws that pick the
-reported witness.  Both refuse a statement with a node of degree over
-``_POINT_BUDGET``, or a power of a constant with exponent over it.
+(a, b, c, d) itself, which expands the statement.  Under the constraint
+the surface a*d = b*c is read as the image of ``_on_surface``, (a, b, c) ->
+(a, a*b, a*c, a*b*c), so both routes decide the one polynomial
+P(a, a*b, a*c, a*b*c) for P = lhs - rhs, and P itself otherwise.  ``verify``
+expands it; a statement of brackets and numbers alone is first written in
+the two triples' invariants by Newton's identities (``_PowerSums``), where
+a zero difference is a proof, and only the expansion falsifies.
+``spot_check`` evaluates it exactly at a few hundred integer points read
+off the statement's degrees, and agreement at all of them is a certificate
+that it is the zero polynomial (see ``_certificate``).  Only a
+disagreement, or a statement needing more than ``_POINT_BUDGET`` points,
+runs the seeded random draws that pick the reported witness.  Both refuse a
+statement with a node of degree over ``_POINT_BUDGET``, or a power of a
+constant with exponent over it.
 """
 
 from __future__ import annotations
@@ -201,6 +201,11 @@ def _value(expr: Expr, point: Union[tuple, _PowerSums]) -> Union[int, Fraction, 
     raise TypeError(f"not an expression node: {expr!r}")
 
 
+def _on_surface(a, b, c):
+    """The point of the constraint surface a*d = b*c that (a, b, c) parametrizes."""
+    return a, a * b, a * c, a * b * c
+
+
 def _sides_agree(statement: IdentityStatement, point: Union[tuple, _PowerSums]) -> bool:
     return _value(statement.lhs, point) == _value(statement.rhs, point)
 
@@ -274,9 +279,9 @@ def _proved_by_power_sums(statement: IdentityStatement) -> bool:
 # "Combinatorial Nullstellensatz", 1999, Lemma 2.1) or on the simplex
 # lattice of total degree max J (Chung & Yao, SIAM J. Numer. Anal. 14,
 # 1977); a homogeneous P_j is then zero as well.  Under the constraint the
-# points are t*(1, b, c, b*c), the free variables are b and c, and the total
-# degree is at most 2*max J; agreement then proves that P vanishes on the
-# a != 0 chart of a*d = b*c, which is what ``verify`` proves.
+# points are ``_on_surface(t, b, c)``, the free variables are b and c, and
+# the total degree is at most 2*max J; agreement proves P(a, a*b, a*c, a*b*c)
+# zero, the polynomial that ``verify`` expands.
 
 # Most integer points ``spot_check`` evaluates for a certificate.  The
 # catalog entries need 81-289 and the benchmark's statements up to 625;
@@ -390,7 +395,7 @@ def _certificate(statement: IdentityStatement) -> tuple[int, Optional[Iterator[t
     grid = _simplex(top) if simplex else product(*map(range, sides))
     scales = range(1, len(degrees) + 1)
     if statement.constrained:
-        return count, ((t, t * b, t * c, t * b * c) for b, c in grid for t in scales)
+        return count, (_on_surface(t, b, c) for b, c in grid for t in scales)
     return count, ((t, t * b, t * c, t * d) for b, c, d in grid for t in scales)
 
 
@@ -443,17 +448,14 @@ class VerificationReport:
 
 
 def reduce_difference(statement: IdentityStatement) -> Polynomial:
-    """lhs - rhs as a polynomial, with d eliminated when constrained.
+    """lhs - rhs expanded at (a, b, c, d), or at ``_on_surface(a, b, c)`` when constrained.
 
-    Under the constraint the substitution d := b*c/a is applied and
-    denominators are cleared, so the result vanishes identically exactly
-    when the statement holds on the a != 0 chart of the constraint surface.
+    Under the constraint the result is P(a, a*b, a*c, a*b*c) for P = lhs -
+    rhs, the polynomial ``spot_check`` evaluates at its certificate; it is
+    zero exactly when the statement holds on the a != 0 chart of a*d = b*c.
     """
-    difference = expr_to_poly(statement.lhs) - expr_to_poly(statement.rhs)
-    if statement.constrained:
-        a, b, c, _ = _VARIABLE_POINT
-        return difference.substitute_clear("d", b * c, a)
-    return difference
+    point = _on_surface(*_VARIABLE_POINT[:3]) if statement.constrained else _VARIABLE_POINT
+    return Polynomial.zero() + _value(Sub(statement.lhs, statement.rhs), point)
 
 
 def verify(statement: IdentityStatement, seed: int = 0) -> VerificationReport:
@@ -556,20 +558,18 @@ def _integer_witness(reduced: Polynomial, constrained: bool) -> Point:
     # A zero set can hold the whole sampling box, e.g. (a - 1)*(a - 1/2)*...
     # over every rational it draws from.  Fix the free variables one at a
     # time: a polynomial of degree k in a variable that is nonzero stays
-    # nonzero at one of the integers 1..k+1.  Under the constraint d is
-    # already eliminated and d = b*c/a follows, with a >= 1.
-    point = []
+    # nonzero at one of the integers 1..k+1.  On the surface b and c step by
+    # 1/a instead, so the point is (a, v, w, v*w/a) for integers a, v, w >= 1.
+    point, denominator = [], 1
     for name in "abc" if constrained else "abcd":
         for value in range(1, reduced.degree_in(name) + 2):
-            rest = reduced.substitute_clear(name, Polynomial.constant(value), Polynomial.constant(1))
+            rest = reduced.substitute_clear(name, Polynomial.constant(value), Polynomial.constant(denominator))
             if rest:
                 break
         reduced = rest
-        point.append(Fraction(value))
-    if constrained:
-        a, b, c = point
-        point.append(b * c / a)
-    return tuple(point)
+        point.append(Fraction(value, denominator))
+        denominator = point[0] if constrained else 1
+    return _on_surface(*point) if constrained else tuple(point)
 
 
 # ----------------------------------------------------------------------

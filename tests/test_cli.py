@@ -282,10 +282,10 @@ def test_verify_numeric_point_budget(capsys, tmp_path):
 def test_verify_proves_high_bracket_powers_without_expanding(capsys, tmp_path, monkeypatch, text):
     # Expanded in a, b, c, d each statement takes minutes; written in the
     # triples' invariants by Newton's identities it takes well under a second.
-    def no_expansion(expr):
+    def no_expansion(statement):
         raise AssertionError("expanded a statement the power sums prove")
 
-    monkeypatch.setattr(identities, "expr_to_poly", no_expansion)
+    monkeypatch.setattr(identities, "reduce_difference", no_expansion)
     path = tmp_path / "high.rid"
     path.write_text(text + "\n", encoding="utf-8")
     start = time.perf_counter()
@@ -327,10 +327,10 @@ def test_verify_numeric_over_the_degree_budget_draws_nothing(capsys, tmp_path, m
 @pytest.mark.parametrize("text, degree", HUGE_POWERS)
 def test_verify_over_the_degree_budget_exits_two(capsys, tmp_path, monkeypatch, text, degree):
     # Expanding the huge power would not end.
-    def no_expansion(expr):
+    def no_expansion(statement):
         raise AssertionError("expanded a statement over the degree budget")
 
-    monkeypatch.setattr(identities, "expr_to_poly", no_expansion)
+    monkeypatch.setattr(identities, "reduce_difference", no_expansion)
     path = tmp_path / "huge.rid"
     path.write_text(text + "\n", encoding="utf-8")
     code, out, err = invoke(capsys, "verify", str(path))
@@ -345,7 +345,7 @@ def test_verify_power_of_a_constant_over_the_budget_exits_two(capsys, tmp_path, 
     def no_evaluation(*args):
         raise AssertionError("evaluated a power over the budget")
 
-    for name in ("expr_to_poly", "_sides_agree", "_first_disagreement"):
+    for name in ("reduce_difference", "_sides_agree", "_first_disagreement"):
         monkeypatch.setattr(identities, name, no_evaluation)
     path = tmp_path / "huge.rid"
     path.write_text(text + "\n", encoding="utf-8")

@@ -498,6 +498,68 @@ def test_spot_check_decides_what_verify_decides(statement):
 
 
 # ----------------------------------------------------------------------
+# the constraint surface
+
+
+def eliminated_difference(statement):
+    """lhs - rhs expanded at (a, b, c, d), then d := b*c/a with denominators cleared."""
+    return (expr_to_poly(statement.lhs) - expr_to_poly(statement.rhs)).substitute_clear("d", B * C, A)
+
+
+def eliminated_witness(reduced):
+    """The integer witness search on an eliminated difference R(a, b, c), at (a, b, c, b*c/a)."""
+    point = []
+    for name in "abc":
+        for value in range(1, reduced.degree_in(name) + 2):
+            rest = reduced.substitute_clear(name, Polynomial.constant(value), Polynomial.constant(1))
+            if rest:
+                break
+        reduced = rest
+        point.append(Fraction(value))
+    a, b, c = point
+    return (a, b, c, b * c / a)
+
+
+def shifted(k, left, right):
+    # The factors a - 1, ..., a - k put the zero set over a = 1..k, so the
+    # witness search steps past them and b and c step by 1/a with a > k.
+    factor = Num(Fraction(1))
+    for root in range(1, k + 1):
+        factor = Mul(factor, Sub(Var("a"), Num(Fraction(root))))
+    return IdentityStatement("shifted", Mul(factor, left), Mul(factor, right), constrained=True)
+
+
+surface_expressions = expressions.filter(lambda e: degree_bound(e) <= 10)
+# (a - 1)*(a - 2)*a*b on the surface: zero at a = 1 and a = 2.
+STEPS = IdentityStatement("steps", Mul(Mul(Sub(Var("a"), Num(Fraction(1))), Sub(Var("a"), Num(Fraction(2)))), Var("b")),
+                          Num(Fraction(0)), constrained=True)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.one_of(
+    st.builds(IdentityStatement, st.just("surface"), surface_expressions, surface_expressions, st.just(True)),
+    st.builds(shifted, st.integers(1, 2), surface_expressions, surface_expressions),
+))
+@example(STEPS)
+def test_the_surface_route_matches_eliminating_d(statement):
+    # S = P(a, a*b, a*c, a*b*c) = sum_j a^j * P_j(1, b, c, b*c) over the
+    # homogeneous parts P_j, and R = a^K * P(a, b, c, b*c/a) takes the same
+    # monomials of each part to distinct ones, so the term counts agree;
+    # R(a, b, c) = a^K * S(a, b/a, c/a), so the witnesses do.
+    surface, eliminated = reduce_difference(statement), eliminated_difference(statement)
+    assert len(surface.terms) == len(eliminated.terms)
+    assert bool(surface) is bool(eliminated)
+    if eliminated:
+        assert _integer_witness(surface, constrained=True) == eliminated_witness(eliminated)
+
+
+def test_the_surface_witness_steps_by_one_over_a():
+    reduced = reduce_difference(STEPS)
+    assert reduced == (A - 1) * (A - 2) * A * B
+    assert _integer_witness(reduced, constrained=True) == (3, 1, 1, Fraction(1, 3))
+
+
+# ----------------------------------------------------------------------
 # power sums by Newton's identities
 
 
