@@ -107,6 +107,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_linearize(args: argparse.Namespace) -> int:
     expansion = linearize_closed(args.shift_count, args.power)
+    # POWER_BUDGET keeps the denominators printable, but a shift count just
+    # under the limit on integer strings multiplies the numerators past it.
+    limit = sys.get_int_max_str_digits()
+    largest = max((max(abs(c.numerator), c.denominator) for c in expansion.coefficients.values()), default=0)
+    if limit and largest >= 10**limit:
+        raise CliError(
+            f"a coefficient of f_{args.power} has more than {limit} digits, over the limit for integer strings"
+        )
     if args.format == "json":
         print(to_json(expansion))
     elif args.format == "latex":

@@ -29,9 +29,12 @@ the two triples' invariants by Newton's identities (``_PowerSums``), where
 a zero difference is a proof, and only the expansion falsifies.
 ``spot_check`` evaluates it exactly at a few hundred integer points read
 off the statement's degrees, and agreement at all of them is a certificate
-that it is the zero polynomial (see ``_certificate``).  Only a
-disagreement, or a statement needing more than ``_POINT_BUDGET`` points,
-runs the seeded random draws that pick the reported witness.  Both refuse a
+that it is the zero polynomial (see ``_certificate``).  It evaluates them
+``_BLOCK_SIZE`` at a time: ``_value`` walks the tree once at a ``_Block``,
+where every node is a ``_Column`` holding, for each point, the number
+``_value`` gives at that point alone.  Only a disagreement, or a statement
+needing more than ``_POINT_BUDGET`` points, runs the seeded random draws
+that pick the reported witness, one point at a time.  Both refuse a
 statement with a node of degree over ``_POINT_BUDGET``, or a power of a
 constant with exponent over it.
 """
@@ -44,10 +47,11 @@ import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
+from functools import cached_property, lru_cache
+from itertools import islice, product, repeat
 from math import comb, prod
-from typing import Iterator, Optional, Union
+from operator import add, mul, neg, sub
+from typing import Iterable, Iterator, Optional, Union
 
 from .algebra import VARIABLES, Polynomial
 
@@ -151,36 +155,32 @@ def expr_value(expr: Expr, point: Point) -> Fraction:
     return Fraction(_value(expr, point))
 
 
-def _value(expr: Expr, point: Union[tuple, _PowerSums]) -> Union[int, Fraction, Polynomial]:
+def _value(expr: Expr, point: Union[tuple, _PowerSums, _Block]) -> Union[int, Fraction, Polynomial, _Column]:
     """Value at the point as one exact number per node.
 
-    The brackets' two zero-sum triples are written here and nowhere else
-    in the engine; ``dsl._BRACKET_LATEX`` spells them again as LaTeX text,
-    in bytes the tests pin.  The number is an ``int`` wherever the point
-    and the constants are integral, as at every certificate point, a
-    ``Fraction`` elsewhere, and a ``Polynomial`` at ``_VARIABLE_POINT``,
-    which mixes exactly with both.  In place of a point, a ``_PowerSums``
-    gives each bracket as a polynomial in the triples' invariants, and a
-    variable has no value.
+    The number is an ``int`` wherever the point and the constants are
+    integral, as at every certificate point, a ``Fraction`` elsewhere, and
+    a ``Polynomial`` at ``_VARIABLE_POINT``, which mixes exactly with both.
+    A bracket at a point is the power sum of ``_triple``.  In place of a
+    point, a ``_PowerSums`` gives each bracket as a polynomial in the
+    triples' invariants, and a variable has no value; a ``_Block`` gives
+    each node as a ``_Column`` of its values at a block of points.
     """
     if isinstance(expr, Bracket):
         kind, power = expr.kind, expr.power
         if power < 0:
             raise ValueError(f"bracket power must be non-negative, got {power}")
-        try:
-            a, b, c, d = point
-        except TypeError:
-            if not isinstance(point, _PowerSums):
-                raise
-            # Checked only here, so the points pay nothing for the power sums.
+        if isinstance(point, (_PowerSums, _Block)):
             one = point.of(0, power) if kind is not BracketKind.B else 0
             two = point.of(1, power) if kind is not BracketKind.A else 0
             return one - two if kind is BracketKind.D else one + two
         one = two = 0
         if kind is not BracketKind.B:
-            one = (b + c + d) ** power + (-(a + b + c)) ** power + (a - d) ** power
+            x, y, z = _triple(0, *point)
+            one = x ** power + y ** power + z ** power
         if kind is not BracketKind.A:
-            two = (a + c + d) ** power + (-(a + b + d)) ** power + (b - c) ** power
+            x, y, z = _triple(1, *point)
+            two = x ** power + y ** power + z ** power
         return one - two if kind is BracketKind.D else one + two
     if isinstance(expr, Mul):
         return _value(expr.left, point) * _value(expr.right, point)
@@ -199,6 +199,18 @@ def _value(expr: Expr, point: Union[tuple, _PowerSums]) -> Union[int, Fraction, 
     if isinstance(expr, Var):
         return point[VARIABLES.index(expr.name)]
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+def _triple(which: int, a, b, c, d):
+    """Triple one (``which`` 0, the A brackets) or two (1, the B brackets) at (a, b, c, d).
+
+    The brackets' two zero-sum triples of linear forms are written here and
+    nowhere else in the engine; ``dsl._BRACKET_LATEX`` spells them again as
+    LaTeX text, in bytes the tests pin.
+    """
+    if which == 0:
+        return b + c + d, -(a + b + c), a - d
+    return a + c + d, -(a + b + d), b - c
 
 
 def _on_surface(a, b, c):
@@ -285,8 +297,8 @@ def _proved_by_power_sums(statement: IdentityStatement) -> bool:
 
 # Most integer points ``spot_check`` evaluates for a certificate.  The
 # catalog entries need 81-289 and the benchmark's statements up to 625;
-# D(99) == D(99) under the constraint needs exactly 10,000 and takes about
-# 0.13 s on a 2-core x86 host.
+# D(99) == D(99) under the constraint needs exactly 10,000 and takes
+# 0.07-0.11 s on a 2-core x86 host (0.15-0.20 s evaluated point by point).
 _POINT_BUDGET = 10_000
 
 _CONSTANT = frozenset({0})
@@ -419,6 +431,96 @@ def _simplex(total: int) -> Iterator[tuple[int, int, int]]:
 
 
 # ----------------------------------------------------------------------
+# blocks of certificate points
+#
+# At a ``_Block`` a node's value is a ``_Column``, or one number for a
+# constant subtree.  At each point the column holds exactly what ``_value``
+# gives there, so an ``int`` at every integral point with integral constants.
+
+# Points per block.  A larger block saves little more time, and holding the
+# whole certificate as columns costs memory that grows with its size.
+_BLOCK_SIZE = 128
+
+
+class _Column:
+    """Exact values at the points of a ``_Block``, with pointwise + - * ** and negation.
+
+    The other operand is a column of the same block or one exact number.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: list):
+        self.values = values
+
+    def _pointwise(self, op, other) -> _Column:
+        right = other.values if isinstance(other, _Column) else repeat(other)
+        return _Column(list(map(op, self.values, right)))
+
+    def __add__(self, other) -> _Column:
+        return self._pointwise(add, other)
+
+    def __sub__(self, other) -> _Column:
+        return self._pointwise(sub, other)
+
+    def __mul__(self, other) -> _Column:
+        return self._pointwise(mul, other)
+
+    def __pow__(self, exponent: int) -> _Column:
+        return self._pointwise(pow, exponent)
+
+    def __neg__(self) -> _Column:
+        return _Column(list(map(neg, self.values)))
+
+    # Exact addition and multiplication commute, with the same result type.
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __rsub__(self, other) -> _Column:
+        return _Column([other - value for value in self.values])
+
+
+class _Block:
+    """Points evaluated together: a variable is the column of its coordinates.
+
+    Like ``_PowerSums``, a block gives each bracket through ``of``.
+    """
+
+    def __init__(self, points: list[tuple]):
+        self.points = points
+        self._coordinates = tuple(_Column(list(column)) for column in zip(*points))
+        # Each (triple, power) once, since both sides often share brackets.
+        self._sums: dict[tuple[int, int], _Column] = {}
+
+    def __getitem__(self, index: int) -> _Column:
+        return self._coordinates[index]
+
+    @cached_property
+    def _forms(self) -> list[list[tuple]]:
+        # Per triple, the three linear forms at each point.
+        return [list(zip(*(form.values for form in _triple(which, *self._coordinates)))) for which in (0, 1)]
+
+    def of(self, triple: int, power: int) -> _Column:
+        """p_power of triple 0 (the A brackets) or triple 1 (the B brackets) at each point."""
+        sums = self._sums.get((triple, power))
+        if sums is None:
+            sums = _Column([x ** power + y ** power + z ** power for x, y, z in self._forms[triple]])
+            self._sums[triple, power] = sums
+        return sums
+
+    def values(self, expr: Expr) -> list:
+        """The value of ``expr`` at each point, in order."""
+        value = _value(expr, self)
+        return value.values if isinstance(value, _Column) else [value] * len(self.points)
+
+
+def _blocks(points: Iterable[tuple]) -> Iterator[_Block]:
+    """The points in order, ``_BLOCK_SIZE`` to a block."""
+    points = iter(points)
+    while block := list(islice(points, _BLOCK_SIZE)):
+        yield _Block(block)
+
+
+# ----------------------------------------------------------------------
 # verification
 
 # Seeded draws for a witness, in ``verify`` and by default in ``spot_check``.
@@ -486,8 +588,10 @@ def spot_check(statement: IdentityStatement, trials: int = _WITNESS_DRAWS, seed:
     """Decide the statement by exact evaluation at integer points.
 
     Both sides are evaluated, never expanded, at the points of
-    ``_certificate``; agreement at every one of them proves the statement,
-    exactly as ``verify`` would.  On a disagreement the witness comes from
+    ``_certificate``, a ``_Block`` of ``_BLOCK_SIZE`` points at a time;
+    agreement at every one of them proves the statement, exactly as
+    ``verify`` would, and the first disagreement is the first point in
+    certificate order.  On a disagreement the witness comes from
     ``trials`` seeded random draws: free coordinates are nonzero rationals
     with numerator and denominator bounded by 9, and for a constrained
     statement d = b*c/a, so every point satisfies a*d = b*c exactly.  The
@@ -507,7 +611,15 @@ def spot_check(statement: IdentityStatement, trials: int = _WITNESS_DRAWS, seed:
     count, points = _certificate(statement)
     disagreement = None
     if points is not None:
-        disagreement = next((p for p in points if not _sides_agree(statement, p)), None)
+        disagreement = next(
+            (
+                point
+                for block in _blocks(points)
+                for point, lhs, rhs in zip(block.points, block.values(statement.lhs), block.values(statement.rhs))
+                if lhs != rhs
+            ),
+            None,
+        )
         if disagreement is None:
             return _report(statement, start)
     witness = _first_disagreement(statement, trials, random.Random(seed))

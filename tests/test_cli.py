@@ -66,6 +66,22 @@ def test_linearize_over_the_power_budget_exits_two(capsys):
     assert elapsed < 1.0, f"{elapsed:.2f} s"
 
 
+@pytest.mark.parametrize("output", ["plain", "latex", "json"])
+def test_linearize_coefficients_over_the_integer_string_limit_exit_two(capsys, output):
+    # A 4,299-digit shift count parses, but N*C(40, 20)/2^v has more digits
+    # than Python converts to a string.
+    shift_count = str(10**4299 - 1)
+    code, out, err = invoke(capsys, "linearize", "-N", shift_count, "-n", "40", "--format", output)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"trigident: a coefficient of f_40 has more than {sys.get_int_max_str_digits()} digits,"
+        " over the limit for integer strings\n"
+    )
+    code, out, err = invoke(capsys, "linearize", "-N", shift_count, "-n", "0", "--format", output)
+    assert (code, err) == (0, "")
+    assert shift_count in out
+
+
 def test_verify_catalog_entry(capsys):
     code, out, _ = invoke(capsys, "verify", "ramanujan-6-10-8")
     assert code == 0
@@ -207,6 +223,23 @@ def test_verify_numeric_falsifies_a_statement_that_vanishes_on_the_sampling_box(
     assert count == sum(1 for _ in points) == 111
 
 
+def test_verify_numeric_reports_the_first_disagreement_past_the_first_block(capsys, tmp_path):
+    # The roots a = 10..140 as well: every draw is still a root, and the
+    # first of t = 1..242 that is no root, a = 141, lies inside the second
+    # block of certificate points.  The line is the one the point-by-point
+    # evaluation printed.
+    path = tmp_path / "roots.rid"
+    more_roots = "".join(f"*(a - {k})" for k in range(10, 141))
+    path.write_text(f"{ROOT_PRODUCT}{more_roots} == 0\n", encoding="utf-8")
+    code, out, err = invoke(capsys, "verify", str(path), "--numeric")
+    assert (code, err) == (1, "")
+    assert out == "FALSIFIED roots witness=(141,0,0,0)\n"
+    count, points = _certificate(load_statement(path))
+    points = list(points)
+    assert count == len(points) == 242
+    assert identities._BLOCK_SIZE < points.index((141, 0, 0, 0)) < 2 * identities._BLOCK_SIZE
+
+
 # False statements whose sides agree on a certificate one point short: at
 # t = 1 alone; at b = 0..15 alone; on the simplex lattice of total degree 3
 # in (b, c, d) alone; at b = 0..2, for a cubic in b spelled with powers;
@@ -345,7 +378,7 @@ def test_verify_power_of_a_constant_over_the_budget_exits_two(capsys, tmp_path, 
     def no_evaluation(*args):
         raise AssertionError("evaluated a power over the budget")
 
-    for name in ("reduce_difference", "_sides_agree", "_first_disagreement"):
+    for name in ("reduce_difference", "_blocks", "_sides_agree", "_first_disagreement"):
         monkeypatch.setattr(identities, name, no_evaluation)
     path = tmp_path / "huge.rid"
     path.write_text(text + "\n", encoding="utf-8")

@@ -35,6 +35,7 @@ from trigident import identities
 from trigident.identities import (
     _WITNESS_DRAWS,
     _PowerSums,
+    _blocks,
     _certificate,
     _degrees,
     _integer_witness,
@@ -294,12 +295,40 @@ def test_certificate_point_counts(name, points):
         assert a * d == b * c or not statement.constrained
 
 
+def values_by_block(statement):
+    """(point, lhs, rhs) at each certificate point, from the blocks ``spot_check`` evaluates.
+
+    They must be what ``_value`` gives point by point, of the same types.
+    """
+    _, points = _certificate(statement)
+    if points is None:
+        return []
+    by_block = [
+        (point, lhs, rhs)
+        for block in _blocks(points)
+        for point, lhs, rhs in zip(block.points, block.values(statement.lhs), block.values(statement.rhs))
+    ]
+    by_point = [
+        (point, _value(statement.lhs, point), _value(statement.rhs, point))
+        for point in _certificate(statement)[1]
+    ]
+    assert by_block == by_point
+    assert [tuple(map(type, values)) for values in by_block] == [tuple(map(type, values)) for values in by_point]
+    return by_block
+
+
 def test_values_at_certificate_points_are_ints():
-    # An integral point and integral constants keep the certificate out of Fraction.
+    # An integral point and integral constants keep the certificate out of
+    # Fraction, in a block as at one point.  Two of the five certificates,
+    # of 289 and 286 points, span more than one block.
+    sizes = []
     for statement in catalog():
-        for point in _certificate(statement)[1]:
-            assert type(_value(statement.lhs, point)) is int
-            assert type(_value(statement.rhs, point)) is int
+        values = values_by_block(statement)
+        sizes.append(len(values))
+        for _, lhs, rhs in values:
+            assert type(lhs) is int
+            assert type(rhs) is int
+    assert sum(size > identities._BLOCK_SIZE for size in sizes) == 2
 
 
 def test_degree_sets_are_sumsets():
@@ -489,6 +518,12 @@ def test_spot_check_and_verify_match_the_fraction_reference(statement, seed):
     assert (spot.verdict, spot.witness, spot.reduced_terms) == (verdict, witness, terms)
     report = verify(statement, seed=seed)
     assert (report.verdict, report.witness, report.reduced_terms) == reference_verify
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(statement_strategy())
+def test_block_values_are_the_values_at_each_certificate_point(statement):
+    values_by_block(statement)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
