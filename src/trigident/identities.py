@@ -23,18 +23,22 @@ constants are integral, Fractions elsewhere, and Polynomials at the point
 (a, b, c, d) itself, which expands the statement.  Under the constraint
 the surface a*d = b*c is read as the image of ``_on_surface``, (a, b, c) ->
 (a, a*b, a*c, a*b*c), so both routes decide the one polynomial
-P(a, a*b, a*c, a*b*c) for P = lhs - rhs, and P itself otherwise.  ``verify``
-expands it; a statement of brackets and numbers alone is first written in
+P(a, a*b, a*c, a*b*c) for P = lhs - rhs, and P itself otherwise.  In
+``verify`` a statement of brackets and numbers alone is first written in
 the two triples' invariants by Newton's identities (``_PowerSums``), where
-a zero difference is a proof, and only the expansion falsifies.
-``spot_check`` evaluates it exactly at a few hundred integer points read
-off the statement's degrees, and agreement at all of them is a certificate
-that it is the zero polynomial (see ``_certificate``).  It evaluates them
-``_BLOCK_SIZE`` at a time: ``_value`` walks the tree once at a ``_Block``,
-where every node is a ``_Column`` holding, for each point, the number
-``_value`` gives at that point alone.  Only a disagreement, or a statement
-needing more than ``_POINT_BUDGET`` points, runs the seeded random draws
-that pick the reported witness, one point at a time.  Both refuse a
+a zero difference is a proof.  Otherwise the first seeded random draw is
+evaluated, and a disagreement there falsifies the statement; only when the
+sides agree is the difference expanded, which proves it or leads on to the
+remaining draws.  ``spot_check`` evaluates it exactly at a few hundred
+integer points read off the statement's degrees, and agreement at all of
+them is a certificate that it is the zero polynomial (see
+``_certificate``).  It evaluates them ``_BLOCK_SIZE`` at a time: ``_value``
+walks the tree once at a ``_Block``, where every node is a ``_Column``
+holding, for each point, the number ``_value`` gives at that point alone.
+Only a disagreement, or a statement needing more than ``_POINT_BUDGET``
+points, runs the seeded random draws that pick the reported witness, one
+point at a time.  A falsified report counts the terms of the expanded
+difference only when its ``reduced_terms`` is read.  Both refuse a
 statement with a node of degree over ``_POINT_BUDGET``, or a power of a
 constant with exponent over it.
 """
@@ -48,10 +52,10 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import islice, product, repeat
+from itertools import chain, cycle, islice, repeat
 from math import comb, prod
-from operator import add, mul, neg, sub
-from typing import Iterable, Iterator, Optional, Union
+from operator import add, mul, ne, neg, sub
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .algebra import VARIABLES, Polynomial
 
@@ -385,14 +389,14 @@ def _multiple(degrees: frozenset[int], exponent: int) -> frozenset[int]:
     return result
 
 
-def _certificate(statement: IdentityStatement) -> tuple[int, Optional[Iterator[tuple[int, int, int, int]]]]:
-    """How many integer points prove the statement by agreement, and the points.
+def _certificate(statement: IdentityStatement) -> tuple[int, Optional[Iterator[_Block]]]:
+    """How many integer points prove the statement by agreement, and the points, a block at a time.
 
-    Points are t*(1, b, c, d), or t*(1, b, c, b*c) under the constraint,
-    for t = 1..|J| and (b, c[, d]) on the smaller of the tensor grid and the
-    simplex lattice; they are generated lazily.  They are None when there
-    would be more than _POINT_BUDGET of them.  Raises ``ValueError`` as
-    ``_degree_pass`` does.
+    Points are t*(1, b, c, d), or ``_on_surface(t, b, c)`` under the
+    constraint, for (b, c[, d]) on the smaller of the tensor grid and the
+    simplex lattice, in lexicographic order, and t = 1..|J| innermost; the
+    blocks are built lazily.  They are None when there would be more than
+    _POINT_BUDGET points.  Raises ``ValueError`` as ``_degree_pass`` does.
     """
     degrees, bounds = _degree_pass(statement)
     top = max(degrees, default=0)
@@ -403,12 +407,9 @@ def _certificate(statement: IdentityStatement) -> tuple[int, Optional[Iterator[t
     count = len(degrees) * (comb(top + 3, 3) if simplex else prod(sides))
     if count > _POINT_BUDGET:
         return count, None
-    # product() reads its ranges into tuples, so build the grid only in budget.
-    grid = _simplex(top) if simplex else product(*map(range, sides))
-    scales = range(1, len(degrees) + 1)
-    if statement.constrained:
-        return count, (_on_surface(t, b, c) for b, c in grid for t in scales)
-    return count, ((t, t * b, t * c, t * d) for b, c, d in grid for t in scales)
+    scales = len(degrees)
+    grid = _simplex(top, scales) if simplex else _tensor(sides, scales)
+    return count, _blocks(count, cycle(range(1, scales + 1)), grid, statement.constrained)
 
 
 def _degree_pass(statement: IdentityStatement) -> tuple[frozenset[int], tuple[int, ...]]:
@@ -420,14 +421,32 @@ def _degree_pass(statement: IdentityStatement) -> tuple[frozenset[int], tuple[in
         raise ValueError(f"{statement.name}: {exc}") from None
 
 
-def _simplex(total: int) -> Iterator[tuple[int, int, int]]:
-    """Nonnegative integer triples with sum at most ``total``."""
-    return (
-        (b, c, d)
-        for b in range(total + 1)
-        for c in range(total + 1 - b)
-        for d in range(total + 1 - b - c)
-    )
+# The grid coordinates come as streams, one value per certificate point, so
+# no point is ever built as a tuple of its coordinates.
+
+
+def _held(values: Iterable[int], times: int) -> Iterator[int]:
+    """Each of ``values`` in turn, repeated ``times`` times."""
+    return chain.from_iterable(map(repeat, values, repeat(times)))
+
+
+def _tensor(sides: list[int], scales: int) -> list[Iterator[int]]:
+    """Streams of b, c[, d] over ``product(*map(range, sides))`` in order, each grid point held for ``scales``."""
+    streams, inner = [], scales * prod(sides)
+    for side in sides:
+        inner //= side
+        streams.append(_held(cycle(range(side)), inner))
+    return streams
+
+
+def _simplex(total: int, scales: int) -> list[Iterator[int]]:
+    """Streams of b, c, d over the nonnegative triples with sum at most ``total``, each held for ``scales``."""
+    rows = [(b, c) for b in range(total + 1) for c in range(total + 1 - b)]
+    return [
+        chain.from_iterable(repeat(b, comb(total - b + 2, 2) * scales) for b in range(total + 1)),
+        chain.from_iterable(repeat(c, (total + 1 - b - c) * scales) for b, c in rows),
+        chain.from_iterable(_held(range(total + 1 - b - c), scales) for b, c in rows),
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -485,14 +504,20 @@ class _Block:
     Like ``_PowerSums``, a block gives each bracket through ``of``.
     """
 
-    def __init__(self, points: list[tuple]):
-        self.points = points
-        self._coordinates = tuple(_Column(list(column)) for column in zip(*points))
+    def __init__(self, coordinates: tuple[_Column, ...]):
+        self._coordinates = coordinates
         # Each (triple, power) once, since both sides often share brackets.
         self._sums: dict[tuple[int, int], _Column] = {}
 
+    def __len__(self) -> int:
+        return len(self._coordinates[0].values)
+
     def __getitem__(self, index: int) -> _Column:
         return self._coordinates[index]
+
+    def point(self, index: int) -> tuple:
+        """The coordinates (a, b, c, d) of one point of the block."""
+        return tuple(column.values[index] for column in self._coordinates)
 
     @cached_property
     def _forms(self) -> list[list[tuple]]:
@@ -510,14 +535,20 @@ class _Block:
     def values(self, expr: Expr) -> list:
         """The value of ``expr`` at each point, in order."""
         value = _value(expr, self)
-        return value.values if isinstance(value, _Column) else [value] * len(self.points)
+        return value.values if isinstance(value, _Column) else [value] * len(self)
+
+    def disagreement(self, statement: IdentityStatement) -> Optional[tuple]:
+        """The first point of the block where the sides differ, else None."""
+        differs = list(map(ne, self.values(statement.lhs), self.values(statement.rhs)))
+        return self.point(differs.index(True)) if True in differs else None
 
 
-def _blocks(points: Iterable[tuple]) -> Iterator[_Block]:
-    """The points in order, ``_BLOCK_SIZE`` to a block."""
-    points = iter(points)
-    while block := list(islice(points, _BLOCK_SIZE)):
-        yield _Block(block)
+def _blocks(count: int, scale: Iterator[int], grid: list[Iterator[int]], constrained: bool) -> Iterator[_Block]:
+    """The first ``count`` points, ``_BLOCK_SIZE`` to a block, from streams of t and of (b, c[, d])."""
+    for start in range(0, count, _BLOCK_SIZE):
+        size = min(_BLOCK_SIZE, count - start)
+        t, *free = (_Column(list(islice(stream, size))) for stream in (scale, *grid))
+        yield _Block(_on_surface(t, *free) if constrained else (t, *(t * x for x in free)))
 
 
 # ----------------------------------------------------------------------
@@ -538,15 +569,24 @@ class VerificationReport:
 
     reduced_terms is the term count of the reduced difference polynomial;
     it is 0 exactly when the verdict is PROVED, and a witness point is
-    present exactly when the verdict is FALSIFIED.  elapsed is wall time
-    in seconds.
+    present exactly when the verdict is FALSIFIED.  A falsified statement
+    is usually settled without that polynomial, so its count is computed
+    on the first read of reduced_terms, by expanding the difference with
+    ``reduce_difference``, which can take far longer than the verdict did,
+    and then kept.  elapsed is the wall time in seconds of reaching the
+    verdict; it does not include that count.
     """
 
     name: str
     verdict: Verdict
     witness: Optional[Point]
-    reduced_terms: int
     elapsed: float
+    # Returns reduced_terms; called at most once.
+    _count_terms: Callable[[], int] = field(repr=False, compare=False)
+
+    @cached_property
+    def reduced_terms(self) -> int:
+        return self._count_terms()
 
 
 def reduce_difference(statement: IdentityStatement) -> Polynomial:
@@ -566,22 +606,35 @@ def verify(statement: IdentityStatement, seed: int = 0) -> VerificationReport:
     A statement of brackets and numbers alone is PROVED without expanding
     anything when ``_proved_by_power_sums`` holds, on every point of the
     constraint surface when constrained.  Otherwise, as for any statement
-    with a variable, ``reduce_difference`` expands it; only that route
-    reports FALSIFIED, its term count and its witness.  What ``spot_check``
+    with a variable, the first of ``_WITNESS_DRAWS`` seeded random draws
+    (see ``spot_check``) is evaluated: where the sides differ, the
+    statement is FALSIFIED with that point as its witness, and nothing is
+    expanded.  Where they agree, ``reduce_difference`` expands it, which
+    proves a zero difference; a nonzero one is FALSIFIED at the first of
+    the remaining draws from the same generator where the sides differ,
+    else at ``_integer_witness``.  So the witness is the first differing
+    draw either way.  The report's ``reduced_terms`` is counted on first
+    read when the difference was not expanded.  What ``spot_check``
     refuses over ``_POINT_BUDGET`` raises the same ``ValueError`` here,
     before either route runs.
     """
     start = time.perf_counter()
     _degree_pass(statement)
-    reduced = None if _proved_by_power_sums(statement) else reduce_difference(statement)
+    if _proved_by_power_sums(statement):
+        return _report(statement, start)
+    # A false statement's difference is a nonzero polynomial, so random
+    # rational points miss its zero set with overwhelming probability and
+    # the first draw almost always falsifies it.  The cap only bounds the
+    # rare statement whose zero set covers the sampling box.
+    rng = random.Random(seed)
+    witness = _first_disagreement(statement, 1, rng)
+    if witness is not None:
+        return _report(statement, start, witness)
+    reduced = reduce_difference(statement)
     if not reduced:
         return _report(statement, start)
-    # The reduced difference is a nonzero polynomial, so random rational
-    # points miss its zero set with overwhelming probability and the first
-    # draw almost always succeeds.  The cap only bounds the rare statement
-    # whose zero set covers the sampling box.
-    witness = _first_disagreement(statement, _WITNESS_DRAWS, random.Random(seed))
-    return _report(statement, start, witness or _integer_witness(reduced, statement.constrained), reduced)
+    witness = _first_disagreement(statement, _WITNESS_DRAWS - 1, rng)
+    return _report(statement, start, witness or _integer_witness(reduced, statement.constrained), len(reduced.terms))
 
 
 def spot_check(statement: IdentityStatement, trials: int = _WITNESS_DRAWS, seed: int = 0) -> VerificationReport:
@@ -602,25 +655,20 @@ def spot_check(statement: IdentityStatement, trials: int = _WITNESS_DRAWS, seed:
     ``_certificate`` gives only their count, a lower degree gets the draws
     alone: a differing draw falsifies it, and if every draw agrees
     ``ValueError`` is raised, naming the count, since nothing was proved.
-    On a failure the reduced difference is expanded once so the report's
-    term count stays truthful.
+    Nothing is expanded here: a FALSIFIED report counts the terms of
+    ``reduce_difference`` on the first read of its ``reduced_terms``.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     start = time.perf_counter()
-    count, points = _certificate(statement)
+    count, blocks = _certificate(statement)
     disagreement = None
-    if points is not None:
-        disagreement = next(
-            (
-                point
-                for block in _blocks(points)
-                for point, lhs, rhs in zip(block.points, block.values(statement.lhs), block.values(statement.rhs))
-                if lhs != rhs
-            ),
-            None,
-        )
-        if disagreement is None:
+    if blocks is not None:
+        for block in blocks:
+            disagreement = block.disagreement(statement)
+            if disagreement is not None:
+                break
+        else:
             return _report(statement, start)
     witness = _first_disagreement(statement, trials, random.Random(seed))
     if witness is None and disagreement is None:
@@ -629,16 +677,25 @@ def spot_check(statement: IdentityStatement, trials: int = _WITNESS_DRAWS, seed:
             f" points, over the budget of {_POINT_BUDGET}, and all {trials} seeded draws"
             " agree; verify it symbolically instead"
         )
-    witness = witness or tuple(map(Fraction, disagreement))
-    return _report(statement, start, witness, reduce_difference(statement))
+    return _report(statement, start, witness or tuple(map(Fraction, disagreement)))
 
 
 def _report(
-    statement: IdentityStatement, start: float, witness: Optional[Point] = None, reduced: Optional[Polynomial] = None
+    statement: IdentityStatement, start: float, witness: Optional[Point] = None, terms: Optional[int] = None
 ) -> VerificationReport:
-    """PROVED with no witness and 0 terms, else FALSIFIED with the witness and ``reduced``'s term count."""
-    verdict, terms = (Verdict.PROVED, 0) if witness is None else (Verdict.FALSIFIED, len(reduced.terms))
-    return VerificationReport(statement.name, verdict, witness, terms, time.perf_counter() - start)
+    """PROVED with no witness and 0 terms, else FALSIFIED with the witness and the reduced difference's term count.
+
+    The count is ``terms`` when the caller expanded the difference, else
+    ``reduce_difference`` runs when ``reduced_terms`` is first read.
+    """
+    elapsed = time.perf_counter() - start
+    if witness is None:
+        verdict, count = Verdict.PROVED, lambda: 0
+    elif terms is None:
+        verdict, count = Verdict.FALSIFIED, lambda: len(reduce_difference(statement).terms)
+    else:
+        verdict, count = Verdict.FALSIFIED, lambda: terms
+    return VerificationReport(statement.name, verdict, witness, elapsed, count)
 
 
 def _first_disagreement(

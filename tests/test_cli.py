@@ -179,6 +179,48 @@ def test_verify_json_pins_reduced_terms_and_witness(capsys, tmp_path, name, text
     assert payload["witness"] == witness
 
 
+PLUS = "constraint: a*d - b*c = 0; 64*D(6)*D(10) == 45*D(8)^2 + a^16"
+
+
+@pytest.mark.parametrize("route", [[], ["--numeric"]], ids=["symbolic", "numeric"])
+def test_verify_plain_falsifies_without_expanding(capsys, tmp_path, monkeypatch, route):
+    # The first seeded draw differs, and the plain line prints no term count,
+    # so nothing needs the expanded difference.
+    def no_expansion(statement):
+        raise AssertionError("expanded a statement the first draw falsifies")
+
+    monkeypatch.setattr(identities, "reduce_difference", no_expansion)
+    path = tmp_path / "plus.rid"
+    path.write_text(PLUS + "\n", encoding="utf-8")
+    code, out, err = invoke(capsys, "verify", str(path), *route)
+    assert (code, out, err) == (1, "FALSIFIED plus witness=(3/7,-8/5,7/8,-49/15)\n", "")
+
+
+@pytest.mark.parametrize("route", [[], ["--numeric"]], ids=["symbolic", "numeric"])
+@pytest.mark.parametrize(
+    "constraint, witness",
+    [("", ["1", "9/4", "7/3", "-5/2"]), ("constraint: a*d - b*c = 0; ", ["3/5", "1", "9/4", "15/4"])],
+    ids=["unconstrained", "constrained"],
+)
+def test_verify_falsifies_at_a_later_draw_when_the_first_agrees(capsys, tmp_path, monkeypatch, route, constraint, witness):
+    # The first draw of seed 0 has a = 3/7, a root of 7*a - 3.  Symbolic
+    # verify then expands the difference once and goes on with the same
+    # generator, so the witness is the second draw, as --numeric reports it.
+    expanded = []
+    reduce_difference = identities.reduce_difference
+    monkeypatch.setattr(identities, "reduce_difference", lambda s: expanded.append(s) or reduce_difference(s))
+    path = tmp_path / "first.rid"
+    path.write_text(f"{constraint}7*a == 3\n", encoding="utf-8")
+    code, out, err = invoke(capsys, "verify", str(path), *route, "--seed", "0")
+    assert (code, out, err) == (1, f"FALSIFIED first witness=({','.join(witness)})\n", "")
+    assert len(expanded) == (0 if route else 1)
+    code, out, err = invoke(capsys, "verify", str(path), *route, "--seed", "0", "--format", "json")
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    del payload["elapsed_ms"]
+    assert payload == {"verdict": "FALSIFIED", "name": "first", "reduced_terms": 2, "witness": witness}
+
+
 # The sampler draws every coordinate from these 110 rationals n/d with
 # 1 <= |n|, d <= 9, so this product of (a - r) vanishes at every point it
 # can sample.
@@ -219,8 +261,8 @@ def test_verify_numeric_falsifies_a_statement_that_vanishes_on_the_sampling_box(
     witness = tuple(Fraction(v) for v in out[out.index("(") + 1:out.rindex(")")].split(","))
     statement = load_statement(path)
     assert expr_value(statement.lhs, witness) != expr_value(statement.rhs, witness)
-    count, points = _certificate(statement)
-    assert count == sum(1 for _ in points) == 111
+    count, blocks = _certificate(statement)
+    assert count == sum(map(len, blocks)) == 111
 
 
 def test_verify_numeric_reports_the_first_disagreement_past_the_first_block(capsys, tmp_path):
@@ -234,8 +276,8 @@ def test_verify_numeric_reports_the_first_disagreement_past_the_first_block(caps
     code, out, err = invoke(capsys, "verify", str(path), "--numeric")
     assert (code, err) == (1, "")
     assert out == "FALSIFIED roots witness=(141,0,0,0)\n"
-    count, points = _certificate(load_statement(path))
-    points = list(points)
+    count, blocks = _certificate(load_statement(path))
+    points = [block.point(index) for block in blocks for index in range(len(block))]
     assert count == len(points) == 242
     assert identities._BLOCK_SIZE < points.index((141, 0, 0, 0)) < 2 * identities._BLOCK_SIZE
 

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 from functools import cache
+from itertools import product
+from math import comb, prod
 from unittest import mock
 
 import pytest
@@ -35,8 +37,8 @@ from trigident import identities
 from trigident.identities import (
     _WITNESS_DRAWS,
     _PowerSums,
-    _blocks,
     _certificate,
+    _degree_pass,
     _degrees,
     _integer_witness,
     _proved_by_power_sums,
@@ -222,6 +224,23 @@ def test_constrained_entries_hold_on_the_a_zero_slice():
             ), (statement.name, point)
 
 
+def test_a_falsified_report_counts_its_terms_when_read():
+    # The first seeded draw falsifies each of these, so the report is built
+    # without expanding; reduced_terms then expands the difference once.
+    d2 = IdentityStatement("d2-zero", Bracket(BracketKind.D, 2), Num(Fraction(0)), constrained=False)
+    for statement in (corrupted_ramanujan(), d2):
+        terms = len(reduce_difference(statement).terms)
+        with mock.patch.object(identities, "reduce_difference", side_effect=AssertionError("expanded early")):
+            reports = [verify(statement), spot_check(statement)]
+        for report in reports:
+            assert report.verdict is Verdict.FALSIFIED
+            elapsed = report.elapsed
+            with mock.patch.object(identities, "reduce_difference", wraps=reduce_difference) as expand:
+                assert report.reduced_terms == report.reduced_terms == terms
+            assert expand.call_count == 1
+            assert report.elapsed == elapsed
+
+
 def test_report_rendering():
     report = verify(catalog_entry("asym-6-8-r2"))
     line = render_report(report)
@@ -287,12 +306,37 @@ def test_negative_powers_raise_on_both_routes():
 )
 def test_certificate_point_counts(name, points):
     statement = catalog_entry(name)
-    count, grid = _certificate(statement)
-    grid = list(grid)
+    count, blocks = _certificate(statement)
+    grid = block_points(blocks)
     assert count == len(grid) == len(set(grid)) == points
+    assert grid == certificate_points(statement)
     for a, b, c, d in grid:
         assert a >= 1
         assert a * d == b * c or not statement.constrained
+
+
+def block_points(blocks):
+    """Every point of the blocks in order, one tuple each."""
+    return [block.point(index) for block in blocks for index in range(len(block))]
+
+
+def certificate_points(statement):
+    """The certificate's points enumerated one by one, as a reference for the blocks.
+
+    They are t*(1, b, c, d), or (t, t*b, t*c, t*b*c) under the constraint,
+    over the smaller grid in lexicographic order, with t innermost.
+    """
+    degrees, bounds = _degree_pass(statement)
+    top = max(degrees, default=0)
+    sides = [min(bound, top) + 1 for bound in bounds]
+    if not statement.constrained and comb(top + 3, 3) < prod(sides):
+        grid = [(b, c, d) for b in range(top + 1) for c in range(top + 1 - b) for d in range(top + 1 - b - c)]
+    else:
+        grid = product(*map(range, sides))
+    scales = range(1, len(degrees) + 1)
+    if statement.constrained:
+        return [(t, t * b, t * c, t * b * c) for b, c in grid for t in scales]
+    return [(t, t * b, t * c, t * d) for b, c, d in grid for t in scales]
 
 
 def values_by_block(statement):
@@ -300,17 +344,17 @@ def values_by_block(statement):
 
     They must be what ``_value`` gives point by point, of the same types.
     """
-    _, points = _certificate(statement)
-    if points is None:
+    _, blocks = _certificate(statement)
+    if blocks is None:
         return []
     by_block = [
-        (point, lhs, rhs)
-        for block in _blocks(points)
-        for point, lhs, rhs in zip(block.points, block.values(statement.lhs), block.values(statement.rhs))
+        (block.point(index), lhs, rhs)
+        for block in blocks
+        for index, (lhs, rhs) in enumerate(zip(block.values(statement.lhs), block.values(statement.rhs)))
     ]
     by_point = [
         (point, _value(statement.lhs, point), _value(statement.rhs, point))
-        for point in _certificate(statement)[1]
+        for point in certificate_points(statement)
     ]
     assert by_block == by_point
     assert [tuple(map(type, values)) for values in by_block] == [tuple(map(type, values)) for values in by_point]
