@@ -15,10 +15,24 @@ amplitude ratio A_m * A_n / A_p^2 in lowest terms.  The m + n = 2p shape
 makes both sides scale as rho^(m + n) when the cosines are scaled by rho,
 so each relation extends to arbitrary radius.
 
-Which powers qualify follows from arithmetic alone (see ``fourier``): f_k
-has one positive harmonic h0 exactly when h0 <= k < h0 + lcm(2, N), so no
-power k >= 2 * lcm(2, N) qualifies.  The search classifies only the powers
-below that bound, and expands none.
+Which powers qualify follows from arithmetic alone (see ``fourier``): the
+positive harmonics of f_k step by lcm(2, N) from h0, the least multiple
+of N with the parity of k, so f_k has one exactly when
+h0 <= k < h0 + lcm(2, N).  The qualifying powers therefore form one run
+h0, h0 + 2, ... per least harmonic (N, and 2N when N is odd), and ``_runs``
+is the one home of that rule.  Each qualifying power k is described by
+one integer pair, h0 and the binomial C_k = C(k, (k - h0) / 2) of its
+amplitude A_k = N * C_k / 2^(k - 1) (``_binomial``).  When m + n = 2p the factors N and
+the powers of two cancel, so a relation's constant is C_m * C_n / C_p^2,
+one reduction per relation.  All three powers of a relation lie in one
+run, with p at its middle, so the search pairs powers only within a run
+and expands none.
+
+The number of relations follows from the run lengths alone, (s - 1)^2 / 4
+rounded down for a run of s powers.  Before it builds any relation,
+``discover`` refuses a query that would relate a power over
+``fourier.POWER_BUDGET``, as ``linearize`` refuses that power, or that has
+more than ``RELATION_BUDGET`` relations.
 """
 
 from __future__ import annotations
@@ -29,8 +43,14 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .dsl import Format, parse, render
-from .fourier import Mode
+from .fourier import POWER_BUDGET, Mode
 from .identities import CATALOG, IdentityStatement
+
+# The most relations one query may build.  Outside the tests of this budget,
+# the largest query of the tests, README, CI and benchmark (N = 63,
+# difference mode) has 1,922.  N = 400 has 9,900 and N = 1000 has 62,250,
+# which printed 35 MB of JSON in 6.4 s before this budget.
+RELATION_BUDGET = 10_000
 
 
 @dataclass(frozen=True)
@@ -52,40 +72,25 @@ class DiscoveredIdentity:
     product_factor: int
 
 
-_Harmonic = Optional[tuple[int, Fraction]]
+def _runs(shift_count: int, max_power: int, mode: Mode) -> dict[int, range]:
+    """Least harmonic h0 -> the powers k <= max_power whose f_k has h0 alone.
 
-
-def _classify(shift_count: int, power: int, mode: Mode) -> _Harmonic:
-    """``single_harmonic(linearize_closed(shift_count, power), mode)``, by arithmetic.
-
-    The positive harmonics of f_power step by lcm(2, N) from the least
-    multiple of N with the parity of power, so there is one exactly when
-    that least harmonic h0 satisfies h0 <= power < h0 + lcm(2, N).  An even
-    power also has the constant term, which POINTWISE mode rejects.
+    The least harmonics are the multiples of N up to lcm(2, N), one per
+    parity, and f_k has one positive harmonic exactly when
+    h0 <= k < h0 + lcm(2, N) with k of the parity of h0.  An even power
+    also has the constant term, which POINTWISE mode rejects.
     """
-    if shift_count < 1:
-        raise ValueError(f"shift count must be positive, got {shift_count}")
-    if power < 0:
-        raise ValueError(f"power must be non-negative, got {power}")
-    if mode is Mode.POINTWISE and power % 2 == 0:
-        return None
-    least = shift_count if (power - shift_count) % 2 == 0 else 2 * shift_count
-    if (power - least) % 2 or not least <= power < least + math.lcm(2, shift_count):
-        return None
-    binomial = math.comb(power, (power - least) // 2)
-    return least, shift_count * Fraction(binomial, 2 ** (power - 1))
+    period = math.lcm(2, shift_count)
+    return {
+        least: range(least, min(least + period, max_power + 1), 2)
+        for least in range(shift_count, period + 1, shift_count)
+        if mode is Mode.DIFFERENCE or least % 2
+    }
 
 
-def _relate(m: _Harmonic, n: _Harmonic, p: _Harmonic) -> Optional[tuple[int, int, int]]:
-    # (harmonic, square_factor, product_factor) from the single_harmonic
-    # results for f_m, f_n and f_p, or None when the triple does not qualify.
-    if m is None or n is None or p is None:
-        return None
-    (h_m, a_m), (h_n, a_n), (h_p, a_p) = m, n, p
-    if not (h_m == h_n == h_p):
-        return None
-    ratio = (a_m * a_n) / (a_p * a_p)
-    return (h_m, ratio.numerator, ratio.denominator)
+def _binomial(power: int, harmonic: int) -> int:
+    # C(k, (k - h) / 2): the amplitude of harmonic h in f_k is N * C / 2^(k - 1).
+    return math.comb(power, (power - harmonic) // 2)
 
 
 def derive_constant(
@@ -93,39 +98,63 @@ def derive_constant(
 ) -> Optional[tuple[int, int]]:
     """(square_factor, product_factor) for the triple, or None.
 
-    None means the triple does not qualify: some expansion has zero or
+    The pair is the amplitude ratio A_m * A_n / A_p^2 in lowest terms, for
+    any m, n and p.  None means the triple does not qualify: the three
+    powers do not lie in one run, because some expansion has zero or
     several positive harmonics, the harmonics disagree, or (POINTWISE) a
     constant term survives.
     """
-    related = _relate(*(_classify(shift_count, k, mode) for k in (m, n, p)))
-    return None if related is None else related[1:]
+    if shift_count < 1:
+        raise ValueError(f"shift count must be positive, got {shift_count}")
+    for power in (m, n, p):
+        if power < 0:
+            raise ValueError(f"power must be non-negative, got {power}")
+    for least, run in _runs(shift_count, max(m, n, p), mode).items():
+        if m in run and n in run and p in run:
+            c_m, c_n, c_p = (_binomial(k, least) for k in (m, n, p))
+            # N cancels; the powers of two leave 2^(2p - m - n).
+            shift = 2 * p - m - n
+            ratio = Fraction(c_m * c_n << max(shift, 0), c_p * c_p << max(-shift, 0))
+            return ratio.numerator, ratio.denominator
+    return None
 
 
 def discover(query: DiscoveryQuery) -> list[DiscoveredIdentity]:
     """All qualifying triples, sorted by (p, m, n); deterministic.
 
-    Only the powers below 2 * lcm(2, N) can qualify, so only those are
-    classified, and only the qualifying ones are paired.  The cost does not
-    depend on max_power beyond that bound.
+    Each triple is a power p of a run with m and n the same distance d on
+    either side of it in that run.  Raises ``ValueError``, before building
+    any relation, for a query that would relate a power over
+    ``fourier.POWER_BUDGET`` or has more than ``RELATION_BUDGET`` relations.
+    The cost does not depend on max_power past 2 * lcm(2, N).
     """
     if query.shift_count < 1:
         raise ValueError(f"shift count must be positive, got {query.shift_count}")
     if query.max_power < 1:
         raise ValueError(f"max power must be positive, got {query.max_power}")
-    bound = min(query.max_power, 2 * math.lcm(2, query.shift_count) - 1)
-    harmonics = {
-        k: _classify(query.shift_count, k, query.mode) for k in range(1, bound + 1)
-    }
-    qualifying = [k for k, harmonic in harmonics.items() if harmonic is not None]
+    runs = _runs(query.shift_count, query.max_power, query.mode)
+    # Every power of a run of three or more is in a relation.  None may be a
+    # power that linearize refuses; far past that budget a constant outgrows
+    # the limit on integer strings.  Checked first, it also keeps each run
+    # short enough for len().
+    top = max((run[-1] for run in runs.values() if run[2:]), default=0)
+    if top > POWER_BUDGET:
+        raise ValueError(f"power {top} is over the budget of {POWER_BUDGET}")
+    count = sum((len(run) - 1) ** 2 // 4 for run in runs.values())
+    if count > RELATION_BUDGET:
+        raise ValueError(
+            f"the query has {count} relations, over the budget of {RELATION_BUDGET}"
+        )
     found: list[DiscoveredIdentity] = []
-    for i, m in enumerate(qualifying):
-        for n in qualifying[i + 1:]:
-            if (m + n) % 2:
-                continue
-            p = (m + n) // 2
-            related = _relate(harmonics[m], harmonics[n], harmonics[p])
-            if related is not None:
-                found.append(DiscoveredIdentity(m, n, p, *related))
+    for least, run in runs.items():
+        binomials = [_binomial(k, least) for k in run]
+        for j, p in enumerate(run):
+            square = binomials[j] ** 2
+            for d in range(min(j, len(run) - 1 - j), 0, -1):
+                ratio = Fraction(binomials[j - d] * binomials[j + d], square)
+                found.append(DiscoveredIdentity(
+                    run[j - d], run[j + d], p, least, ratio.numerator, ratio.denominator
+                ))
     found.sort(key=lambda d: (d.p, d.m, d.n))
     return found
 

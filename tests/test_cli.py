@@ -561,6 +561,28 @@ def test_discover_empty_result_is_success(capsys):
     assert out == ""
 
 
+def test_discover_over_its_budgets_exits_two(capsys):
+    # Before the budgets, N = 1000 printed 35 MB in 6.4 s, N = 3000 ran past
+    # 60 s, and N = 10^30 + 1 printed 10 MB before a constant outgrew the
+    # limit on integer strings.
+    big = str(10**30 + 1)
+    for shift_count, max_power, message in (
+        ("1000", "1000000000000", "the query has 62250 relations, over the budget of 10000"),
+        ("3000", "1000000000000", "the query has 561750 relations, over the budget of 10000"),
+        (big, str(10**30 + 401), f"power {10**30 + 401} is over the budget of 10000"),
+    ):
+        for emit in ((), ("--emit", "json")):
+            start = time.perf_counter()
+            code, out, err = invoke(
+                capsys, "discover", "-N", shift_count, "--max-n", max_power, *emit
+            )
+            elapsed = time.perf_counter() - start
+            assert code == 2
+            assert out == ""
+            assert err == f"trigident: {message}\n"
+            assert elapsed < 1.0, f"{elapsed:.2f} s"
+
+
 def test_polar_decompose(capsys):
     code, out, _ = invoke(capsys, "polar", "decompose", "1", "1", "-2")
     assert code == 0

@@ -1,17 +1,20 @@
 import math
 import time
+from fractions import Fraction
 
 import pytest
 
 from trigident.discovery import (
+    RELATION_BUDGET,
     DiscoveredIdentity,
     DiscoveryQuery,
-    _classify,
+    _binomial,
+    _runs,
     derive_constant,
     discover,
     emit_statement,
 )
-from trigident.fourier import Mode, linearize_closed, single_harmonic
+from trigident.fourier import POWER_BUDGET, Mode, linearize_closed, single_harmonic
 from trigident.identities import Verdict, catalog_entry, verify
 
 GRID_SIZE = 64
@@ -150,14 +153,102 @@ def test_constants_are_coprime_with_positive_denominator():
             assert d.product_factor > 0
 
 
+def amplitude(shift_count, power, mode):
+    # The run holding power, and its binomial C, as single_harmonic's
+    # (h0, N*C/2^(power-1)).
+    for harmonic, run in _runs(shift_count, power, mode).items():
+        if power in run:
+            binomial = _binomial(power, harmonic)
+            return harmonic, shift_count * Fraction(binomial, 2 ** (power - 1))
+    return None
+
+
 def test_classifier_matches_the_expansion():
     for shift_count in range(1, 13):
         for power in range(0, 301):
             expansion = linearize_closed(shift_count, power)
             for mode in Mode:
-                assert _classify(shift_count, power, mode) == single_harmonic(
+                assert amplitude(shift_count, power, mode) == single_harmonic(
                     expansion, mode
                 ), (shift_count, power, mode)
+
+
+def test_derive_constant_matches_the_amplitude_ratio():
+    # Every triple of powers 0..15, so m + n != 2p, m >= n and triples
+    # that do not qualify are all covered; the ratio keeps its power of two.
+    powers = range(16)
+    for shift_count in range(1, 9):
+        for mode in Mode:
+            single = {
+                k: single_harmonic(linearize_closed(shift_count, k), mode) for k in powers
+            }
+            for m in powers:
+                for n in powers:
+                    for p in powers:
+                        triple = (single[m], single[n], single[p])
+                        expected = None
+                        if None not in triple and len({h for h, _ in triple}) == 1:
+                            ratio = triple[0][1] * triple[1][1] / triple[2][1] ** 2
+                            expected = (ratio.numerator, ratio.denominator)
+                        assert derive_constant(shift_count, m, n, p, mode) == expected, (
+                            shift_count, m, n, p, mode,
+                        )
+
+
+def pairwise_definition(shift_count, max_power, mode):
+    # derive_constant is None once n >= 2*lcm(2, N), which is at most 4N
+    # (test_classifier_matches_the_expansion), so no larger n is tried.
+    top = min(max_power, 4 * shift_count + 3)
+    found = []
+    for m in range(1, top + 1):
+        for n in range(m + 2, top + 1, 2):
+            p = (m + n) // 2
+            derived = derive_constant(shift_count, m, n, p, mode)
+            if derived is not None:
+                harmonic = amplitude(shift_count, p, mode)[0]
+                found.append(DiscoveredIdentity(m, n, p, harmonic, *derived))
+    return sorted(found, key=lambda d: (d.p, d.m, d.n))
+
+
+def test_discover_matches_its_pairwise_definition():
+    for shift_count in range(1, 25):
+        for mode in Mode:
+            for max_power in (1, 2 * shift_count - 1, 4 * shift_count + 3, 10**6):
+                assert discover(DiscoveryQuery(shift_count, max_power, mode)) == (
+                    pairwise_definition(shift_count, max_power, mode)
+                ), (shift_count, max_power, mode)
+
+
+def test_a_query_over_the_relation_budget_is_refused():
+    # A run of s powers holds (s - 1)^2 // 4 relations: N = 402 has one run
+    # of 201 powers in difference mode, exactly the budget, and N = 404 one
+    # of 202, with 10,100.
+    assert RELATION_BUDGET == 10_000
+    assert len(discover(DiscoveryQuery(402, 10**12, Mode.DIFFERENCE))) == RELATION_BUDGET
+    start = time.perf_counter()
+    for shift_count in (404, 1000, 3000):
+        count = (shift_count // 2 - 1) ** 2 // 4
+        with pytest.raises(ValueError, match=f"has {count} relations, over the budget"):
+            discover(DiscoveryQuery(shift_count, 10**12, Mode.DIFFERENCE))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
+
+
+def test_a_relation_past_the_power_budget_is_refused():
+    # f_9996, f_9998, f_10000 make one relation at the budget; one more
+    # power, or a longer run, reaches past it.  A run of two powers holds
+    # no relation, so its powers are not checked.  A run of more than
+    # sys.maxsize powers is refused too, before anything counts it.
+    assert POWER_BUDGET == 10_000
+    assert len(discover(DiscoveryQuery(9996, 10_000, Mode.DIFFERENCE))) == 1
+    assert discover(DiscoveryQuery(9999, 10_002, Mode.DIFFERENCE)) == []
+    for shift_count, max_power, top in (
+        (9997, 10_001, 10_001),
+        (10**30 + 1, 10**30 + 401, 10**30 + 401),
+        (10**20 + 1, 10**100, 3 * 10**20 + 1),
+    ):
+        with pytest.raises(ValueError, match=f"power {top} is over the budget of 10000"):
+            discover(DiscoveryQuery(shift_count, max_power, Mode.POINTWISE))
 
 
 def test_search_stops_at_the_last_power_that_can_qualify():
