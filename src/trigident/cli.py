@@ -208,11 +208,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (CliError, ValueError, OSError) as exc:
         print(f"trigident: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:
-        # The parser and both evaluation routes recurse once per nesting
-        # level, and a flat sum nests as a left-deep tree.
-        print("trigident: statement nested too deeply", file=sys.stderr)
-        return 2
 
 
 def main() -> None:

@@ -186,6 +186,7 @@ def _tokenize(source: str) -> list[_Token]:
 # parser
 
 _CONSTRAINT_LHS: Expr = Sub(Mul(Var("a"), Var("d")), Mul(Var("b"), Var("c")))
+_BINARY = {_TokenKind.PLUS: Add, _TokenKind.MINUS: Sub, _TokenKind.STAR: Mul}
 
 
 class _Parser:
@@ -230,22 +231,21 @@ class _Parser:
         )
 
     def parse_statement(self, name: str) -> IdentityStatement:
-        constrained = False
-        if self._peek().kind is _TokenKind.CONSTRAINT:
-            constrained = self._parse_constraint()
-        lhs = self.parse_expr()
-        self._expect(_TokenKind.EQUALITY)
-        rhs = self.parse_expr()
-        self._expect(_TokenKind.END)
+        constrained = self._peek().kind is _TokenKind.CONSTRAINT and self._parse_constraint()
+        lhs, rhs = self._parse_equation(_TokenKind.EQUALITY, _TokenKind.END)
         return IdentityStatement(name, lhs, rhs, constrained)
+
+    def _parse_equation(self, equals: _TokenKind, end: _TokenKind) -> tuple[Expr, Expr]:
+        lhs = self.parse_expr()
+        self._expect(equals)
+        rhs = self.parse_expr()
+        self._expect(end)
+        return lhs, rhs
 
     def _parse_constraint(self) -> bool:
         keyword = self._expect(_TokenKind.CONSTRAINT)
         self._expect(_TokenKind.COLON)
-        lhs = self.parse_expr()
-        self._expect(_TokenKind.EQUAL)
-        rhs = self.parse_expr()
-        self._expect(_TokenKind.SEMICOLON)
+        lhs, rhs = self._parse_equation(_TokenKind.EQUAL, _TokenKind.SEMICOLON)
         if lhs != _CONSTRAINT_LHS or rhs != Num(Fraction(0)):
             raise DslSemanticError(
                 "unsupported constraint; only a*d - b*c = 0 is recognized",
@@ -256,26 +256,31 @@ class _Parser:
         return True
 
     def parse_expr(self) -> Expr:
-        left = self._parse_term()
-        while self._peek().kind in (_TokenKind.PLUS, _TokenKind.MINUS):
-            op = self._advance()
-            right = self._parse_term()
-            left = Add(left, right) if op.kind is _TokenKind.PLUS else Sub(left, right)
-        return left
-
-    def _parse_term(self) -> Expr:
-        left = self._parse_factor()
-        while self._peek().kind is _TokenKind.STAR:
-            self._advance()
-            left = Mul(left, self._parse_factor())
-        return left
-
-    def _parse_factor(self) -> Expr:
-        base = self._parse_base()
-        if self._peek().kind is _TokenKind.CARET:
-            self._advance()
-            return Pow(base, self._natural())
-        return base
+        # Operator precedence over an explicit stack of the operators awaiting
+        # a right operand, each with its left one, and None per open parenthesis.
+        pending: list = []
+        while True:
+            while self._peek().kind is _TokenKind.LPAREN:
+                self._advance()
+                pending.append(None)
+            operand = self._parse_base()
+            while True:
+                if self._peek().kind is _TokenKind.CARET:
+                    self._advance()
+                    operand = Pow(operand, self._natural())
+                operator = _BINARY.get(self._peek().kind)
+                # Apply the waiting operators that bind at least as tightly.
+                while pending and pending[-1] and (operator is not Mul or pending[-1][0] is Mul):
+                    waiting, left = pending.pop()
+                    operand = waiting(left, operand)
+                if operator is not None:
+                    self._advance()
+                    pending.append((operator, operand))
+                    break
+                if not pending:
+                    return operand
+                self._expect(_TokenKind.RPAREN)
+                pending.pop()
 
     def _parse_base(self) -> Expr:
         token = self._peek()
@@ -289,11 +294,6 @@ class _Parser:
             power = self._natural()
             self._expect(_TokenKind.RPAREN)
             return Bracket(kind, power)
-        if token.kind is _TokenKind.LPAREN:
-            self._advance()
-            inner = self.parse_expr()
-            self._expect(_TokenKind.RPAREN)
-            return inner
         self._fail(token, ("number", "variable", "bracket", "'('"))
 
     def _parse_rational(self) -> Num:
@@ -341,38 +341,51 @@ def render(statement: IdentityStatement, fmt: Format) -> str:
     """Render a statement; PLAIN output re-parses to an equal statement."""
     if fmt is Format.PLAIN:
         prefix = _CONSTRAINT_PLAIN if statement.constrained else ""
-        return f"{prefix}{_plain(statement.lhs, 0)} == {_plain(statement.rhs, 0)}"
+        return f"{prefix}{_emit(statement.lhs, _plain)} == {_emit(statement.rhs, _plain)}"
     if fmt is Format.LATEX:
         prefix = "ad=bc \\implies " if statement.constrained else ""
-        return f"{prefix}{_latex(statement.lhs, 0)} = {_latex(statement.rhs, 0)}"
+        lhs, rhs = (_emit(side, _latex, "\\left(", "\\right)") for side in (statement.lhs, statement.rhs))
+        return f"{prefix}{lhs} = {rhs}"
     if fmt is Format.JSON:
-        payload = {
-            "name": statement.name,
-            "constraint": statement.constrained,
-            "lhs": _json_node(statement.lhs),
-            "rhs": _json_node(statement.rhs),
-        }
-        return json.dumps(payload, separators=(",", ":"))
+        # What json.dumps writes with separators (",", ":"), which recurses.
+        lhs, rhs = _emit(statement.lhs, _json_node), _emit(statement.rhs, _json_node)
+        return f'{{"name":{json.dumps(statement.name)},"constraint":{json.dumps(statement.constrained)},"lhs":{lhs},"rhs":{rhs}}}'
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _plain(expr: Expr, parent: int) -> str:
+def _emit(expr: Expr, spell, opening: str = "(", closing: str = ")") -> str:
+    """The text of a tree from a work stack, in time linear in its length.
+
+    ``spell(node)`` gives a node's precedence and its text, as strings and
+    (child, least precedence) pairs; a child below it is put in parentheses.
+    """
+    out, work = [], [(expr, 0)]
+    while work:
+        item = work.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, needed = item
+        precedence, pieces = spell(node)
+        if precedence < needed:
+            pieces = [opening, *pieces, closing]
+        work += reversed(pieces)
+    return "".join(out)
+
+
+def _plain(expr: Expr) -> tuple[int, list]:
     if isinstance(expr, Num):
-        return str(expr.value)
+        return _PREC_ATOM, [str(expr.value)]
     if isinstance(expr, Var):
-        return expr.name
+        return _PREC_ATOM, [expr.name]
     if isinstance(expr, Bracket):
-        return f"{expr.kind.value}({expr.power})"
+        return _PREC_ATOM, [f"{expr.kind.value}({expr.power})"]
     if isinstance(expr, (Add, Sub)):
-        op = " + " if isinstance(expr, Add) else " - "
-        body = f"{_plain(expr.left, _PREC_ADD)}{op}{_plain(expr.right, _PREC_MUL)}"
-        return f"({body})" if parent > _PREC_ADD else body
+        return _PREC_ADD, [(expr.left, _PREC_ADD), " + " if isinstance(expr, Add) else " - ", (expr.right, _PREC_MUL)]
     if isinstance(expr, Mul):
-        body = f"{_plain(expr.left, _PREC_MUL)}*{_plain(expr.right, _PREC_POW)}"
-        return f"({body})" if parent > _PREC_MUL else body
+        return _PREC_MUL, [(expr.left, _PREC_MUL), "*", (expr.right, _PREC_POW)]
     if isinstance(expr, Pow):
-        body = f"{_plain(expr.base, _PREC_ATOM)}^{expr.exponent}"
-        return f"({body})" if parent > _PREC_POW else body
+        return _PREC_POW, [(expr.base, _PREC_ATOM), f"^{expr.exponent}"]
     raise TypeError(f"not an expression node: {expr!r}")
 
 
@@ -388,51 +401,37 @@ _BRACKET_LATEX = {
 }
 
 
-def _latex(expr: Expr, parent: int) -> str:
+def _latex(expr: Expr) -> tuple[int, list]:
     if isinstance(expr, Num):
         value = expr.value
-        if value.denominator == 1:
-            text = str(value.numerator)
-        else:
-            text = f"\\frac{{{value.numerator}}}{{{value.denominator}}}"
-        return f"\\left({text}\\right)" if parent > _PREC_POW and value < 0 else text
+        text = str(value) if value.denominator == 1 else f"\\frac{{{value.numerator}}}{{{value.denominator}}}"
+        # A negative number is bracketed only as the base of a power.
+        return (_PREC_POW if value < 0 else _PREC_ATOM), [text]
     if isinstance(expr, Var):
-        return expr.name
+        return _PREC_ATOM, [expr.name]
     if isinstance(expr, Bracket):
         layout = _BRACKET_LATEX[(expr.kind, expr.power % 2)]
-        return "\\left\\{" + layout.format(n=expr.power) + "\\right\\}"
+        return _PREC_ATOM, ["\\left\\{" + layout.format(n=expr.power) + "\\right\\}"]
     if isinstance(expr, (Add, Sub)):
-        op = "+" if isinstance(expr, Add) else "-"
-        body = f"{_latex(expr.left, _PREC_ADD)}{op}{_latex(expr.right, _PREC_MUL)}"
-        return f"\\left({body}\\right)" if parent > _PREC_ADD else body
+        return _PREC_ADD, [(expr.left, _PREC_ADD), "+" if isinstance(expr, Add) else "-", (expr.right, _PREC_MUL)]
     if isinstance(expr, Mul):
-        left = _latex(expr.left, _PREC_MUL)
-        right = _latex(expr.right, _PREC_POW)
         separator = "\\cdot " if isinstance(expr.right, Num) else ""
-        body = f"{left}{separator}{right}"
-        return f"\\left({body}\\right)" if parent > _PREC_MUL else body
+        return _PREC_MUL, [(expr.left, _PREC_MUL), separator, (expr.right, _PREC_POW)]
     if isinstance(expr, Pow):
-        if isinstance(expr.base, (Add, Sub, Mul, Pow)):
-            base = f"\\left({_latex(expr.base, 0)}\\right)"
-        else:
-            base = _latex(expr.base, _PREC_ATOM)
-        return f"{base}^{{{expr.exponent}}}"
+        return _PREC_POW, [(expr.base, _PREC_ATOM), f"^{{{expr.exponent}}}"]
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def _json_node(expr: Expr) -> dict:
+def _json_node(expr: Expr) -> tuple[int, list]:
     if isinstance(expr, Num):
-        return {"type": "num", "value": str(expr.value)}
+        return _PREC_ATOM, [f'{{"type":"num","value":{json.dumps(str(expr.value))}}}']
     if isinstance(expr, Var):
-        return {"type": "var", "name": expr.name}
+        return _PREC_ATOM, [f'{{"type":"var","name":{json.dumps(expr.name)}}}']
     if isinstance(expr, Bracket):
-        return {"type": "bracket", "kind": expr.kind.value, "power": expr.power}
-    if isinstance(expr, Add):
-        return {"type": "add", "left": _json_node(expr.left), "right": _json_node(expr.right)}
-    if isinstance(expr, Sub):
-        return {"type": "sub", "left": _json_node(expr.left), "right": _json_node(expr.right)}
-    if isinstance(expr, Mul):
-        return {"type": "mul", "left": _json_node(expr.left), "right": _json_node(expr.right)}
+        return _PREC_ATOM, [f'{{"type":"bracket","kind":"{expr.kind.value}","power":{json.dumps(expr.power)}}}']
+    if isinstance(expr, (Add, Sub, Mul)):
+        kind = "add" if isinstance(expr, Add) else "sub" if isinstance(expr, Sub) else "mul"
+        return _PREC_ATOM, [f'{{"type":"{kind}","left":', (expr.left, 0), ',"right":', (expr.right, 0), "}"]
     if isinstance(expr, Pow):
-        return {"type": "pow", "base": _json_node(expr.base), "exponent": expr.exponent}
+        return _PREC_ATOM, ['{"type":"pow","base":', (expr.base, 0), f',"exponent":{json.dumps(expr.exponent)}}}']
     raise TypeError(f"not an expression node: {expr!r}")

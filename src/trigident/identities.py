@@ -33,7 +33,7 @@ remaining draws.  ``spot_check`` evaluates it exactly at a few hundred
 integer points read off the statement's degrees, and agreement at all of
 them is a certificate that it is the zero polynomial (see
 ``_certificate``).  It evaluates them ``_BLOCK_SIZE`` at a time: ``_value``
-walks the tree once at a ``_Block``, where every node is a ``_Column``
+evaluates the tree once at a ``_Block``, where every node is a ``_Column``
 holding, for each point, the number ``_value`` gives at that point alone.
 Only a disagreement, or a statement needing more than ``_POINT_BUDGET``
 points, runs the seeded random draws that pick the reported witness, one
@@ -61,6 +61,10 @@ from .algebra import VARIABLES, Polynomial
 
 # ----------------------------------------------------------------------
 # expression AST
+#
+# A node's ==, hash and repr still recurse once per level, so library code
+# hashes no subtree, keys no dict by one, and compares one only with a fixed
+# tree of a few levels, where == stops.
 
 
 class BracketKind(Enum):
@@ -134,6 +138,8 @@ Point = tuple[Fraction, Fraction, Fraction, Fraction]
 # A value at the point (a, b, c, d) itself is the expanded polynomial.
 _VARIABLE_POINT = tuple(map(Polynomial.variable, VARIABLES))
 
+_OPERATORS = {Add: add, Sub: sub, Mul: mul}
+
 
 def expr_to_poly(expr: Expr) -> Polynomial:
     """Fully expanded polynomial of an expression: its value at (a, b, c, d)."""
@@ -159,50 +165,63 @@ def expr_value(expr: Expr, point: Point) -> Fraction:
     return Fraction(_value(expr, point))
 
 
+def _postorder(expr: Expr) -> list[Expr]:
+    """Every node, after its children and left before right, gathered on an explicit stack.
+
+    The one home of the tree's shape and of the node checks (``ValueError``);
+    anything but an instance of exactly one of ``Expr``'s classes is a ``TypeError``.
+    """
+    order, stack = [], [expr]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        kind = type(node)
+        if kind is Add or kind is Sub or kind is Mul:
+            stack += node.left, node.right
+        elif kind is Pow:
+            if not isinstance(node.exponent, int) or node.exponent < 0:
+                raise ValueError(f"exponent must be a non-negative integer, got {node.exponent!r}")
+            stack.append(node.base)
+        elif kind is Bracket and node.power < 0:
+            raise ValueError(f"bracket power must be non-negative, got {node.power}")
+        elif kind not in (Num, Var, Bracket):
+            raise TypeError(f"not an expression node: {node!r}")
+    return order[::-1]
+
+
 def _value(expr: Expr, point: Union[tuple, _PowerSums, _Block]) -> Union[int, Fraction, Polynomial, _Column]:
-    """Value at the point as one exact number per node.
+    """Value at the point, one exact number per node of ``_postorder`` on a value stack.
 
     The number is an ``int`` wherever the point and the constants are
     integral, as at every certificate point, a ``Fraction`` elsewhere, and
     a ``Polynomial`` at ``_VARIABLE_POINT``, which mixes exactly with both.
-    A bracket at a point is the power sum of ``_triple``.  In place of a
-    point, a ``_PowerSums`` gives each bracket as a polynomial in the
-    triples' invariants, and a variable has no value; a ``_Block`` gives
-    each node as a ``_Column`` of its values at a block of points.
+    A bracket at a point is the power sum of ``_triple``.  A ``_PowerSums``
+    gives it as a polynomial in the triples' invariants, and a variable no
+    value; at a ``_Block`` every node is a ``_Column`` of its values.
     """
-    if isinstance(expr, Bracket):
-        kind, power = expr.kind, expr.power
-        if power < 0:
-            raise ValueError(f"bracket power must be non-negative, got {power}")
-        if isinstance(point, (_PowerSums, _Block)):
-            one = point.of(0, power) if kind is not BracketKind.B else 0
-            two = point.of(1, power) if kind is not BracketKind.A else 0
-            return one - two if kind is BracketKind.D else one + two
-        one = two = 0
-        if kind is not BracketKind.B:
-            x, y, z = _triple(0, *point)
-            one = x ** power + y ** power + z ** power
-        if kind is not BracketKind.A:
-            x, y, z = _triple(1, *point)
-            two = x ** power + y ** power + z ** power
-        return one - two if kind is BracketKind.D else one + two
-    if isinstance(expr, Mul):
-        return _value(expr.left, point) * _value(expr.right, point)
-    if isinstance(expr, Add):
-        return _value(expr.left, point) + _value(expr.right, point)
-    if isinstance(expr, Sub):
-        return _value(expr.left, point) - _value(expr.right, point)
-    if isinstance(expr, Pow):
-        exponent = expr.exponent
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")
-        return _value(expr.base, point) ** exponent
-    if isinstance(expr, Num):
-        value = expr.value
-        return value.numerator if value.denominator == 1 else value
-    if isinstance(expr, Var):
-        return point[VARIABLES.index(expr.name)]
-    raise TypeError(f"not an expression node: {expr!r}")
+    if isinstance(point, (_PowerSums, _Block)):
+        of = point.of
+    else:
+        def of(which: int, power: int):
+            x, y, z = _triple(which, *point)
+            return x ** power + y ** power + z ** power
+    values = []
+    for node in _postorder(expr):
+        kind = type(node)
+        if kind is Num:
+            values.append(node.value.numerator if node.value.denominator == 1 else node.value)
+        elif kind is Bracket:
+            one = of(0, node.power) if node.kind is not BracketKind.B else 0
+            two = of(1, node.power) if node.kind is not BracketKind.A else 0
+            values.append(one - two if node.kind is BracketKind.D else one + two)
+        elif kind is Var:
+            values.append(point[VARIABLES.index(node.name)])
+        elif kind is Pow:
+            values[-1] = values[-1] ** node.exponent
+        else:
+            right = values.pop()
+            values[-1] = _OPERATORS[kind](values[-1], right)
+    return values.pop()
 
 
 def _triple(which: int, a, b, c, d):
@@ -261,24 +280,15 @@ class _PowerSums:
         return Polynomial(terms)
 
 
-def _bracket_only(expr: Expr) -> bool:
-    """Whether every leaf of the tree is a bracket or a number."""
-    if isinstance(expr, (Add, Sub, Mul)):
-        return _bracket_only(expr.left) and _bracket_only(expr.right)
-    if isinstance(expr, Pow):
-        return _bracket_only(expr.base)
-    return not isinstance(expr, Var)
-
-
 def _proved_by_power_sums(statement: IdentityStatement) -> bool:
     """Whether lhs - rhs is zero as a polynomial in the triples' invariants.
 
     Zero in independent symbols stays zero once the actual invariants are
     put in, so True is a proof; False, also given for a variable, is none.
+    Raises ``ValueError`` as ``_degree_pass``, which finds the variables.
     """
-    if not (_bracket_only(statement.lhs) and _bracket_only(statement.rhs)):
-        return False
-    return _sides_agree(statement, _PowerSums(statement.constrained))
+    *_, bracket_only = _degree_pass(statement)
+    return bracket_only and _sides_agree(statement, _PowerSums(statement.constrained))
 
 
 # ----------------------------------------------------------------------
@@ -308,49 +318,46 @@ _POINT_BUDGET = 10_000
 _CONSTANT = frozenset({0})
 
 
-def _degrees(expr: Expr, free: str) -> tuple[frozenset[int], tuple[int, ...]]:
-    """The homogeneous degrees J of an expression, and a degree bound per free variable.
+def _degrees(expr: Expr, free: str) -> tuple[frozenset[int], tuple[int, ...], bool]:
+    """The homogeneous degrees J of an expression, a degree bound per free variable, and whether it has no variable.
 
     ``free`` is "bcd", or "bc" under the constraint, where d := b*c; a
     becomes the scale t.  J is empty for a tree that is zero by
-    construction.  Raises ``ValueError`` for a node of degree or a power of
-    a constant with exponent over the budget, and as soon as J outgrows it,
-    before building J where its size follows from its parts.
+    construction.  Raises ``ValueError`` as ``_postorder`` does, for a node
+    of degree or a power of a constant with exponent over the budget, and
+    as soon as J outgrows it, before building J where its size follows.
     """
-    if isinstance(expr, Num):
-        return (frozenset() if expr.value == 0 else _CONSTANT), (0,) * len(free)
-    if isinstance(expr, Var):
-        names = "bc" if expr.name == "d" and "d" not in free else expr.name
-        return frozenset({1}), tuple(int(name in names) for name in free)
-    if isinstance(expr, Bracket):
-        if expr.power < 0:
-            raise ValueError(f"bracket power must be non-negative, got {expr.power}")
-        degrees, bounds = frozenset({expr.power}), (expr.power,) * len(free)
-    elif isinstance(expr, Pow):
-        exponent = expr.exponent
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")
-        base, base_bounds = _degrees(expr.base, free)
-        if exponent > _POINT_BUDGET and not any(base):
-            # Degree 0, but the value of the power is still huge.
-            raise _over_budget(f"exponent {exponent}")
-        degrees, bounds = _multiple(base, exponent), tuple(exponent * bound for bound in base_bounds)
-    elif isinstance(expr, (Add, Sub, Mul)):
-        left, left_bounds = _degrees(expr.left, free)
-        right, right_bounds = _degrees(expr.right, free)
-        if isinstance(expr, Mul):
-            degrees, bounds = _sumset(left, right), tuple(x + y for x, y in zip(left_bounds, right_bounds))
+    nodes, bracket_only = [], True
+    for node in _postorder(expr):
+        if isinstance(node, Num):
+            degrees, bounds = (frozenset() if node.value == 0 else _CONSTANT), (0,) * len(free)
+        elif isinstance(node, Var):
+            names = "bc" if node.name == "d" and "d" not in free else node.name
+            degrees, bounds = frozenset({1}), tuple(int(name in names) for name in free)
+            bracket_only = False
+        elif isinstance(node, Bracket):
+            degrees, bounds = frozenset({node.power}), (node.power,) * len(free)
+        elif isinstance(node, Pow):
+            base, base_bounds = nodes.pop()
+            if node.exponent > _POINT_BUDGET and not any(base):
+                # Degree 0, but the value of the power is still huge.
+                raise _over_budget(f"exponent {node.exponent}")
+            degrees, bounds = _multiple(base, node.exponent), tuple(node.exponent * bound for bound in base_bounds)
         else:
-            degrees, bounds = left | right, tuple(map(max, left_bounds, right_bounds))
-            _within_budget(len(degrees))
-    else:
-        raise TypeError(f"not an expression node: {expr!r}")
-    # Bound every node, not only the difference: a zero factor or a zeroth
-    # power would hide a huge one from the whole, but not from evaluation.
-    top = max(degrees, default=0)
-    if top > _POINT_BUDGET:
-        raise _over_budget(f"degree {top}")
-    return degrees, bounds
+            right, right_bounds = nodes.pop()
+            left, left_bounds = nodes.pop()
+            if isinstance(node, Mul):
+                degrees, bounds = _sumset(left, right), tuple(x + y for x, y in zip(left_bounds, right_bounds))
+            else:
+                degrees, bounds = left | right, tuple(map(max, left_bounds, right_bounds))
+                _within_budget(len(degrees))
+        # Bound every node, not only the difference: a zero factor or a zeroth
+        # power would hide a huge one from the whole, but not from evaluation.
+        top = max(degrees, default=0)
+        if top > _POINT_BUDGET:
+            raise _over_budget(f"degree {top}")
+        nodes.append((degrees, bounds))
+    return (*nodes.pop(), bracket_only)
 
 
 def _within_budget(size: int) -> None:
@@ -398,7 +405,7 @@ def _certificate(statement: IdentityStatement) -> tuple[int, Optional[Iterator[_
     blocks are built lazily.  They are None when there would be more than
     _POINT_BUDGET points.  Raises ``ValueError`` as ``_degree_pass`` does.
     """
-    degrees, bounds = _degree_pass(statement)
+    degrees, bounds, _ = _degree_pass(statement)
     top = max(degrees, default=0)
     sides = [min(bound, top) + 1 for bound in bounds]
     # Under the constraint the simplex lattice, of total degree 2*max J in
@@ -412,7 +419,7 @@ def _certificate(statement: IdentityStatement) -> tuple[int, Optional[Iterator[_
     return count, _blocks(count, cycle(range(1, scales + 1)), grid, statement.constrained)
 
 
-def _degree_pass(statement: IdentityStatement) -> tuple[frozenset[int], tuple[int, ...]]:
+def _degree_pass(statement: IdentityStatement) -> tuple[frozenset[int], tuple[int, ...], bool]:
     """``_degrees`` of lhs - rhs; its ``ValueError`` is prefixed with the statement's name."""
     free = "bc" if statement.constrained else "bcd"
     try:
@@ -619,7 +626,6 @@ def verify(statement: IdentityStatement, seed: int = 0) -> VerificationReport:
     before either route runs.
     """
     start = time.perf_counter()
-    _degree_pass(statement)
     if _proved_by_power_sums(statement):
         return _report(statement, start)
     # A false statement's difference is a nonzero polynomial, so random

@@ -437,18 +437,38 @@ def test_verify_overlong_number_exits_two_with_its_position(capsys, tmp_path):
     assert err.startswith(f"trigident: {path}: 1:1: number has 5000 digits")
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["(" * 3000 + "a" + ")" * 3000 + " == a", " + ".join(["a"] * 5000) + " == 5000*a"],
-    ids=["nested-parentheses", "flat-sum"],
-)
-def test_verify_deeply_nested_statement_exits_two(capsys, tmp_path, text):
-    path = tmp_path / "deep.rid"
-    path.write_text(text + "\n", encoding="utf-8")
+DEEP_STATEMENTS = {
+    "nested-parentheses": "(" * 3000 + "a" + ")" * 3000 + " == a",
+    "flat-sum": " + ".join(["a"] * 5000) + " == 5000*a",
+    # 9,000 nodes deep: Pow(Add(Mul(..., 1), 0), 1) 3,000 times over D(6).
+    "deep-bracket": "constraint: a*d - b*c = 0; " + "(" * 3000 + "D(6)" + "*1 + 0)^1" * 3000 + " == D(6)",
+}
+
+
+@pytest.mark.parametrize("route", [[], ["--numeric"], ["--format", "json"]], ids=["symbolic", "numeric", "json"])
+@pytest.mark.parametrize("name", list(DEEP_STATEMENTS))
+def test_verify_deeply_nested_statement_is_proved(capsys, tmp_path, name, route):
+    # Parsing, the degree pass and every evaluation use explicit stacks, so
+    # depth is no limit on a statement of low degree.
+    path = tmp_path / f"{name}.rid"
+    path.write_text(DEEP_STATEMENTS[name] + "\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "verify", str(path), *route)
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    if route == ["--format", "json"]:
+        assert json.loads(out)["verdict"] == "PROVED"
+    else:
+        assert out.startswith(f"PROVED {name} reduced_terms=0 ")
+    assert elapsed < 1.0
+
+
+def test_verify_unclosed_parentheses_exit_two_with_the_position(capsys, tmp_path):
+    path = tmp_path / "unclosed.rid"
+    path.write_text("(" * 3000 + "a == a\n", encoding="utf-8")
     code, out, err = invoke(capsys, "verify", str(path))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("trigident:")
+    assert (code, out) == (2, "")
+    assert err == f"trigident: {path}: 1:3003: expected ')', got '=='\n"
 
 
 def test_verify_unknown_name_exits_two(capsys):

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,10 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigident.dsl import (
+    _CONSTRAINT_LHS,
     DslError,
     DslSemanticError,
     DslSyntaxError,
     Format,
+    _Parser,
+    _TokenKind,
+    _tokenize,
     load_statement,
     parse,
     render,
@@ -19,6 +24,7 @@ from trigident.identities import (
     Add,
     Bracket,
     BracketKind,
+    IdentityStatement,
     Mul,
     Num,
     Pow,
@@ -115,6 +121,122 @@ def test_round_trip_on_random_statements():
         statement = random_statement(rng)
         text = render(statement, Format.PLAIN)
         assert parse(text) == statement, text
+
+
+class RecursiveParser(_Parser):
+    """The recursive-descent parser that the explicit-stack one replaced, as its reference.
+
+    It recurses once per parenthesis, so it serves only shallow sources.
+    """
+
+    def parse_statement(self, name):
+        constrained = False
+        if self._peek().kind is _TokenKind.CONSTRAINT:
+            constrained = self._parse_constraint()
+        lhs = self.parse_expr()
+        self._expect(_TokenKind.EQUALITY)
+        rhs = self.parse_expr()
+        self._expect(_TokenKind.END)
+        return IdentityStatement(name, lhs, rhs, constrained)
+
+    def _parse_constraint(self):
+        keyword = self._expect(_TokenKind.CONSTRAINT)
+        self._expect(_TokenKind.COLON)
+        lhs = self.parse_expr()
+        self._expect(_TokenKind.EQUAL)
+        rhs = self.parse_expr()
+        self._expect(_TokenKind.SEMICOLON)
+        if lhs != _CONSTRAINT_LHS or rhs != Num(Fraction(0)):
+            message = "unsupported constraint; only a*d - b*c = 0 is recognized"
+            raise DslSemanticError(message, keyword.line, keyword.column, keyword.offset)
+        return True
+
+    def parse_expr(self):
+        left = self._parse_term()
+        while self._peek().kind in (_TokenKind.PLUS, _TokenKind.MINUS):
+            op = self._advance()
+            right = self._parse_term()
+            left = Add(left, right) if op.kind is _TokenKind.PLUS else Sub(left, right)
+        return left
+
+    def _parse_term(self):
+        left = self._parse_factor()
+        while self._peek().kind is _TokenKind.STAR:
+            self._advance()
+            left = Mul(left, self._parse_factor())
+        return left
+
+    def _parse_factor(self):
+        base = self._parse_base()
+        if self._peek().kind is _TokenKind.CARET:
+            self._advance()
+            return Pow(base, self._natural())
+        return base
+
+    def _parse_base(self):
+        if self._peek().kind is _TokenKind.LPAREN:
+            self._advance()
+            inner = self.parse_expr()
+            self._expect(_TokenKind.RPAREN)
+            return inner
+        # Numbers, variables and brackets, and the error for anything else.
+        return super()._parse_base()
+
+
+def parse_outcome(parser, source):
+    """The statement and its constraint flag, or the error's class, message, position and expectation."""
+    try:
+        statement = parser(_tokenize(source)).parse_statement("")
+    except DslError as error:
+        return type(error), str(error), error.line, error.column, error.offset, getattr(error, "expected", None)
+    return statement, statement.constrained
+
+
+# Whole lexemes, so that random strings of them are often well formed.
+PARSE_PIECES = ["a", "b", "d", "D(2)", "A(3)", "B(0)", "2", "10", "3/4", "-1/2", "0", "1/0", "-",
+                "+", "*", "^", "^2", "(", ")", "==", "=", ";", "constraint:", "a*d - b*c = 0;"]
+
+
+def parser_sources(rng):
+    """Random lexeme strings, and rendered random statements with one lexeme inserted, deleted or neither."""
+    for _ in range(1500):
+        yield " ".join(rng.choice(PARSE_PIECES) for _ in range(rng.randint(1, 14)))
+    for _ in range(1500):
+        pieces = render(random_statement(rng), Format.PLAIN).split(" ")
+        edit = rng.randrange(len(pieces))
+        if rng.random() < 0.4:
+            pieces.insert(edit, rng.choice(PARSE_PIECES))
+        elif rng.random() < 0.5:
+            del pieces[edit]
+        yield " ".join(pieces)
+
+
+def test_parser_matches_the_recursive_reference():
+    kinds = []
+    for source in parser_sources(random.Random(20261019)):
+        outcome = parse_outcome(_Parser, source)
+        assert outcome == parse_outcome(RecursiveParser, source), source
+        kinds.append(outcome[0] if isinstance(outcome[0], type) else IdentityStatement)
+    # Each kind of outcome is well represented.
+    assert min(map(kinds.count, (IdentityStatement, DslSyntaxError, DslSemanticError))) >= 50
+
+
+def test_parser_edge_cases():
+    # A power is not itself a base, an operand does not start with a lone
+    # minus, and an exponent is a bare natural number.
+    cases = {
+        "a^2^3 == a": (1, 4, ("'=='",)),
+        "-a == a": (1, 2, ("number",)),
+        "a^(2) == a": (1, 3, ("number",)),
+    }
+    for source, (line, column, expected) in cases.items():
+        with pytest.raises(DslSyntaxError) as excinfo:
+            parse(source)
+        assert (excinfo.value.line, excinfo.value.column, excinfo.value.expected) == (line, column, expected)
+    # A negative number is an atom, so its power needs no parentheses.
+    statement = parse("2*(-3)^2 == 18")
+    assert render(statement, Format.PLAIN) == "2*-3^2 == 18"
+    assert parse("2*-3^2 == 18") == statement
 
 
 OPERAND = ("number", "variable", "bracket", "'('")
@@ -263,6 +385,84 @@ def test_json_rendering_is_a_faithful_serialization():
         "base": {"type": "bracket", "kind": "D", "power": 8},
         "exponent": 2,
     }
+
+
+def reference_latex(expr, parent=0):
+    """The recursive LaTeX renderer that the work-stack one replaced."""
+    wrap = "\\left({}\\right)".format
+    if isinstance(expr, Num):
+        value = expr.value
+        text = str(value.numerator) if value.denominator == 1 else f"\\frac{{{value.numerator}}}{{{value.denominator}}}"
+        return wrap(text) if parent > 3 and value < 0 else text
+    if isinstance(expr, Var):
+        return expr.name
+    if isinstance(expr, Bracket):
+        return render(IdentityStatement("", expr, expr, False), Format.LATEX).split(" = ")[0]
+    if isinstance(expr, (Add, Sub)):
+        body = reference_latex(expr.left, 1) + ("+" if isinstance(expr, Add) else "-") + reference_latex(expr.right, 2)
+        return wrap(body) if parent > 1 else body
+    if isinstance(expr, Mul):
+        separator = "\\cdot " if isinstance(expr.right, Num) else ""
+        body = reference_latex(expr.left, 2) + separator + reference_latex(expr.right, 3)
+        return wrap(body) if parent > 2 else body
+    if isinstance(expr.base, (Add, Sub, Mul, Pow)):
+        return wrap(reference_latex(expr.base)) + f"^{{{expr.exponent}}}"
+    return reference_latex(expr.base, 4) + f"^{{{expr.exponent}}}"
+
+
+def reference_json(expr):
+    """The JSON object of a node, built recursively."""
+    if isinstance(expr, Num):
+        return {"type": "num", "value": str(expr.value)}
+    if isinstance(expr, Var):
+        return {"type": "var", "name": expr.name}
+    if isinstance(expr, Bracket):
+        return {"type": "bracket", "kind": expr.kind.value, "power": expr.power}
+    if isinstance(expr, Pow):
+        return {"type": "pow", "base": reference_json(expr.base), "exponent": expr.exponent}
+    kind = {Add: "add", Sub: "sub", Mul: "mul"}[type(expr)]
+    return {"type": kind, "left": reference_json(expr.left), "right": reference_json(expr.right)}
+
+
+def test_renderers_match_the_recursive_references():
+    rng = random.Random(20261020)
+    for _ in range(300):
+        statement = random_statement(rng)
+        prefix = "ad=bc \\implies " if statement.constrained else ""
+        latex = f"{prefix}{reference_latex(statement.lhs)} = {reference_latex(statement.rhs)}"
+        assert render(statement, Format.LATEX) == latex
+        payload = {
+            "name": statement.name,
+            "constraint": statement.constrained,
+            "lhs": reference_json(statement.lhs),
+            "rhs": reference_json(statement.rhs),
+        }
+        assert render(statement, Format.JSON) == json.dumps(payload, separators=(",", ":"))
+
+
+def test_renderers_take_a_deep_statement_in_linear_time():
+    depth = 3000
+    source = "(" * depth + "D(6)" + "*1 + 0)^1" * depth + " == D(6)"
+    statement = parse(source, "deep")
+    latex_bracket = render(parse("D(6) == 0"), Format.LATEX).split(" = ")[0]
+    json_bracket = '{"type":"bracket","kind":"D","power":6}'
+    expected = {
+        Format.PLAIN: source,
+        Format.LATEX: "\\left(" * depth + latex_bracket + "\\cdot 1+0\\right)^{1}" * depth + " = " + latex_bracket,
+        Format.JSON: '{"name":"deep","constraint":false,"lhs":'
+        + '{"type":"pow","base":{"type":"add","left":{"type":"mul","left":' * depth
+        + json_bracket
+        + ',"right":{"type":"num","value":"1"}},"right":{"type":"num","value":"0"}},"exponent":1}' * depth
+        + ',"rhs":' + json_bracket + "}",
+    }
+    # Texts are compared, never trees: == on a deep tree recurses, and so
+    # does json.loads.
+    for fmt, text in expected.items():
+        start = time.perf_counter()
+        rendered = render(statement, fmt)
+        assert time.perf_counter() - start < 1.0, fmt
+        assert rendered == text, fmt
+    assert render(parse(expected[Format.PLAIN]), Format.PLAIN) == expected[Format.PLAIN]
 
 
 def test_load_statement_names_after_file_stem(tmp_path):

@@ -326,7 +326,7 @@ def certificate_points(statement):
     They are t*(1, b, c, d), or (t, t*b, t*c, t*b*c) under the constraint,
     over the smaller grid in lexicographic order, with t innermost.
     """
-    degrees, bounds = _degree_pass(statement)
+    degrees, bounds, _ = _degree_pass(statement)
     top = max(degrees, default=0)
     sides = [min(bound, top) + 1 for bound in bounds]
     if not statement.constrained and comb(top + 3, 3) < prod(sides):
@@ -376,10 +376,12 @@ def test_values_at_certificate_points_are_ints():
 
 
 def test_degree_sets_are_sumsets():
+    # The last member says whether the tree has no variable.
     sum_of_two = Add(Mul(Var("a"), Var("b")), Pow(Add(Var("a"), Bracket(BracketKind.D, 5)), 2))
-    assert _degrees(sum_of_two, "bcd") == (frozenset({2, 10, 6}), (10, 10, 10))
-    assert _degrees(Mul(Num(Fraction(0)), Var("d")), "bc") == (frozenset(), (1, 1))
-    assert _degrees(Pow(Num(Fraction(0)), 0), "bc") == (frozenset({0}), (0, 0))
+    assert _degrees(sum_of_two, "bcd") == (frozenset({2, 10, 6}), (10, 10, 10), False)
+    assert _degrees(Mul(Num(Fraction(0)), Var("d")), "bc") == (frozenset(), (1, 1), False)
+    assert _degrees(Pow(Num(Fraction(0)), 0), "bc") == (frozenset({0}), (0, 0), True)
+    assert _degrees(Mul(Bracket(BracketKind.A, 2), Num(Fraction(3))), "bc") == (frozenset({2}), (2, 2), True)
 
 
 def test_a_huge_power_is_over_budget_before_any_degree_set_is_built(monkeypatch):
