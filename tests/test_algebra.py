@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from trigident.algebra import VARIABLES, Polynomial, _wrap
+from trigident.algebra import VARIABLES, Polynomial
 
 A = Polynomial.variable("a")
 B = Polynomial.variable("b")
@@ -87,16 +87,6 @@ def test_evaluation_is_a_ring_homomorphism():
         assert (p + q).evaluate(point) == p.evaluate(point) + q.evaluate(point)
         assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
         assert (p - q).evaluate(point) == p.evaluate(point) - q.evaluate(point)
-
-
-def test_power_matches_repeated_multiplication():
-    rng = random.Random(11)
-    for _ in range(20):
-        p = random_polynomial(rng, max_terms=3, max_exponent=2)
-        expected = Polynomial.constant(1)
-        for exponent in range(5):
-            assert p ** exponent == expected
-            expected = expected * p
 
 
 def test_pow_rejects_negative_exponent():
@@ -228,7 +218,7 @@ def mixed_pair(rng, max_terms=8, max_exponent=2, variables=VARIABLES):
 
 def assert_matches_reference(poly, reference):
     assert dict(poly.terms) == reference
-    assert str(poly) == str(_wrap(reference))
+    assert str(poly) == str(Polynomial(reference))
     for coefficient in poly.terms.values():
         assert coefficient != 0
         assert type(coefficient) is int or (
@@ -281,3 +271,123 @@ def test_substitute_clear_matches_fraction_reference():
         assert_matches_reference(cleared, expected)
     constraint = A * D - B * C
     assert_matches_reference(constraint.substitute_clear("d", B * C, A), {})
+
+
+# ----------------------------------------------------------------------
+# powers and the packed exponent field
+#
+# A power of at most three terms is written out by the multinomial theorem,
+# a longer one by repeated squaring; both must agree with repeated products.
+
+ALL_MONOMIALS = [(i, j, k, l) for i in range(3) for j in range(3) for k in range(3) for l in range(3)]
+# Monomials in a and b alone, so that products of them collide (a^2, a*b, b^2).
+COLLIDING_MONOMIALS = [(i, j, 0, 0) for i in range(3) for j in range(3)]
+
+
+def polynomial_of(rng, term_count, monomials):
+    """term_count distinct monomials with nonzero int, Fraction or negative coefficients."""
+    terms = {}
+    for monomial in rng.sample(monomials, term_count):
+        numerator = rng.choice([n for n in range(-7, 8) if n])
+        terms[monomial] = numerator if rng.random() < 0.5 else Fraction(numerator, rng.randint(1, 5))
+    return Polynomial(terms)
+
+
+def assert_same_polynomial(p, q):
+    assert p == q
+    assert dict(p.terms) == dict(q.terms)
+    assert hash(p) == hash(q)
+    assert str(p) == str(q)
+    assert Polynomial(p.terms) == p
+    assert hash(Polynomial(p.terms)) == hash(p)
+    assert str(Polynomial(p.terms)) == str(p)
+
+
+def test_power_matches_repeated_multiplication():
+    rng = random.Random(11)
+    for _ in range(20):
+        p = random_polynomial(rng, max_terms=3, max_exponent=2)
+        expected = Polynomial.constant(1)
+        for exponent in range(5):
+            assert p ** exponent == expected
+            expected = expected * p
+    rng = random.Random(20261019)
+    for term_count in (0, 1, 2, 3, 4, 5):
+        for monomials in (ALL_MONOMIALS, COLLIDING_MONOMIALS):
+            for _ in range(4 if term_count <= 3 else 1):
+                p = polynomial_of(rng, term_count, monomials)
+                expected = Polynomial.constant(1)
+                for exponent in range(13):
+                    assert_same_polynomial(p ** exponent, expected)
+                    expected = expected * p
+
+
+def test_power_of_colliding_monomials():
+    p = A * A + A * B + B * B
+    assert str(p ** 2) == "a^4 + 2*a^3*b + 3*a^2*b^2 + 2*a*b^3 + b^4"
+    assert_same_polynomial(p ** 9, p ** 4 * p ** 5)
+    # Opposite coefficients cancel terms that collide.
+    q = A * A - A * B
+    assert_same_polynomial(q ** 3, A ** 3 * (A - B) ** 3)
+
+
+def test_power_of_the_zero_polynomial():
+    zero = Polynomial.zero()
+    assert_same_polynomial(zero ** 0, Polynomial.constant(1))
+    for exponent in (1, 2, 12):
+        assert_same_polynomial(zero ** exponent, zero)
+
+
+def test_terms_is_a_read_only_view_keyed_by_tuples():
+    p = 3 * A * B - Polynomial.constant(Fraction(1, 2))
+    assert len(p.terms) == 2
+    assert p.terms == {(1, 1, 0, 0): 3, (0, 0, 0, 0): Fraction(-1, 2)}
+    assert (1, 1, 0, 0) in p.terms
+    for missing in ((1, 1, 1, 0), (1, 1, 0), (-1, 0, 0, 0), (70000, 0, 0, 0), "ab"):
+        assert missing not in p.terms
+    try:
+        p.terms[(1, 0, 0, 0)] = 1
+    except TypeError:
+        pass
+    else:
+        raise AssertionError("terms must be read-only")
+
+
+LIMIT = 65535  # the largest exponent that fits one variable's field
+
+
+def raises_value_error(operation):
+    try:
+        operation()
+    except ValueError:
+        return True
+    return False
+
+
+def test_exponents_up_to_the_field_limit_fit_and_one_more_raises():
+    for index, variable in enumerate((A, B, C, D)):
+        at_limit = [0, 0, 0, 0]
+        at_limit[index] = LIMIT
+        at_limit = tuple(at_limit)
+        over = tuple(e + (e > 0) for e in at_limit)
+        p = Polynomial({at_limit: 1})
+        assert dict(p.terms) == {at_limit: 1}
+        assert p.degree_in(VARIABLES[index]) == LIMIT
+        for result in (variable ** LIMIT, variable ** (LIMIT - 1) * variable, p * 1):
+            # Exactly one term, in this variable alone: nothing spilled.
+            assert dict(result.terms) == {at_limit: 1}
+            assert result == p
+        assert raises_value_error(lambda: Polynomial({over: 1}))
+        assert raises_value_error(lambda: variable ** (LIMIT + 1))
+        assert raises_value_error(lambda: p * variable)
+        assert raises_value_error(lambda: (variable + 1) ** (LIMIT + 1))
+
+
+def test_a_product_is_refused_once_its_factors_bounds_pass_the_limit():
+    # The bound of a product is the sum of its factors' largest exponents,
+    # so a product fits while that sum does, whatever the variables.
+    left, right = A ** 40000 * B, C ** (LIMIT - 40002) * D
+    product = left * right
+    assert dict(product.terms) == {(40000, 1, LIMIT - 40002, 1): 1}
+    assert raises_value_error(lambda: left * (right * A))
+    assert raises_value_error(lambda: (A * B) ** 30000 * (C + D) ** 2 * C ** (LIMIT - 30001))
