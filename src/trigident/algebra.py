@@ -14,11 +14,14 @@ whose bound would pass ``_MAX_EXPONENT`` (65,535) raises ``ValueError``
 before it forms such a key, so an exponent never spills into the next
 variable's field.  A product's bound is the sum of its factors' bounds,
 which stays far inside the limit under the 10,000 node-degree budget of
-``identities``.  A power of at most three terms is written out by the
-multinomial theorem, one term per composition of the exponent, and a
-longer one is built by repeated squaring.  The zero polynomial stores no
-terms at all, so structural equality of the term mappings coincides with
-mathematical equality.
+``identities``.  A sum's bound is the larger of its addends', even where
+they cancel, so before it refuses, an operation recounts its operands'
+bounds from their terms, as the largest total degree of a term.  A power
+of at most three terms is written out by the multinomial theorem, one
+term per composition of the exponent, and a longer one is built by
+repeated squaring.  The zero polynomial stores no terms at all, so
+structural equality of the term mappings coincides with mathematical
+equality.
 """
 
 from __future__ import annotations
@@ -67,6 +70,15 @@ def _bounded(bound: int) -> int:
     if bound > _MAX_EXPONENT:
         raise ValueError(f"an exponent could reach {bound}, over the limit of {_MAX_EXPONENT}")
     return bound
+
+
+def _recounted(poly: Polynomial) -> int:
+    # A tighter exponent bound, counted from the terms in one pass on the rare
+    # path where a carried bound passes the limit: the largest total degree of
+    # a term, if that is smaller.  A product's total degree is the sum of its
+    # factors', as its carried bound is, but + and - may cancel the terms
+    # that set a bound, and the carried bound does not fall with them.
+    return min(poly._bound, max((sum(_unpack(key)) for key in poly._terms), default=0))
 
 
 def _order_key(monomial: Monomial) -> tuple[int, tuple[int, ...]]:
@@ -199,7 +211,9 @@ class Polynomial:
 
     def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
         other = _coerce(other)
-        bound = _bounded(self._bound + other._bound)
+        bound = self._bound + other._bound
+        if bound > _MAX_EXPONENT:
+            bound = _bounded(_recounted(self) + _recounted(other))
         product: dict[int, Scalar] = {}
         _accumulate_product(product, self._terms.items(), list(other._terms.items()))
         return _wrap(_canonical(product), bound)
@@ -209,7 +223,9 @@ class Polynomial:
     def __pow__(self, exponent: int) -> Polynomial:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")
-        bound = _bounded(self._bound * exponent)
+        bound = self._bound * exponent
+        if bound > _MAX_EXPONENT:
+            bound = _bounded(_recounted(self) * exponent)
         if len(self._terms) <= 3:
             return _wrap(_canonical(_multinomial_power(list(self._terms.items()), exponent)), bound)
         result = Polynomial.constant(1)
@@ -271,7 +287,10 @@ class Polynomial:
         for e, stripped_terms in enumerate(by_exponent):
             if stripped_terms:
                 factor = numerator_powers[e] * denominator_powers[k - e]
-                bound = max(bound, _bounded(self._bound + factor._bound))
+                step = self._bound + factor._bound
+                if step > _MAX_EXPONENT:
+                    step = _bounded(_recounted(self) + _recounted(factor))
+                bound = max(bound, step)
                 _accumulate_product(result, stripped_terms, list(factor._terms.items()))
         return _wrap(_canonical(result), bound)
 

@@ -4,6 +4,14 @@ Subcommands: linearize, verify, discover, polar, catalog.  Exit codes:
 0 for success (including PROVED verdicts), 1 exclusively for a FALSIFIED
 verdict, 2 for usage errors, unreadable files, and statement-language
 errors.  Diagnostics go to the error stream; results go to stdout.
+
+``run`` parses an ``argv`` whose first word names a subcommand with that
+subcommand's own parser, which skips the top-level parser's pass over the
+whole ``argv``; arguments that parser leaves over are refused through the
+top-level parser, as argparse itself refuses them.  Any other ``argv`` (none
+at all, ``-h``, an unknown word) goes to the top-level parser.  Either way
+every help text, usage error and exit code is the one the top-level parser
+alone gives.
 """
 
 from __future__ import annotations
@@ -40,16 +48,20 @@ class CliError(Exception):
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and the parser of each subcommand by its name."""
     parser = argparse.ArgumentParser(
         prog="trigident",
         description="Exact shifted-cosine power sums: linearize, verify, discover.",
     )
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
+    commands: dict[str, argparse.ArgumentParser] = {}
 
-    linearize = subparsers.add_parser(
-        "linearize", help="expand one power sum into cosine harmonics"
-    )
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        commands[name] = subparsers.add_parser(name, help=help)
+        return commands[name]
+
+    linearize = command("linearize", "expand one power sum into cosine harmonics")
     linearize.add_argument("-N", dest="shift_count", type=int, required=True,
                            help="number of shifted cosines")
     linearize.add_argument("-n", dest="power", type=int, required=True,
@@ -58,9 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
                            default="plain")
     linearize.set_defaults(handler=_run_linearize)
 
-    verify_cmd = subparsers.add_parser(
-        "verify", help="verify a catalog identity or a .rid statement file"
-    )
+    verify_cmd = command("verify", "verify a catalog identity or a .rid statement file")
     verify_cmd.add_argument("target", metavar="name|path.rid")
     verify_cmd.add_argument("--numeric", action="store_true",
                             help="decide by exact evaluation at integer points"
@@ -73,9 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_cmd.add_argument("--format", choices=("plain", "json"), default="plain")
     verify_cmd.set_defaults(handler=_run_verify)
 
-    discover_cmd = subparsers.add_parser(
-        "discover", help="search for product-equals-square relations"
-    )
+    discover_cmd = command("discover", "search for product-equals-square relations")
     discover_cmd.add_argument("-N", dest="shift_count", type=int, required=True)
     discover_cmd.add_argument("--max-n", dest="max_power", type=int, required=True)
     discover_cmd.add_argument("--mode", choices=sorted(_MODES), default="diff")
@@ -83,9 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
                               default=None)
     discover_cmd.set_defaults(handler=_run_discover)
 
-    polar = subparsers.add_parser(
-        "polar", help="convert zero-sum triples to and from polar form"
-    )
+    polar = command("polar", "convert zero-sum triples to and from polar form")
     polar_ops = polar.add_subparsers(dest="operation", required=True)
     decompose_cmd = polar_ops.add_parser("decompose")
     decompose_cmd.add_argument("x", type=float)
@@ -97,12 +103,14 @@ def build_parser() -> argparse.ArgumentParser:
     compose_cmd.add_argument("theta", type=float)
     compose_cmd.set_defaults(handler=_run_compose)
 
-    catalog_cmd = subparsers.add_parser(
-        "catalog", help="list the built-in identities"
-    )
+    catalog_cmd = command("catalog", "list the built-in identities")
     catalog_cmd.set_defaults(handler=_run_catalog)
 
-    return parser
+    return parser, commands
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
 
 
 def _run_linearize(args: argparse.Namespace) -> int:
@@ -198,9 +206,16 @@ def _run_catalog(args: argparse.Namespace) -> int:
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extras = command.parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -24,9 +24,9 @@ is the one home of that rule.  Each qualifying power k is described by
 one integer pair, h0 and the binomial C_k = C(k, (k - h0) / 2) of its
 amplitude A_k = N * C_k / 2^(k - 1) (``_binomial``).  When m + n = 2p the factors N and
 the powers of two cancel, so a relation's constant is C_m * C_n / C_p^2,
-one reduction per relation.  All three powers of a relation lie in one
-run, with p at its middle, so the search pairs powers only within a run
-and expands none.
+put in lowest terms by one gcd (``_lowest_terms``).  All three powers of
+a relation lie in one run, with p at its middle, so the search pairs
+powers only within a run and expands none.
 
 The number of relations follows from the run lengths alone, (s - 1)^2 / 4
 rounded down for a run of s powers.  Before it builds any relation,
@@ -39,8 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .dsl import Format, parse, render
 from .fourier import POWER_BUDGET, Mode
@@ -60,8 +59,7 @@ class DiscoveryQuery:
     mode: Mode
 
 
-@dataclass(frozen=True)
-class DiscoveredIdentity:
+class DiscoveredIdentity(NamedTuple):
     """One relation product_factor * D_m * D_n == square_factor * D_p^2."""
 
     m: int
@@ -93,6 +91,12 @@ def _binomial(power: int, harmonic: int) -> int:
     return math.comb(power, (power - harmonic) // 2)
 
 
+def _lowest_terms(numerator: int, denominator: int) -> tuple[int, int]:
+    # The constant of a relation is a ratio of positive integers.
+    common = math.gcd(numerator, denominator)
+    return numerator // common, denominator // common
+
+
 def derive_constant(
     shift_count: int, m: int, n: int, p: int, mode: Mode
 ) -> Optional[tuple[int, int]]:
@@ -114,8 +118,7 @@ def derive_constant(
             c_m, c_n, c_p = (_binomial(k, least) for k in (m, n, p))
             # N cancels; the powers of two leave 2^(2p - m - n).
             shift = 2 * p - m - n
-            ratio = Fraction(c_m * c_n << max(shift, 0), c_p * c_p << max(-shift, 0))
-            return ratio.numerator, ratio.denominator
+            return _lowest_terms(c_m * c_n << max(shift, 0), c_p * c_p << max(-shift, 0))
     return None
 
 
@@ -151,9 +154,11 @@ def discover(query: DiscoveryQuery) -> list[DiscoveredIdentity]:
         for j, p in enumerate(run):
             square = binomials[j] ** 2
             for d in range(min(j, len(run) - 1 - j), 0, -1):
-                ratio = Fraction(binomials[j - d] * binomials[j + d], square)
+                square_factor, product_factor = _lowest_terms(
+                    binomials[j - d] * binomials[j + d], square
+                )
                 found.append(DiscoveredIdentity(
-                    run[j - d], run[j + d], p, least, ratio.numerator, ratio.denominator
+                    run[j - d], run[j + d], p, least, square_factor, product_factor
                 ))
     found.sort(key=lambda d: (d.p, d.m, d.n))
     return found

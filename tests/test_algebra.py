@@ -391,3 +391,21 @@ def test_a_product_is_refused_once_its_factors_bounds_pass_the_limit():
     assert dict(product.terms) == {(40000, 1, LIMIT - 40002, 1): 1}
     assert raises_value_error(lambda: left * (right * A))
     assert raises_value_error(lambda: (A * B) ** 30000 * (C + D) ** 2 * C ** (LIMIT - 30001))
+
+
+def test_a_bound_left_loose_by_cancellation_is_recounted_before_refusing():
+    # A sum keeps the larger addend's bound although its terms cancel; an
+    # operation recounts it from the terms rather than refuse a result that fits.
+    p = A ** 60000 - A ** 60000 + B
+    assert dict((p * A ** 10000).terms) == {(10000, 1, 0, 0): 1}
+    assert dict((p ** 2 * A ** 40000).terms) == {(40000, 2, 0, 0): 1}
+    q = D * (C ** 60000 - C ** 60000 + B)
+    assert dict(q.substitute_clear("d", A ** 10000, B).terms) == {(10000, 1, 0, 0): 1}
+    # The recount keeps a carried bound below the total degree, as a
+    # constructor's largest exponent is.
+    r = Polynomial({(30000, 30000, 0, 0): 1})
+    assert dict((r * (A ** 60000 - A ** 60000 + C ** 20000)).terms) == {(30000, 30000, 20000, 0): 1}
+    # A recounted bound that still passes the limit is refused.
+    assert raises_value_error(lambda: p * A ** LIMIT)
+    assert raises_value_error(lambda: (p + A ** 30000) ** 3)
+    assert raises_value_error(lambda: q.substitute_clear("d", A ** LIMIT, B))

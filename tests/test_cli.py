@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigident import identities
-from trigident.cli import run
+from trigident.cli import CliError, build_parser, run
 from trigident.dsl import load_statement
 from trigident.fourier import POWER_BUDGET
 from trigident.identities import _certificate, expr_value
@@ -685,6 +685,99 @@ def test_unknown_subcommand_exits_two(capsys):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+def reference_run(argv):
+    # Reference front end: the top-level parser reads every argv and hands a
+    # subcommand's words to that subcommand's parser itself.
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    try:
+        return args.handler(args)
+    except (CliError, ValueError, OSError) as exc:
+        print(f"trigident: {exc}", file=sys.stderr)
+        return 2
+
+
+SUBCOMMANDS = ("linearize", "verify", "discover", "polar", "catalog")
+DISCOVER = ["discover", "-N", "3", "--max-n", "11"]
+
+# Each argv that reaches the top-level parser, each kind of usage error a
+# subcommand's parser reports, and outputs that carry no elapsed time.
+DISPATCH_CASES = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["-h", "discover"],
+    ["frobnicate"],
+    ["frobnicate", "-N", "3"],
+    ["Discover", *DISCOVER[1:]],
+    *([name, "-h"] for name in SUBCOMMANDS),
+    ["polar", "decompose", "-h"],
+    ["polar", "compose", "--help"],
+    ["discover", "--he"],
+    ["linearize", "-N", "3", "-n", "4", "extra"],
+    ["verify", "ramanujan-6-10-8", "extra", "--more"],
+    [*DISCOVER, "extra"],
+    [*DISCOVER, "--unknown", "1"],
+    ["polar", "decompose", "1", "-1", "0", "extra"],
+    ["catalog", "extra"],
+    ["discover", "-N", "three", "--max-n", "11"],
+    ["linearize", "-N", "3", "-n", "4.5"],
+    ["verify", "ramanujan-6-10-8", "--seed", "x"],
+    ["polar", "compose", "1", "east"],
+    [*DISCOVER, "--mode", "both"],
+    [*DISCOVER, "--emit", "yaml"],
+    ["linearize", "-N", "3", "-n", "4", "--format", "json5"],
+    ["verify", "ramanujan-6-10-8", "--format", "latex"],
+    ["discover", "-N", "3"],
+    ["discover"],
+    ["linearize", "-n", "4"],
+    ["verify"],
+    ["polar"],
+    ["polar", "spin"],
+    ["polar", "compose", "1", "2", "3"],
+    [*DISCOVER, "--emit", "json"],
+    [*DISCOVER, "--mode", "point", "--emit", "dsl"],
+    ["discover", "-N3", "--max=11", "--emit", "latex"],
+    [*DISCOVER, "--", "extra"],
+    ["discover", "--", "-N", "3"],
+    ["discover", "-N", "0", "--max-n", "11"],
+    ["linearize", "-N", "3", "-n", "6", "--format", "json"],
+    ["verify", "missing-name"],
+    ["polar", "compose", "1", "0.5"],
+    ["polar", "decompose", "1", "1", "1"],
+    ["catalog"],
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_CASES, ids=lambda argv: " ".join(argv) or "no arguments")
+def test_dispatch_keeps_the_bytes_of_the_top_level_parser(capsys, argv):
+    expected = (reference_run(argv), *capsys.readouterr())
+    assert invoke(capsys, *argv) == expected
+
+
+def test_a_subcommand_is_parsed_by_its_own_parser_alone(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser read a subcommand's argv")
+
+    monkeypatch.setattr(build_parser(), "parse_args", refuse)
+    monkeypatch.setattr(build_parser(), "parse_known_args", refuse)
+    expected = '[{"m":3,"n":7,"p":5,"harmonic":3,"P":21,"Q":25},{"m":6,"n":10,"p":8,"harmonic":6,"P":45,"Q":64}]\n'
+    assert invoke(capsys, *DISCOVER, "--emit", "json") == (0, expected, "")
+    code, out, err = invoke(capsys, *DISCOVER, "extra")
+    assert (code, out) == (2, "")
+    assert err.endswith("\ntrigident: error: unrecognized arguments: extra\n")
+
+
+def test_run_without_argv_reads_sys_argv(capsys, monkeypatch):
+    for argv in ([*DISCOVER, "--emit", "json"], [*DISCOVER, "extra"], ["-h"], []):
+        monkeypatch.setattr(sys, "argv", ["trigident", *argv])
+        expected = (reference_run(None), *capsys.readouterr())
+        assert (run(), *capsys.readouterr()) == expected
+        assert invoke(capsys, *argv) == expected
 
 
 def run_quietly(argv):

@@ -147,10 +147,39 @@ def test_pointwise_search_is_sound_against_the_grid():
 
 
 def test_constants_are_coprime_with_positive_denominator():
+    # Both are C_m*C_n/C_p^2 in lowest terms, as Fraction reduces it.
     for shift_count in range(1, 7):
-        for d in discover(DiscoveryQuery(shift_count, 14, Mode.DIFFERENCE)):
-            assert math.gcd(d.square_factor, d.product_factor) == 1
-            assert d.product_factor > 0
+        for mode in Mode:
+            for d in discover(DiscoveryQuery(shift_count, 14, mode)):
+                assert math.gcd(d.square_factor, d.product_factor) == 1
+                assert d.product_factor > 0
+                assert type(d.square_factor) is int and type(d.product_factor) is int
+                ratio = Fraction(
+                    _binomial(d.m, d.harmonic) * _binomial(d.n, d.harmonic),
+                    _binomial(d.p, d.harmonic) ** 2,
+                )
+                assert (d.square_factor, d.product_factor) == (ratio.numerator, ratio.denominator)
+                assert derive_constant(shift_count, d.m, d.n, d.p, mode) == (
+                    ratio.numerator, ratio.denominator,
+                )
+
+
+def test_a_discovered_identity_is_a_named_tuple_of_its_six_fields():
+    relation = discover(DiscoveryQuery(3, 7, Mode.DIFFERENCE))[0]
+    assert repr(relation) == (
+        "DiscoveredIdentity(m=3, n=7, p=5, harmonic=3, square_factor=21, product_factor=25)"
+    )
+    assert DiscoveredIdentity._fields == (
+        "m", "n", "p", "harmonic", "square_factor", "product_factor",
+    )
+    assert relation == (3, 7, 5, 3, 21, 25) and relation[4:] == (21, 25)
+    m, n, p, harmonic, square_factor, product_factor = relation
+    assert (m, n, p, harmonic, square_factor, product_factor) == (3, 7, 5, 3, 21, 25)
+    with pytest.raises(AttributeError):
+        relation.square_factor = 42
+    same = DiscoveredIdentity(3, 7, 5, 3, 21, 25)
+    assert relation == same and hash(relation) == hash(same)
+    assert relation._replace(m=4) == DiscoveredIdentity(4, 7, 5, 3, 21, 25)
 
 
 def amplitude(shift_count, power, mode):
@@ -206,6 +235,10 @@ def pairwise_definition(shift_count, max_power, mode):
             derived = derive_constant(shift_count, m, n, p, mode)
             if derived is not None:
                 harmonic = amplitude(shift_count, p, mode)[0]
+                ratio = Fraction(
+                    _binomial(m, harmonic) * _binomial(n, harmonic), _binomial(p, harmonic) ** 2
+                )
+                assert derived == (ratio.numerator, ratio.denominator)
                 found.append(DiscoveredIdentity(m, n, p, harmonic, *derived))
     return sorted(found, key=lambda d: (d.p, d.m, d.n))
 
