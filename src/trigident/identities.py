@@ -22,19 +22,24 @@ meaning at a point in plain exact arithmetic: ints where the point and the
 constants are integral, Fractions elsewhere, and Polynomials at the point
 (a, b, c, d) itself, which expands the statement.  Under the constraint
 the surface a*d = b*c is read as the image of ``_on_surface``, (a, b, c) ->
-(a, a*b, a*c, a*b*c), so both routes decide the one polynomial
-P(a, a*b, a*c, a*b*c) for P = lhs - rhs, and P itself otherwise.  In
-``verify`` a statement of brackets and numbers alone is first written in
-the two triples' invariants by Newton's identities (``_PowerSums``), where
-a zero difference is a proof.  Otherwise the first seeded random draw is
-evaluated, and a disagreement there falsifies the statement; only when the
-sides agree is the difference expanded, which proves it or leads on to the
-remaining draws.  ``spot_check`` evaluates it exactly at a few hundred
-integer points read off the statement's degrees, and agreement at all of
-them is a certificate that it is the zero polynomial (see
-``_certificate``).  It evaluates them ``_BLOCK_SIZE`` at a time: ``_value``
-evaluates the tree once at a ``_Block``, where every node is a ``_Column``
-holding, for each point, the number ``_value`` gives at that point alone.
+(a, a*b, a*c, a*b*c), so a statement holds when P(a, a*b, a*c, a*b*c) is
+the zero polynomial for P = lhs - rhs, and otherwise when P itself is.  A
+statement of brackets and numbers alone is a polynomial in the two
+triples' invariants (e2, e3, e2', e3'), with e2' = e2 under the constraint,
+by Newton's identities (``_PowerSums``).  The invariants are algebraically
+independent, so it holds exactly when that polynomial is zero, and both
+routes decide it there.  In ``verify`` a zero difference in the invariants
+proves it and a nonzero one falsifies it.  Any other statement has its
+first seeded random draw evaluated, and a disagreement there falsifies it;
+only when the sides agree is the difference expanded, which proves it or
+leads on to the remaining draws.  ``spot_check`` evaluates a statement
+exactly at integer points read off its degrees, and agreement at all of
+them is a certificate that it holds: points of the invariants for
+brackets and numbers alone (``_invariant_certificate``), points (a, b, c,
+d) otherwise (``_certificate``).  It evaluates them ``_BLOCK_SIZE`` at a
+time: ``_value`` evaluates the tree once at a ``_Block``, where every node
+is a ``_Column`` holding, for each point, the number ``_value`` gives at
+that point alone.
 Only a disagreement, or a statement needing more than ``_POINT_BUDGET``
 points, runs the seeded random draws that pick the reported witness, one
 point at a time.  A falsified report counts the terms of the expanded
@@ -259,7 +264,13 @@ class _PowerSums:
     p_n(e2', e3').  Since e2 - e2' = 3*(a*d - b*c), e2' is e2 on the whole
     constraint surface, a = 0 included; in polar form e2 = -3/4*rho^2 and
     e3 = 1/4*rho^3*cos(3*theta), the paper's one radius and two angles.  The
-    slots a, b, c, d of ``Polynomial`` hold e2, e3, e2', e3'.
+    slots a, b, c, d of ``Polynomial`` hold e2, e3, e2', e3'.  The maps
+    (a, b, c, d) -> (e2, e3, e2', e3') and, on ``_on_surface``, (a, b, c) ->
+    (e2, e3, e3') have Jacobians of full rank (4 at (2, 3, 5, 7), 3 at
+    (2, 3, 5)), so by the Jacobian criterion in characteristic 0 (Beecken,
+    Mittmann and Saxena, ICALP 2011) the invariants are algebraically
+    independent: a polynomial in them is zero exactly when it is zero once
+    the triples' actual invariants are put in.
     """
 
     def __init__(self, constrained: bool):
@@ -283,9 +294,11 @@ class _PowerSums:
 def _proved_by_power_sums(statement: IdentityStatement) -> bool:
     """Whether lhs - rhs is zero as a polynomial in the triples' invariants.
 
-    Zero in independent symbols stays zero once the actual invariants are
-    put in, so True is a proof; False, also given for a variable, is none.
-    Raises ``ValueError`` as ``_degree_pass``, which finds the variables.
+    True is a proof.  The invariants are algebraically independent (see
+    ``_PowerSums``), so False disproves a statement of brackets and numbers
+    alone; for a statement with a variable, which is not tried, it says
+    nothing.  Raises ``ValueError`` as ``_degree_pass``, which finds the
+    variables.
     """
     *_, bracket_only = _degree_pass(statement)
     return bracket_only and _sides_agree(statement, _PowerSums(statement.constrained))
@@ -308,11 +321,27 @@ def _proved_by_power_sums(statement: IdentityStatement) -> bool:
 # points are ``_on_surface(t, b, c)``, the free variables are b and c, and
 # the total degree is at most 2*max J; agreement proves P(a, a*b, a*c, a*b*c)
 # zero, the polynomial that ``verify`` expands.
+#
+# A statement of brackets and numbers alone is a polynomial Q in the
+# invariants (e2, e3, e2', e3') (see ``_PowerSums``), and with e2 of weight
+# 2 and e3 of weight 3 a bracket of power n has weight n, so Q splits into
+# weighted parts Q_j over the same J.  At (t^2, t^3*v, t^2*u, t^3*w) it
+# takes sum_j t^j * Q_j(1, v, u, w), so t = 1..|J| separate the parts as
+# above.  A monomial e2^i*e3^k*e2'^l*e3'^m of weight j = 2i + 3k + 2l + 3m
+# becomes v^k*u^l*w^m: distinct monomials stay distinct, since i follows
+# from j and the rest, and k + l + m <= j/2.  So Q_j is zero once Q_j(1, v,
+# u, w) vanishes on the simplex lattice of total degree floor(max J/2).
+# Under the constraint e2' = e2, the points are (t^2, t^3*v, t^2, t^3*w),
+# and k + m <= j/3 bounds the lattice of (v, w) by floor(max J/3).  The
+# invariants are algebraically independent, so Q is zero exactly when P,
+# or P(a, a*b, a*c, a*b*c) under the constraint, is: both certificates
+# decide the same statement, and ``_invariant_certificate`` needs far fewer
+# points (21 against 289 for Ramanujan's identity).
 
 # Most integer points ``spot_check`` evaluates for a certificate.  The
-# catalog entries need 81-289 and the benchmark's statements up to 625;
-# D(99) == D(99) under the constraint needs exactly 10,000 and takes
-# 0.07-0.11 s on a 2-core x86 host (0.15-0.20 s evaluated point by point).
+# catalog entries need 6-81 and the benchmark's statements 6-56 in the
+# invariants, 81-560 with a variable; b^99*c^99 == b^99*c^99 under the
+# constraint needs exactly 10,000 and takes 0.04-0.05 s on a 2-core x86 host.
 _POINT_BUDGET = 10_000
 
 _CONSTANT = frozenset({0})
@@ -406,17 +435,51 @@ def _certificate(statement: IdentityStatement) -> tuple[int, Optional[Iterator[_
     _POINT_BUDGET points.  Raises ``ValueError`` as ``_degree_pass`` does.
     """
     degrees, bounds, _ = _degree_pass(statement)
+    return _grid_certificate(statement.constrained, degrees, bounds)
+
+
+def _grid_certificate(
+    constrained: bool, degrees: frozenset[int], bounds: tuple[int, ...]
+) -> tuple[int, Optional[Iterator[_Block]]]:
+    """``_certificate`` from the statement's ``_degree_pass``."""
     top = max(degrees, default=0)
     sides = [min(bound, top) + 1 for bound in bounds]
     # Under the constraint the simplex lattice, of total degree 2*max J in
     # (b, c), is never smaller than the (max J + 1)^2 tensor grid.
-    simplex = not statement.constrained and comb(top + 3, 3) < prod(sides)
+    simplex = not constrained and comb(top + 3, 3) < prod(sides)
     count = len(degrees) * (comb(top + 3, 3) if simplex else prod(sides))
     if count > _POINT_BUDGET:
         return count, None
     scales = len(degrees)
-    grid = _simplex(top, scales) if simplex else _tensor(sides, scales)
-    return count, _blocks(count, cycle(range(1, scales + 1)), grid, statement.constrained)
+    grid = _simplex(top, scales, 3) if simplex else _tensor(sides, scales)
+    if constrained:
+        return count, _blocks(count, scales, grid, lambda t, b, c: _Block(_on_surface(t, b, c)))
+    return count, _blocks(count, scales, grid, lambda t, *free: _Block((t, *(t * x for x in free))))
+
+
+def _invariant_certificate(constrained: bool, degrees: frozenset[int]) -> tuple[int, Optional[Iterator[_Block]]]:
+    """How many points of the triples' invariants prove a statement of brackets and numbers alone, and the points.
+
+    Points are (e2, e3, e2', e3') = (t^2, t^3*v, t^2*u, t^3*w) for (v, u, w)
+    on the simplex lattice of total degree floor(max J/2), or (t^2, t^3*v,
+    t^2, t^3*w) under the constraint, where e2' = e2, for (v, w) on the
+    lattice of total degree floor(max J/3); lexicographic, with t = 1..|J|
+    innermost, and as lazy ``_InvariantBlock``s.  They are None when there
+    would be more than _POINT_BUDGET points.
+    """
+    dimension, weight = (2, 3) if constrained else (3, 2)
+    total, scales = max(degrees, default=0) // weight, len(degrees)
+    count = scales * comb(total + dimension, dimension)
+    if count > _POINT_BUDGET:
+        return count, None
+    grid = _simplex(total, scales, dimension)
+    if constrained:
+        return count, _blocks(
+            count, scales, grid, lambda t, v, w: _InvariantBlock((t * t, t * t * t * v, t * t, t * t * t * w))
+        )
+    return count, _blocks(
+        count, scales, grid, lambda t, v, u, w: _InvariantBlock((t * t, t * t * t * v, t * t * u, t * t * t * w))
+    )
 
 
 def _degree_pass(statement: IdentityStatement) -> tuple[frozenset[int], tuple[int, ...], bool]:
@@ -446,14 +509,25 @@ def _tensor(sides: list[int], scales: int) -> list[Iterator[int]]:
     return streams
 
 
-def _simplex(total: int, scales: int) -> list[Iterator[int]]:
-    """Streams of b, c, d over the nonnegative triples with sum at most ``total``, each held for ``scales``."""
-    rows = [(b, c) for b in range(total + 1) for c in range(total + 1 - b)]
-    return [
-        chain.from_iterable(repeat(b, comb(total - b + 2, 2) * scales) for b in range(total + 1)),
-        chain.from_iterable(repeat(c, (total + 1 - b - c) * scales) for b, c in rows),
-        chain.from_iterable(_held(range(total + 1 - b - c), scales) for b, c in rows),
-    ]
+def _simplex(total: int, scales: int, dimension: int) -> list[Iterator[int]]:
+    """Streams over the nonnegative ``dimension``-tuples with sum at most ``total``, in lexicographic order.
+
+    Each tuple is held for ``scales`` points, one per t.
+    """
+    streams, used = [], [0]
+    for rest in reversed(range(dimension)):
+        streams.append(_lattice_coordinate(total, used, rest, scales))
+        if rest:
+            used = [s + x for s in used for x in range(total + 1 - s)]
+    return streams
+
+
+def _lattice_coordinate(total: int, used: list[int], rest: int, scales: int) -> Iterator[int]:
+    # After each prefix, of sum s in ``used``, the coordinate x is held for
+    # the C(total - s - x + rest, rest) ways to complete it with ``rest`` more.
+    return chain.from_iterable(
+        repeat(x, comb(total - s - x + rest, rest) * scales) for s in used for x in range(total + 1 - s)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -550,12 +624,46 @@ class _Block:
         return self.point(differs.index(True)) if True in differs else None
 
 
-def _blocks(count: int, scale: Iterator[int], grid: list[Iterator[int]], constrained: bool) -> Iterator[_Block]:
-    """The first ``count`` points, ``_BLOCK_SIZE`` to a block, from streams of t and of (b, c[, d])."""
+class _InvariantBlock(_Block):
+    """Points (e2, e3, e2', e3') of the triples' invariants, evaluated together.
+
+    A bracket is p_power of its triple's (e2, e3) by Newton's recurrence,
+    from p_0 = 3, p_1 = 0 and p_2 = -2*e2, so each lower power is computed
+    once.  Only a statement of brackets and numbers is evaluated here.
+    """
+
+    def __init__(self, coordinates: tuple[_Column, _Column, _Column, _Column]):
+        super().__init__(coordinates)
+        e2, e3, e2_prime, e3_prime = coordinates
+        # Per triple, (-e2, e3) and the power sums so far.
+        self._recurrences = [((-e2, e3), [3, 0, -2 * e2]), ((-e2_prime, e3_prime), [3, 0, -2 * e2_prime])]
+
+    def of(self, triple: int, power: int) -> Union[int, _Column]:
+        """p_power of triple 0 (the A brackets) or triple 1 (the B brackets) at each point."""
+        (minus_e2, e3), sums = self._recurrences[triple]
+        for n in range(len(sums), power + 1):
+            sums.append(minus_e2 * sums[n - 2] + e3 * sums[n - 3])
+        return sums[power]
+
+
+def _blocks(count: int, scales: int, grid: list[Iterator[int]], build: Callable[..., _Block]) -> Iterator[_Block]:
+    """The first ``count`` points, ``_BLOCK_SIZE`` to a block, from the grid's streams, t = 1..``scales`` innermost.
+
+    ``build`` makes a block from the columns of t and of the grid's streams.
+    """
+    scale = cycle(range(1, scales + 1))
     for start in range(0, count, _BLOCK_SIZE):
         size = min(_BLOCK_SIZE, count - start)
-        t, *free = (_Column(list(islice(stream, size))) for stream in (scale, *grid))
-        yield _Block(_on_surface(t, *free) if constrained else (t, *(t * x for x in free)))
+        yield build(*(_Column(list(islice(stream, size))) for stream in (scale, *grid)))
+
+
+def _first_difference(statement: IdentityStatement, blocks: Iterable[_Block]) -> Optional[tuple]:
+    """The first point of the blocks where the sides differ, else None."""
+    for block in blocks:
+        point = block.disagreement(statement)
+        if point is not None:
+            return point
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -610,20 +718,22 @@ def reduce_difference(statement: IdentityStatement) -> Polynomial:
 def verify(statement: IdentityStatement, seed: int = 0) -> VerificationReport:
     """Symbolic verdict; a FALSIFIED verdict carries a concrete witness.
 
-    A statement of brackets and numbers alone is PROVED without expanding
-    anything when ``_proved_by_power_sums`` holds, on every point of the
-    constraint surface when constrained.  Otherwise, as for any statement
-    with a variable, the first of ``_WITNESS_DRAWS`` seeded random draws
-    (see ``spot_check``) is evaluated: where the sides differ, the
-    statement is FALSIFIED with that point as its witness, and nothing is
-    expanded.  Where they agree, ``reduce_difference`` expands it, which
-    proves a zero difference; a nonzero one is FALSIFIED at the first of
-    the remaining draws from the same generator where the sides differ,
-    else at ``_integer_witness``.  So the witness is the first differing
-    draw either way.  The report's ``reduced_terms`` is counted on first
-    read when the difference was not expanded.  What ``spot_check``
-    refuses over ``_POINT_BUDGET`` raises the same ``ValueError`` here,
-    before either route runs.
+    A statement of brackets and numbers alone is decided without
+    expanding anything by ``_proved_by_power_sums``: PROVED when it holds,
+    on every point of the constraint surface when constrained, and
+    otherwise FALSIFIED.  A false statement, and any statement with a
+    variable, then has the first of ``_WITNESS_DRAWS`` seeded random draws
+    (see ``spot_check``) evaluated: where the sides differ, it is
+    FALSIFIED with that point as its witness, and nothing is expanded.
+    Where they agree, a statement with a variable is expanded by
+    ``reduce_difference``, which proves a zero difference.  A false
+    statement is FALSIFIED at the first of the remaining draws from the
+    same generator where the sides differ, else at ``_integer_witness`` of
+    the expanded difference.  So the witness is the first differing draw
+    either way.  The report's ``reduced_terms`` is counted on first read
+    when the difference was not expanded.  What ``spot_check`` refuses
+    over ``_POINT_BUDGET`` raises the same ``ValueError`` here, before
+    either route runs.
     """
     start = time.perf_counter()
     if _proved_by_power_sums(statement):
@@ -636,54 +746,79 @@ def verify(statement: IdentityStatement, seed: int = 0) -> VerificationReport:
     witness = _first_disagreement(statement, 1, rng)
     if witness is not None:
         return _report(statement, start, witness)
-    reduced = reduce_difference(statement)
-    if not reduced:
-        return _report(statement, start)
+    if _degree_pass(statement)[2]:
+        # Brackets and numbers alone, and not proved in the independent
+        # invariants: the statement is false, and only its witness is left.
+        reduced = None
+    else:
+        reduced = reduce_difference(statement)
+        if not reduced:
+            return _report(statement, start)
     witness = _first_disagreement(statement, _WITNESS_DRAWS - 1, rng)
-    return _report(statement, start, witness or _integer_witness(reduced, statement.constrained), len(reduced.terms))
+    if witness is None:
+        reduced = reduce_difference(statement) if reduced is None else reduced
+        witness = _integer_witness(reduced, statement.constrained)
+    return _report(statement, start, witness, None if reduced is None else len(reduced.terms))
 
 
 def spot_check(statement: IdentityStatement, trials: int = _WITNESS_DRAWS, seed: int = 0) -> VerificationReport:
     """Decide the statement by exact evaluation at integer points.
 
     Both sides are evaluated, never expanded, at the points of
-    ``_certificate``, a ``_Block`` of ``_BLOCK_SIZE`` points at a time;
-    agreement at every one of them proves the statement, exactly as
-    ``verify`` would, and the first disagreement is the first point in
-    certificate order.  On a disagreement the witness comes from
+    ``_invariant_certificate`` for a statement of brackets and numbers
+    alone, else of ``_certificate``, a ``_Block`` of ``_BLOCK_SIZE``
+    points at a time; agreement at every one of them proves the statement,
+    exactly as ``verify`` would.  On a disagreement the witness comes from
     ``trials`` seeded random draws: free coordinates are nonzero rationals
     with numerator and denominator bounded by 9, and for a constrained
     statement d = b*c/a, so every point satisfies a*d = b*c exactly.  The
-    first draw where the sides differ is reported; the integer point is
-    reported only if every draw agrees.  A node of degree over
-    ``_POINT_BUDGET``, or a power of a constant with exponent over it,
-    raises ``ValueError`` at once.  Over ``_POINT_BUDGET`` points, where
-    ``_certificate`` gives only their count, a lower degree gets the draws
-    alone: a differing draw falsifies it, and if every draw agrees
+    first draw where the sides differ is reported.  Only if every draw
+    agrees is an integer point reported: the first point of
+    ``_certificate`` where the sides differ, or, when that is over the
+    budget, ``_integer_witness`` of the expanded difference.  A node of
+    degree over ``_POINT_BUDGET``, or a power of a constant with exponent
+    over it, raises ``ValueError`` at once.  Over ``_POINT_BUDGET`` points,
+    where the certificate gives only their count, a lower degree gets the
+    draws alone: a differing draw falsifies it, and if every draw agrees
     ``ValueError`` is raised, naming the count, since nothing was proved.
-    Nothing is expanded here: a FALSIFIED report counts the terms of
-    ``reduce_difference`` on the first read of its ``reduced_terms``.
+    Otherwise nothing is expanded here: a FALSIFIED report counts the
+    terms of ``reduce_difference`` on the first read of its
+    ``reduced_terms``.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     start = time.perf_counter()
-    count, blocks = _certificate(statement)
-    disagreement = None
-    if blocks is not None:
-        for block in blocks:
-            disagreement = block.disagreement(statement)
-            if disagreement is not None:
-                break
-        else:
-            return _report(statement, start)
+    degrees, bounds, bracket_only = _degree_pass(statement)
+    if bracket_only:
+        count, blocks = _invariant_certificate(statement.constrained, degrees)
+    else:
+        count, blocks = _grid_certificate(statement.constrained, degrees, bounds)
+    if blocks is not None and _first_difference(statement, blocks) is None:
+        return _report(statement, start)
     witness = _first_disagreement(statement, trials, random.Random(seed))
-    if witness is None and disagreement is None:
+    if witness is not None:
+        return _report(statement, start, witness)
+    if blocks is None:
         raise ValueError(
             f"{statement.name}: deciding it exactly needs at least {count} integer"
             f" points, over the budget of {_POINT_BUDGET}, and all {trials} seeded draws"
             " agree; verify it symbolically instead"
         )
-    return _report(statement, start, witness or tuple(map(Fraction, disagreement)))
+    return _report(statement, start, *_certificate_witness(statement))
+
+
+def _certificate_witness(statement: IdentityStatement) -> tuple[Point, Optional[int]]:
+    """Where the sides of a false statement differ, and the term count if it was expanded to find out.
+
+    The first point of ``_certificate`` where they differ; over its budget,
+    which only a statement decided in the invariants reaches,
+    ``_integer_witness`` of the expanded difference, as in ``verify``.
+    """
+    _, blocks = _certificate(statement)
+    if blocks is not None:
+        return tuple(map(Fraction, _first_difference(statement, blocks))), None
+    reduced = reduce_difference(statement)
+    return _integer_witness(reduced, statement.constrained), len(reduced.terms)
 
 
 def _report(

@@ -323,18 +323,35 @@ def test_verify_non_ascii_digit_exits_two_with_its_position(capsys, tmp_path):
 
 
 def test_verify_numeric_point_budget(capsys, tmp_path):
-    # D(n) under the constraint needs (n + 1)^2 grid points: 10,000 for
-    # D(99), exactly the budget, and 10,201 for D(100).
+    # b^n*c^n under the constraint needs the (n + 1)^2 grid points of (b, c):
+    # 10,000 for n = 99, exactly the budget, and 10,201 for n = 100.
     path = tmp_path / "over.rid"
-    path.write_text("constraint: a*d - b*c = 0; D(99) == D(99)\n", encoding="utf-8")
+    path.write_text("constraint: a*d - b*c = 0; b^99*c^99 == b^99*c^99\n", encoding="utf-8")
     code, out, err = invoke(capsys, "verify", str(path), "--numeric")
     assert (code, err) == (0, "")
     assert out.startswith("PROVED over reduced_terms=0 ")
-    path.write_text("constraint: a*d - b*c = 0; D(100) == D(100)\n", encoding="utf-8")
+    path.write_text("constraint: a*d - b*c = 0; b^100*c^100 == b^100*c^100\n", encoding="utf-8")
     code, out, err = invoke(capsys, "verify", str(path), "--numeric")
     assert (code, out) == (2, "")
     assert err == (
         "trigident: over: deciding it exactly needs at least 10201 integer points,"
+        " over the budget of 10000, and all 100 seeded draws agree; verify it symbolically instead\n"
+    )
+    # Brackets and numbers alone are decided in the triples' invariants: D(n)
+    # under the constraint at C(n//3 + 2, 2) points, 595 for D(100) and
+    # 1,378 for D(150)*D(3), which the grid needed 10,201 and 23,716 for.
+    for text in ("D(100) == D(100)", "D(150)*D(3) == D(3)*D(150)"):
+        path.write_text(f"constraint: a*d - b*c = 0; {text}\n", encoding="utf-8")
+        code, out, err = invoke(capsys, "verify", str(path), "--numeric")
+        assert (code, err) == (0, "")
+        assert out.startswith("PROVED over reduced_terms=0 ")
+    # Unconstrained, A(60)*B(40) needs C(100//2 + 3, 3) = 23,426 points of
+    # the invariants, still over the budget; the refusal names that count.
+    path.write_text("A(60)*B(40) == B(40)*A(60)\n", encoding="utf-8")
+    code, out, err = invoke(capsys, "verify", str(path), "--numeric")
+    assert (code, out) == (2, "")
+    assert err == (
+        "trigident: over: deciding it exactly needs at least 23426 integer points,"
         " over the budget of 10000, and all 100 seeded draws agree; verify it symbolically instead\n"
     )
     # A false statement over the budget still gets its first seeded draw.

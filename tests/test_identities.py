@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from trigident.algebra import Polynomial
 from trigident.fourier import linearize_closed
 from trigident.identities import (
+    CATALOG,
     Add,
     Bracket,
     BracketKind,
@@ -40,9 +41,14 @@ from trigident.identities import (
     _certificate,
     _degree_pass,
     _degrees,
+    _first_difference,
     _integer_witness,
+    _invariant_certificate,
+    _on_surface,
     _proved_by_power_sums,
     _sample_point,
+    _sides_agree,
+    _triple,
     _value,
 )
 
@@ -768,10 +774,12 @@ def bracket_statements():
 @example(IdentityStatement("d2", Bracket(BracketKind.D, 2), Num(Fraction(0)), constrained=False), 0)
 @example(IdentityStatement("d2", Bracket(BracketKind.D, 2), Num(Fraction(0)), constrained=True), 0)
 def test_power_sum_route_agrees_with_the_full_route(statement, seed):
-    if _proved_by_power_sums(statement):
-        assert not reduce_difference(statement)
+    # The invariants are algebraically independent, so the power-sum route
+    # decides the statement both ways.
+    assert _proved_by_power_sums(statement) is (not reduce_difference(statement))
     report = verify(statement, seed=seed)
-    with mock.patch.object(identities, "_proved_by_power_sums", return_value=False):
+    # The full route is the one a statement with a variable takes.
+    with mock.patch.object(identities, "_degree_pass", side_effect=lambda s: (*_degree_pass(s)[:2], False)):
         full = verify(statement, seed=seed)
     assert (report.verdict, report.witness, report.reduced_terms) == (full.verdict, full.witness, full.reduced_terms)
 
@@ -786,3 +794,177 @@ def test_only_bracket_statements_take_the_power_sum_route(monkeypatch):
     monkeypatch.setattr(_PowerSums, "__init__", no_table)
     report = verify(catalog_entry("asym-6-8-factored"))
     assert (report.verdict, report.reduced_terms, report.witness) == (Verdict.PROVED, 0, None)
+
+
+# ----------------------------------------------------------------------
+# the invariant certificate
+
+
+def partial_derivative_at(polynomial, index, point):
+    """d(polynomial)/d(variable ``index``) at the point, from its terms."""
+    total = Fraction(0)
+    for monomial, coefficient in polynomial.terms.items():
+        if monomial[index]:
+            lowered = list(monomial)
+            lowered[index] -= 1
+            total += coefficient * monomial[index] * prod(x ** e for x, e in zip(point, lowered))
+    return total
+
+
+def rank(rows):
+    """Rank of a matrix of Fractions, by Gaussian elimination."""
+    rows, result = [list(row) for row in rows], 0
+    for column in range(len(rows[0])):
+        pivot = next((row for row in rows[result:] if row[column]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows.insert(result, pivot)
+        for row in rows[result + 1:]:
+            factor = row[column] / pivot[column]
+            row[:] = [x - factor * y for x, y in zip(row, pivot)]
+        result += 1
+    return result
+
+
+def test_the_invariants_have_full_jacobian_rank():
+    # Full rank at one point means full rank generically, so by the Jacobian
+    # criterion the invariants are algebraically independent, and a bracket
+    # statement holds exactly when its difference is zero in them.
+    invariants = [*triple_invariants(*_triple(0, A, B, C, D)), *triple_invariants(*_triple(1, A, B, C, D))]
+    point = tuple(map(Fraction, (2, 3, 5, 7)))
+    jacobian = [[partial_derivative_at(f, i, point) for i in range(4)] for f in invariants]
+    assert rank(jacobian) == 4
+    # On the surface (a, a*b, a*c, a*b*c) the triples share e2, so (e2, e3, e3')
+    # in (a, b, c); d does not occur, so its coordinate is immaterial.
+    e2, e3 = triple_invariants(*_triple(0, *_on_surface(A, B, C)))
+    e2_prime, e3_prime = triple_invariants(*_triple(1, *_on_surface(A, B, C)))
+    assert e2 == e2_prime
+    point = tuple(map(Fraction, (2, 3, 5, 1)))
+    jacobian = [[partial_derivative_at(f, i, point) for i in range(3)] for f in (e2, e3, e3_prime)]
+    assert rank(jacobian) == 3
+
+
+def invariant_points(statement):
+    """The invariant certificate's points enumerated one by one, as a reference for its blocks.
+
+    They are (t^2, t^3*v, t^2*u, t^3*w) over the simplex lattice of (v, u, w)
+    of total degree max J // 2, or (t^2, t^3*v, t^2, t^3*w) over that of
+    (v, w) of total degree max J // 3 under the constraint, with t innermost.
+    """
+    degrees, _, _ = _degree_pass(statement)
+    top = max(degrees, default=0)
+    scales = range(1, len(degrees) + 1)
+    if statement.constrained:
+        total = top // 3
+        return [(t * t, t ** 3 * v, t * t, t ** 3 * w)
+                for v in range(total + 1) for w in range(total + 1 - v) for t in scales]
+    total = top // 2
+    return [(t * t, t ** 3 * v, t * t * u, t ** 3 * w)
+            for v in range(total + 1) for u in range(total + 1 - v) for w in range(total + 1 - v - u) for t in scales]
+
+
+@pytest.mark.parametrize(
+    "name, points",
+    [("ramanujan-6-10-8", 21), ("gen-3-7-5-six", 10), ("gen-3-7-5-three", 56), ("asym-6-8-r2", 6)],
+)
+def test_invariant_certificate_point_counts(name, points):
+    statement = catalog_entry(name)
+    degrees, _, bracket_only = _degree_pass(statement)
+    assert bracket_only
+    count, blocks = _invariant_certificate(statement.constrained, degrees)
+    blocks = list(blocks)
+    grid = block_points(blocks)
+    assert count == len(grid) == len(set(grid)) == points
+    assert grid == invariant_points(statement)
+    # At each point a side is its polynomial in (e2, e3, e2', e3'), the
+    # closed form of _PowerSums, evaluated there.
+    sums = _PowerSums(statement.constrained)
+    for side in (statement.lhs, statement.rhs):
+        value = _value(side, sums)
+        expected = [value.evaluate(point) if isinstance(value, Polynomial) else value for point in grid]
+        assert [v for block in blocks for v in block.values(side)] == expected
+        assert all(type(v) is int for block in blocks for v in block.values(side))
+
+
+def grid_verdict(statement):
+    """Whether today's (a, b, c, d) certificate proves the statement."""
+    _, blocks = _certificate(statement)
+    return _first_difference(statement, blocks) is None
+
+
+def invariant_verdict(statement):
+    """Whether the invariant certificate proves the statement."""
+    degrees, _, bracket_only = _degree_pass(statement)
+    assert bracket_only
+    _, blocks = _invariant_certificate(statement.constrained, degrees)
+    return _first_difference(statement, blocks) is None
+
+
+def test_the_invariant_certificate_decides_the_catalog_as_the_grid_does():
+    for statement in [*catalog(), corrupted_ramanujan()]:
+        if _degree_pass(statement)[2]:
+            assert invariant_verdict(statement) is grid_verdict(statement) is (statement.name in CATALOG)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(bracket_statements())
+# False, and equal wherever t = 1: 4*e2^2 against 4*e2, of weights 4 and 2.
+@example(IdentityStatement("scales", Pow(Bracket(BracketKind.A, 2), 2),
+                           Mul(Num(Fraction(-2)), Bracket(BracketKind.A, 2)), constrained=False))
+# False, and equal on the lattice one degree smaller: 3*e3 at e3 = 0; 9*e3*e3'
+# under the constraint, where v*w = 0 at total degree 1; and 4*e2'^2 against
+# 4*e2*e2', where u^2 = u at u = 0 and 1.
+@example(IdentityStatement("lattice", Bracket(BracketKind.A, 3), Num(Fraction(0)), constrained=False))
+@example(IdentityStatement("lattice", Bracket(BracketKind.A, 3), Num(Fraction(0)), constrained=True))
+@example(IdentityStatement("lattice", Mul(Bracket(BracketKind.A, 3), Bracket(BracketKind.B, 3)),
+                           Num(Fraction(0)), constrained=True))
+@example(IdentityStatement("lattice", Pow(Bracket(BracketKind.B, 2), 2),
+                           Mul(Bracket(BracketKind.A, 2), Bracket(BracketKind.B, 2)), constrained=False))
+def test_the_invariant_certificate_decides_what_the_grid_certificate_decides(statement):
+    assert invariant_verdict(statement) is grid_verdict(statement)
+
+
+def agreeing_at_the_first_draw(bracket, exponent=1):
+    """A false statement bracket^exponent == q^exponent, with q the bracket's value at the first seed-0 draw."""
+    point = _sample_point(False, random.Random(0))
+    value = expr_value(bracket, point)
+    statement = IdentityStatement("first-agrees", Pow(bracket, exponent), Num(value ** exponent), constrained=False)
+    assert _sides_agree(statement, point)
+    return statement
+
+
+def test_verify_falsifies_a_bracket_statement_without_expanding():
+    # The invariants differ, so the statement is false before the expansion
+    # that the first draw's agreement used to lead to; the remaining draws
+    # still pick the witness, and reduced_terms still counts on first read.
+    statement = agreeing_at_the_first_draw(Bracket(BracketKind.A, 2))
+    _, expected = reference_reports(statement, trials=_WITNESS_DRAWS, seed=0)
+    with mock.patch.object(identities, "reduce_difference", side_effect=AssertionError("expanded early")):
+        report = verify(statement, seed=0)
+    assert (report.verdict, report.witness) == expected[:2]
+    with mock.patch.object(identities, "reduce_difference", wraps=reduce_difference) as expand:
+        assert report.reduced_terms == report.reduced_terms == expected[2] == 11
+    assert expand.call_count == 1
+
+
+def test_spot_check_reports_the_grid_point_when_every_draw_agrees():
+    # The invariant certificate says false, and the one draw agrees: the
+    # witness is the first point of today's certificate where the sides
+    # differ, as before.
+    statement = agreeing_at_the_first_draw(Bracket(BracketKind.A, 2))
+    report = spot_check(statement, trials=1)
+    first = next(point for point in certificate_points(statement)
+                 if reference_value(statement.lhs, point) != reference_value(statement.rhs, point))
+    assert (report.verdict, report.witness, report.reduced_terms) == (Verdict.FALSIFIED, first, 11)
+    # A(2)^15 needs 1,632 points of the invariants but 10,912 of the grid, so
+    # the witness is the expanded difference's integer point, as in verify.
+    statement = agreeing_at_the_first_draw(Bracket(BracketKind.A, 2), 15)
+    assert _certificate(statement) == (10_912, None)
+    reduced = reduce_difference(statement)
+    report = spot_check(statement, trials=1)
+    witness = _integer_witness(reduced, constrained=False)
+    assert (report.verdict, report.witness) == (Verdict.FALSIFIED, witness)
+    assert reference_value(statement.lhs, witness) != reference_value(statement.rhs, witness)
+    with mock.patch.object(identities, "reduce_difference", side_effect=AssertionError("expanded twice")):
+        assert report.reduced_terms == len(reduced.terms) == 5457
