@@ -137,14 +137,18 @@ def _resolve_statement(target: str) -> IdentityStatement:
         return catalog_entry(target)
     except KeyError:
         pass
-    path = Path(target)
-    if path.suffix == ".rid" or path.exists():
-        if not path.exists():
-            raise CliError(f"no such file: {target}")
-        try:
-            return load_statement(path)
-        except DslError as exc:
-            raise CliError(f"{target}: {exc}") from exc
+    try:
+        return load_statement(target)
+    except DslError as exc:
+        raise CliError(f"{target}: {exc}") from exc
+    except (OSError, ValueError):
+        # Unreadable: a path that exists reports why, one that does not is
+        # a missing file or, without the .rid suffix, an unknown name.
+        path = Path(target)
+        if path.exists():
+            raise
+        if path.suffix == ".rid":
+            raise CliError(f"no such file: {target}") from None
     raise CliError(f"unknown identity {target!r}: not a catalog name or .rid file")
 
 

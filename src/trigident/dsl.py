@@ -14,9 +14,17 @@ end of the line):
 
 Every token is ASCII: numbers use the digits 0-9 only, so a non-ASCII digit
 such as a superscript two is a syntax error.  Whitespace is any character
-str.isspace accepts.  Errors report a 1-based ``line:column`` counted in
-characters, where only a newline ends a line and comments count like any
-other text, plus the 0-based character ``offset``.
+str.isspace accepts.  A word starts with an ASCII letter or "_" and runs on
+over what str.isalnum accepts and "_", so ``a1`` or ``aé`` is one unknown
+word.  Errors report a 1-based ``line:column`` counted in characters, where
+only a newline ends a line and comments count like any other text, plus the
+0-based character ``offset``.  An unknown word or character anywhere is
+reported before any syntax or semantic error.
+
+The parser reads token texts alone.  Only when it fails does it scan the
+source again for the failing token's offset, then count the newlines before
+that offset for the line and the characters since the last one for the
+column.
 
 The only side condition the language admits is a*d - b*c = 0: a clause
 whose two expressions parse to other trees than those of ``a*d - b*c`` and
@@ -36,7 +44,6 @@ import sys
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple
 
 from .algebra import VARIABLES
 from .identities import (
@@ -84,243 +91,162 @@ class DslSemanticError(DslError):
 # ----------------------------------------------------------------------
 # lexer
 
+# One match per lexeme, in source order, covering the whole source: a run of
+# blanks (whatever str.isspace accepts) or a comment, whose group is empty,
+# or a token: ASCII digits, a word, "==" or any other single character.
+_LEXEME = re.compile(r"\s+|#.*|([0-9]+|[A-Za-z_]\w*|==|.)")
 
-class _TokenKind(Enum):
-    NUMBER = "number"
-    VARIABLE = "variable"
-    BRACKET = "bracket"
-    CONSTRAINT = "'constraint'"
-    PLUS = "'+'"
-    MINUS = "'-'"
-    STAR = "'*'"
-    SLASH = "'/'"
-    CARET = "'^'"
-    LPAREN = "'('"
-    RPAREN = "')'"
-    COLON = "':'"
-    SEMICOLON = "';'"
-    EQUAL = "'='"
-    EQUALITY = "'=='"
-    END = "end of input"
+_DIGITS = frozenset("0123456789")
+_BRACKETS = {kind.value: kind for kind in BracketKind}
+_VARIABLES = frozenset(VARIABLES)
+_SYMBOLS = "+-*/^():;"
+# Every token but numbers; any other word or character is a lexical error.
+_LEXEMES = frozenset({*_SYMBOLS, "=", "==", "constraint", *_VARIABLES, *_BRACKETS})
 
 
-class _Token(NamedTuple):
-    kind: _TokenKind
-    text: str
-    line: int
-    column: int
-    offset: int
-
-
-_SYMBOLS = {
-    "+": _TokenKind.PLUS,
-    "-": _TokenKind.MINUS,
-    "*": _TokenKind.STAR,
-    "/": _TokenKind.SLASH,
-    "^": _TokenKind.CARET,
-    "(": _TokenKind.LPAREN,
-    ")": _TokenKind.RPAREN,
-    ":": _TokenKind.COLON,
-    ";": _TokenKind.SEMICOLON,
-}
-
-# Every fixed lexeme and its kind; numbers are the only other tokens.
-_LEXEMES = {
-    **_SYMBOLS,
-    "=": _TokenKind.EQUAL,
-    "==": _TokenKind.EQUALITY,
-    "constraint": _TokenKind.CONSTRAINT,
-    **dict.fromkeys(VARIABLES, _TokenKind.VARIABLE),
-    **dict.fromkeys((kind.value for kind in BracketKind), _TokenKind.BRACKET),
-}
-
-# One match per lexeme, in source order, covering the whole source.  Digits
-# are ASCII; blanks are whatever str.isspace accepts.  Words, "==" and any
-# other single character are looked up in _LEXEMES.
-_LEXEME = re.compile(
-    r"(?P<skip>[^\S\n]+|#.*)"
-    r"|(?P<newline>\n)"
-    r"|(?P<number>[0-9]+)"
-    r"|(?P<word>[A-Za-z_]\w*)"
-    r"|==|."
-)
-
-
-def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, line_start = 1, 0
-    for match in _LEXEME.finditer(source):
-        group = match.lastgroup
-        if group == "skip":
-            continue
-        offset = match.start()
-        if group == "newline":
-            line += 1
-            line_start = offset + 1
-            continue
-        text = match.group()
-        column = offset - line_start + 1
-        kind = _TokenKind.NUMBER if group == "number" else _LEXEMES.get(text)
-        if kind is None and group == "word":
-            raise DslSyntaxError(
-                f"unknown word {text!r}",
-                line,
-                column,
-                offset,
-                expected=("variable", "bracket", "'constraint'"),
-            )
-        if kind is None:
-            raise DslSyntaxError(
-                f"unexpected character {text!r}",
-                line,
-                column,
-                offset,
-                expected=tuple(k.value for k in _SYMBOLS.values()),
-            )
-        tokens.append(_Token(kind, text, line, column, offset))
-    tokens.append(_Token(_TokenKind.END, "", line, len(source) - line_start + 1, len(source)))
+def _tokens(source: str) -> list[str]:
+    """The texts of the source's tokens, then "" for the end of input."""
+    tokens = list(filter(None, _LEXEME.findall(source)))
+    tokens.append("")
     return tokens
+
+
+class _Failure(Exception):
+    """A DslError at a token index: (index, error class, message, *expected).
+
+    Only ``parse`` turns the index into an offset, line and column.
+    """
+
+
+def _syntax(tokens: list[str], index: int, *expected: str) -> _Failure:
+    got = tokens[index] or "end of input"
+    return _Failure(index, DslSyntaxError, f"expected {' or '.join(expected)}, got {got!r}", expected)
+
+
+def _lexical_failure(tokens: list[str]) -> _Failure | None:
+    """The first token that is neither a lexeme nor a number, if any."""
+    for index, text in enumerate(tokens[:-1]):
+        if text in _LEXEMES or text[0] in _DIGITS:
+            continue
+        if re.match("[A-Za-z_]", text):  # a word, as _LEXEME reads one
+            return _Failure(index, DslSyntaxError, f"unknown word {text!r}", ("variable", "bracket", "'constraint'"))
+        expected = tuple(f"'{symbol}'" for symbol in _SYMBOLS)
+        return _Failure(index, DslSyntaxError, f"unexpected character {text!r}", expected)
+    return None
 
 
 # ----------------------------------------------------------------------
 # parser
 
 _CONSTRAINT_LHS: Expr = Sub(Mul(Var("a"), Var("d")), Mul(Var("b"), Var("c")))
-_BINARY = {_TokenKind.PLUS: Add, _TokenKind.MINUS: Sub, _TokenKind.STAR: Mul}
+_BINARY = {"+": Add, "-": Sub, "*": Mul}
+_OPERAND = ("number", "variable", "bracket", "'('")
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self._tokens = tokens
-        self._index = 0
+def _expect(tokens: list[str], index: int, text: str) -> int:
+    """The index after the token ``text`` at ``index``; "" is the end of input."""
+    if tokens[index] != text:
+        raise _syntax(tokens, index, f"'{text}'" if text else "end of input")
+    return index + 1
 
-    def _peek(self) -> _Token:
-        return self._tokens[self._index]
 
-    def _advance(self) -> _Token:
-        token = self._tokens[self._index]
-        self._index += 1
-        return token
+def _natural(tokens: list[str], index: int) -> int:
+    text = tokens[index]
+    if text[:1] not in _DIGITS:
+        raise _syntax(tokens, index, "number")
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        message = f"number has {len(text)} digits, over the limit of {sys.get_int_max_str_digits()}"
+        raise _Failure(index, DslSemanticError, message) from None
 
-    def _expect(self, kind: _TokenKind) -> _Token:
-        token = self._peek()
-        if token.kind is not kind:
-            self._fail(token, (kind.value,))
-        return self._advance()
 
-    def _natural(self) -> int:
-        token = self._expect(_TokenKind.NUMBER)
-        try:
-            return int(token.text)
-        except ValueError:  # more digits than int() converts
-            raise DslSemanticError(
-                f"number has {len(token.text)} digits, over the limit of {sys.get_int_max_str_digits()}",
-                token.line,
-                token.column,
-                token.offset,
-            ) from None
+def _rational(tokens: list[str], index: int) -> tuple[Num, int]:
+    negative = tokens[index] == "-"
+    if negative:
+        index += 1
+    elif tokens[index][:1] not in _DIGITS:
+        raise _syntax(tokens, index, *_OPERAND)
+    numerator = _natural(tokens, index)
+    if negative:
+        numerator = -numerator
+    if tokens[index + 1] != "/":
+        return Num(Fraction(numerator)), index + 1
+    denominator = _natural(tokens, index + 2)
+    if denominator == 0:
+        raise _Failure(index + 2, DslSemanticError, "zero denominator")
+    return Num(Fraction(numerator, denominator)), index + 3
 
-    def _fail(self, token: _Token, expected: tuple[str, ...]) -> None:
-        got = token.text or "end of input"
-        raise DslSyntaxError(
-            f"expected {' or '.join(expected)}, got {got!r}",
-            token.line,
-            token.column,
-            token.offset,
-            expected=expected,
-        )
 
-    def parse_statement(self, name: str) -> IdentityStatement:
-        constrained = self._peek().kind is _TokenKind.CONSTRAINT and self._parse_constraint()
-        lhs, rhs = self._parse_equation(_TokenKind.EQUALITY, _TokenKind.END)
-        return IdentityStatement(name, lhs, rhs, constrained)
-
-    def _parse_equation(self, equals: _TokenKind, end: _TokenKind) -> tuple[Expr, Expr]:
-        lhs = self.parse_expr()
-        self._expect(equals)
-        rhs = self.parse_expr()
-        self._expect(end)
-        return lhs, rhs
-
-    def _parse_constraint(self) -> bool:
-        keyword = self._expect(_TokenKind.CONSTRAINT)
-        self._expect(_TokenKind.COLON)
-        lhs, rhs = self._parse_equation(_TokenKind.EQUAL, _TokenKind.SEMICOLON)
-        if lhs != _CONSTRAINT_LHS or rhs != Num(Fraction(0)):
-            raise DslSemanticError(
-                "unsupported constraint; only a*d - b*c = 0 is recognized",
-                keyword.line,
-                keyword.column,
-                keyword.offset,
-            )
-        return True
-
-    def parse_expr(self) -> Expr:
-        # Operator precedence over an explicit stack of the operators awaiting
-        # a right operand, each with its left one, and None per open parenthesis.
-        pending: list = []
+def _expression(tokens: list[str], index: int) -> tuple[Expr, int]:
+    """The expression that starts at ``index``, and the index after it."""
+    # Operator precedence over an explicit stack of the operators awaiting
+    # a right operand, each with its left one, and None per open parenthesis.
+    pending: list = []
+    while True:
+        while tokens[index] == "(":
+            index += 1
+            pending.append(None)
+        text = tokens[index]
+        if text in _VARIABLES:
+            operand = Var(text)
+            index += 1
+        elif text in _BRACKETS:
+            power = _natural(tokens, _expect(tokens, index + 1, "("))
+            index = _expect(tokens, index + 3, ")")
+            operand = Bracket(_BRACKETS[text], power)
+        else:
+            operand, index = _rational(tokens, index)
         while True:
-            while self._peek().kind is _TokenKind.LPAREN:
-                self._advance()
-                pending.append(None)
-            operand = self._parse_base()
-            while True:
-                if self._peek().kind is _TokenKind.CARET:
-                    self._advance()
-                    operand = Pow(operand, self._natural())
-                operator = _BINARY.get(self._peek().kind)
-                # Apply the waiting operators that bind at least as tightly.
-                while pending and pending[-1] and (operator is not Mul or pending[-1][0] is Mul):
-                    waiting, left = pending.pop()
-                    operand = waiting(left, operand)
-                if operator is not None:
-                    self._advance()
-                    pending.append((operator, operand))
-                    break
-                if not pending:
-                    return operand
-                self._expect(_TokenKind.RPAREN)
-                pending.pop()
+            text = tokens[index]
+            if text == "^":
+                operand = Pow(operand, _natural(tokens, index + 1))
+                index += 2
+                text = tokens[index]
+            operator = _BINARY.get(text)
+            # Apply the waiting operators that bind at least as tightly.
+            while pending and pending[-1] and (operator is not Mul or pending[-1][0] is Mul):
+                waiting, left = pending.pop()
+                operand = waiting(left, operand)
+            if operator is not None:
+                index += 1
+                pending.append((operator, operand))
+                break
+            if not pending:
+                return operand, index
+            index = _expect(tokens, index, ")")
+            pending.pop()
 
-    def _parse_base(self) -> Expr:
-        token = self._peek()
-        if token.kind is _TokenKind.MINUS or token.kind is _TokenKind.NUMBER:
-            return self._parse_rational()
-        if token.kind is _TokenKind.VARIABLE:
-            return Var(self._advance().text)
-        if token.kind is _TokenKind.BRACKET:
-            kind = BracketKind(self._advance().text)
-            self._expect(_TokenKind.LPAREN)
-            power = self._natural()
-            self._expect(_TokenKind.RPAREN)
-            return Bracket(kind, power)
-        self._fail(token, ("number", "variable", "bracket", "'('"))
 
-    def _parse_rational(self) -> Num:
-        negative = False
-        if self._peek().kind is _TokenKind.MINUS:
-            self._advance()
-            negative = True
-        numerator = self._natural()
-        denominator = 1
-        if self._peek().kind is _TokenKind.SLASH:
-            self._advance()
-            denominator_token = self._peek()
-            denominator = self._natural()
-            if denominator == 0:
-                raise DslSemanticError(
-                    "zero denominator",
-                    denominator_token.line,
-                    denominator_token.column,
-                    denominator_token.offset,
-                )
-        value = Fraction(numerator, denominator)
-        return Num(-value if negative else value)
+def _equation(tokens: list[str], index: int, equals: str, end: str) -> tuple[Expr, Expr, int]:
+    lhs, index = _expression(tokens, index)
+    rhs, index = _expression(tokens, _expect(tokens, index, equals))
+    return lhs, rhs, _expect(tokens, index, end)
+
+
+def _statement(tokens: list[str], name: str) -> IdentityStatement:
+    index = 0
+    constrained = tokens[0] == "constraint"
+    if constrained:
+        lhs, rhs, index = _equation(tokens, _expect(tokens, 1, ":"), "=", ";")
+        if lhs != _CONSTRAINT_LHS or rhs != Num(Fraction(0)):
+            raise _Failure(0, DslSemanticError, "unsupported constraint; only a*d - b*c = 0 is recognized")
+    lhs, rhs, _ = _equation(tokens, index, "==", "")
+    return IdentityStatement(name, lhs, rhs, constrained)
 
 
 def parse(source: str, name: str = "") -> IdentityStatement:
     """Parse one statement; raises DslSyntaxError or DslSemanticError."""
-    return _Parser(_tokenize(source)).parse_statement(name)
+    tokens = _tokens(source)
+    try:
+        return _statement(tokens, name)
+    except _Failure as failure:
+        # A lexical error anywhere is reported before the parser's own.
+        index, error, message, *expected = (_lexical_failure(tokens) or failure).args
+    # The failing token's offset: that of the index-th token, or of the end.
+    offset = [*(match.start() for match in _LEXEME.finditer(source) if match[1]), len(source)][index]
+    line_start = source.rfind("\n", 0, offset) + 1
+    raise error(message, source.count("\n", 0, offset) + 1, offset - line_start + 1, offset, *expected)
 
 
 def load_statement(path: str | Path) -> IdentityStatement:

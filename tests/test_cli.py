@@ -501,6 +501,26 @@ def test_verify_missing_file_exits_two(capsys):
     assert "does-not-exist.rid" in err
 
 
+def test_verify_unreadable_targets_exit_two_with_pinned_stderr(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("f.rid").write_text("a == a\n", encoding="utf-8")
+    Path("dir.rid").mkdir()
+    Path("dangling.rid").symlink_to("nowhere.rid")
+    Path("latin.rid").write_bytes(b"a == \xff\n")
+    cases = {
+        "missing.rid": "no such file: missing.rid",
+        "dangling.rid": "no such file: dangling.rid",
+        "f.rid/x.rid": "no such file: f.rid/x.rid",
+        "dir.rid": "[Errno 21] Is a directory: 'dir.rid'",
+        "latin.rid": "'utf-8' codec can't decode byte 0xff in position 5: invalid start byte",
+        # A path the operating system cannot name does not exist.
+        "nul\0.rid": "no such file: nul\0.rid",
+        "nul\0": "unknown identity 'nul\\x00': not a catalog name or .rid file",
+    }
+    for target, message in cases.items():
+        assert invoke(capsys, "verify", target) == (2, "", f"trigident: {message}\n"), target
+
+
 def test_verify_parse_error_exits_two(capsys, tmp_path):
     path = tmp_path / "broken.rid"
     path.write_text("64*D(6)* == 1\n", encoding="utf-8")

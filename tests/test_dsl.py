@@ -1,21 +1,24 @@
 import json
 import random
+import re
+import sys
 import time
+from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trigident.algebra import VARIABLES
 from trigident.dsl import (
     _CONSTRAINT_LHS,
+    _LEXEME,
     DslError,
     DslSemanticError,
     DslSyntaxError,
     Format,
-    _Parser,
-    _TokenKind,
-    _tokenize,
     load_statement,
     parse,
     render,
@@ -123,6 +126,234 @@ def test_round_trip_on_random_statements():
         assert parse(text) == statement, text
 
 
+# ----------------------------------------------------------------------
+# The front end that the one-scan parser replaced, frozen as its reference:
+# a token kind, text, line, column and offset per token, and an
+# explicit-stack parser over them.
+
+
+class _TokenKind(Enum):
+    NUMBER = "number"
+    VARIABLE = "variable"
+    BRACKET = "bracket"
+    CONSTRAINT = "'constraint'"
+    PLUS = "'+'"
+    MINUS = "'-'"
+    STAR = "'*'"
+    SLASH = "'/'"
+    CARET = "'^'"
+    LPAREN = "'('"
+    RPAREN = "')'"
+    COLON = "':'"
+    SEMICOLON = "';'"
+    EQUAL = "'='"
+    EQUALITY = "'=='"
+    END = "end of input"
+
+
+class _Token(NamedTuple):
+    kind: _TokenKind
+    text: str
+    line: int
+    column: int
+    offset: int
+
+
+_SYMBOLS = {
+    "+": _TokenKind.PLUS,
+    "-": _TokenKind.MINUS,
+    "*": _TokenKind.STAR,
+    "/": _TokenKind.SLASH,
+    "^": _TokenKind.CARET,
+    "(": _TokenKind.LPAREN,
+    ")": _TokenKind.RPAREN,
+    ":": _TokenKind.COLON,
+    ";": _TokenKind.SEMICOLON,
+}
+
+_LEXEMES = {
+    **_SYMBOLS,
+    "=": _TokenKind.EQUAL,
+    "==": _TokenKind.EQUALITY,
+    "constraint": _TokenKind.CONSTRAINT,
+    **dict.fromkeys(VARIABLES, _TokenKind.VARIABLE),
+    **dict.fromkeys((kind.value for kind in BracketKind), _TokenKind.BRACKET),
+}
+
+_REFERENCE_LEXEME = re.compile(
+    r"(?P<skip>[^\S\n]+|#.*)"
+    r"|(?P<newline>\n)"
+    r"|(?P<number>[0-9]+)"
+    r"|(?P<word>[A-Za-z_]\w*)"
+    r"|==|."
+)
+
+
+def _tokenize(source):
+    tokens = []
+    line, line_start = 1, 0
+    for match in _REFERENCE_LEXEME.finditer(source):
+        group = match.lastgroup
+        if group == "skip":
+            continue
+        offset = match.start()
+        if group == "newline":
+            line += 1
+            line_start = offset + 1
+            continue
+        text = match.group()
+        column = offset - line_start + 1
+        kind = _TokenKind.NUMBER if group == "number" else _LEXEMES.get(text)
+        if kind is None and group == "word":
+            raise DslSyntaxError(
+                f"unknown word {text!r}",
+                line,
+                column,
+                offset,
+                expected=("variable", "bracket", "'constraint'"),
+            )
+        if kind is None:
+            raise DslSyntaxError(
+                f"unexpected character {text!r}",
+                line,
+                column,
+                offset,
+                expected=tuple(k.value for k in _SYMBOLS.values()),
+            )
+        tokens.append(_Token(kind, text, line, column, offset))
+    tokens.append(_Token(_TokenKind.END, "", line, len(source) - line_start + 1, len(source)))
+    return tokens
+
+
+_BINARY = {_TokenKind.PLUS: Add, _TokenKind.MINUS: Sub, _TokenKind.STAR: Mul}
+
+
+class _Parser:
+    def __init__(self, tokens):
+        self._tokens = tokens
+        self._index = 0
+
+    def _peek(self):
+        return self._tokens[self._index]
+
+    def _advance(self):
+        token = self._tokens[self._index]
+        self._index += 1
+        return token
+
+    def _expect(self, kind):
+        token = self._peek()
+        if token.kind is not kind:
+            self._fail(token, (kind.value,))
+        return self._advance()
+
+    def _natural(self):
+        token = self._expect(_TokenKind.NUMBER)
+        try:
+            return int(token.text)
+        except ValueError:  # more digits than int() converts
+            raise DslSemanticError(
+                f"number has {len(token.text)} digits, over the limit of {sys.get_int_max_str_digits()}",
+                token.line,
+                token.column,
+                token.offset,
+            ) from None
+
+    def _fail(self, token, expected):
+        got = token.text or "end of input"
+        raise DslSyntaxError(
+            f"expected {' or '.join(expected)}, got {got!r}",
+            token.line,
+            token.column,
+            token.offset,
+            expected=expected,
+        )
+
+    def parse_statement(self, name):
+        constrained = self._peek().kind is _TokenKind.CONSTRAINT and self._parse_constraint()
+        lhs, rhs = self._parse_equation(_TokenKind.EQUALITY, _TokenKind.END)
+        return IdentityStatement(name, lhs, rhs, constrained)
+
+    def _parse_equation(self, equals, end):
+        lhs = self.parse_expr()
+        self._expect(equals)
+        rhs = self.parse_expr()
+        self._expect(end)
+        return lhs, rhs
+
+    def _parse_constraint(self):
+        keyword = self._expect(_TokenKind.CONSTRAINT)
+        self._expect(_TokenKind.COLON)
+        lhs, rhs = self._parse_equation(_TokenKind.EQUAL, _TokenKind.SEMICOLON)
+        if lhs != _CONSTRAINT_LHS or rhs != Num(Fraction(0)):
+            raise DslSemanticError(
+                "unsupported constraint; only a*d - b*c = 0 is recognized",
+                keyword.line,
+                keyword.column,
+                keyword.offset,
+            )
+        return True
+
+    def parse_expr(self):
+        pending = []
+        while True:
+            while self._peek().kind is _TokenKind.LPAREN:
+                self._advance()
+                pending.append(None)
+            operand = self._parse_base()
+            while True:
+                if self._peek().kind is _TokenKind.CARET:
+                    self._advance()
+                    operand = Pow(operand, self._natural())
+                operator = _BINARY.get(self._peek().kind)
+                while pending and pending[-1] and (operator is not Mul or pending[-1][0] is Mul):
+                    waiting, left = pending.pop()
+                    operand = waiting(left, operand)
+                if operator is not None:
+                    self._advance()
+                    pending.append((operator, operand))
+                    break
+                if not pending:
+                    return operand
+                self._expect(_TokenKind.RPAREN)
+                pending.pop()
+
+    def _parse_base(self):
+        token = self._peek()
+        if token.kind is _TokenKind.MINUS or token.kind is _TokenKind.NUMBER:
+            return self._parse_rational()
+        if token.kind is _TokenKind.VARIABLE:
+            return Var(self._advance().text)
+        if token.kind is _TokenKind.BRACKET:
+            kind = BracketKind(self._advance().text)
+            self._expect(_TokenKind.LPAREN)
+            power = self._natural()
+            self._expect(_TokenKind.RPAREN)
+            return Bracket(kind, power)
+        self._fail(token, ("number", "variable", "bracket", "'('"))
+
+    def _parse_rational(self):
+        negative = False
+        if self._peek().kind is _TokenKind.MINUS:
+            self._advance()
+            negative = True
+        numerator = self._natural()
+        denominator = 1
+        if self._peek().kind is _TokenKind.SLASH:
+            self._advance()
+            denominator_token = self._peek()
+            denominator = self._natural()
+            if denominator == 0:
+                raise DslSemanticError(
+                    "zero denominator",
+                    denominator_token.line,
+                    denominator_token.column,
+                    denominator_token.offset,
+                )
+        value = Fraction(numerator, denominator)
+        return Num(-value if negative else value)
+
+
 class RecursiveParser(_Parser):
     """The recursive-descent parser that the explicit-stack one replaced, as its reference.
 
@@ -183,13 +414,17 @@ class RecursiveParser(_Parser):
         return super()._parse_base()
 
 
-def parse_outcome(parser, source):
+def outcome(parse_source, source):
     """The statement and its constraint flag, or the error's class, message, position and expectation."""
     try:
-        statement = parser(_tokenize(source)).parse_statement("")
+        statement = parse_source(source)
     except DslError as error:
         return type(error), str(error), error.line, error.column, error.offset, getattr(error, "expected", None)
     return statement, statement.constrained
+
+
+def parse_outcome(parser, source):
+    return outcome(lambda text: parser(_tokenize(text)).parse_statement(""), source)
 
 
 # Whole lexemes, so that random strings of them are often well formed.
@@ -339,6 +574,60 @@ def test_parse_returns_or_raises_a_positioned_error(source):
         assert 0 <= error.offset <= len(source)
         assert (error.line, error.column) == position_of(source, error.offset)
         assert str(error).startswith(f"{error.line}:{error.column}: ")
+
+
+def test_parse_matches_the_reference_front_end():
+    rng = random.Random(20261121)
+    fuzz = ["".join(rng.choices(FUZZ_PIECES, k=rng.randint(0, 40))) for _ in range(5000)]
+    overlong = [f"{LONG} == a", f"a == -2/{LONG}", f"D({LONG}) == 0", f"a ==\n  a^{LONG}", f"-{LONG}/0 == a"]
+    for source in [*parser_sources(random.Random(20261019)), *fuzz, *overlong]:
+        assert outcome(parse, source) == parse_outcome(_Parser, source), source
+
+
+@pytest.mark.parametrize(
+    "source, position",
+    [
+        ("a ==\r\n b c", (2, 4, 9)),
+        ("a ==\r b c", (1, 9, 8)),
+        ("a ==\x0b\x0c b c", (1, 10, 9)),
+        ("a ==\x85 b c", (1, 9, 8)),
+        ("a ==\u2028 b c", (1, 9, 8)),
+        ("a == # x\n# y\n  b c", (3, 5, 17)),
+    ],
+    ids=["crlf", "cr", "vt-ff", "nel", "line-separator", "comment-lines"],
+)
+def test_only_a_newline_ends_a_line(source, position):
+    with pytest.raises(DslSyntaxError) as excinfo:
+        parse(source)
+    error = excinfo.value
+    assert (error.line, error.column, error.offset) == position
+    assert str(error) == f"{position[0]}:{position[1]}: expected end of input, got 'c'"
+
+
+@pytest.mark.parametrize(
+    "source, position",
+    [
+        ("a ++ b == $", (1, 11, 10)),
+        (f"{LONG} == $", (1, 5005, 5004)),
+        ("constraint: a*d - c*b = 0; a == $", (1, 33, 32)),
+    ],
+    ids=["after-a-syntax-error", "after-an-overlong-number", "after-a-foreign-constraint"],
+)
+def test_a_lexical_error_anywhere_is_reported_first(source, position):
+    with pytest.raises(DslSyntaxError) as excinfo:
+        parse(source)
+    error = excinfo.value
+    assert (error.line, error.column, error.offset) == position
+    assert str(error) == f"{position[0]}:{position[1]}: unexpected character '$'"
+
+
+def test_lexer_character_classes_match_the_str_predicates():
+    # A blank is what str.isspace accepts, and a word goes on over what
+    # str.isalnum accepts and "_", as the module docstring says.
+    chars = [chr(code) for code in range(sys.maxunicode + 1)]
+    blank = [c for c in chars if c != "#" and (_LEXEME.match(c)[1] is None) != c.isspace()]
+    word = [c for c in chars if (_LEXEME.match("a" + c)[1] == "a" + c) != (c.isalnum() or c == "_")]
+    assert (blank, word) == ([], [])
 
 
 def test_unsupported_constraint_is_a_semantic_error():
