@@ -186,6 +186,9 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # A constant equals its scalar, so it hashes as one (0 for zero).
+        if self._terms.keys() <= {0}:
+            return hash(self._terms.get(0, 0))
         return hash(frozenset(self._terms.items()))
 
     # ------------------------------------------------------------------

@@ -73,8 +73,9 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     verify_cmd = command("verify", "verify a catalog identity or a .rid statement file")
     verify_cmd.add_argument("target", metavar="name|path.rid")
     verify_cmd.add_argument("--numeric", action="store_true",
-                            help="decide by exact evaluation at integer points"
-                            " instead of expanding polynomials")
+                            help="decide without expanding in a, b, c, d: by the"
+                            " power sums for brackets and numbers alone, else by"
+                            " exact evaluation at integer points")
     verify_cmd.add_argument("--trials", type=int, default=_WITNESS_DRAWS,
                             help="seeded random draws that pick a --numeric witness"
                             " (default %(default)s)")

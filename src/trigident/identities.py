@@ -27,25 +27,19 @@ the zero polynomial for P = lhs - rhs, and otherwise when P itself is.  A
 statement of brackets and numbers alone is a polynomial in the two
 triples' invariants (e2, e3, e2', e3'), with e2' = e2 under the constraint,
 by Newton's identities (``_PowerSums``).  The invariants are algebraically
-independent, so it holds exactly when that polynomial is zero, and both
-routes decide it there.  In ``verify`` a zero difference in the invariants
-proves it and a nonzero one falsifies it.  Any other statement has its
-first seeded random draw evaluated, and a disagreement there falsifies it;
-only when the sides agree is the difference expanded, which proves it or
-leads on to the remaining draws.  ``spot_check`` evaluates a statement
-exactly at integer points read off its degrees, and agreement at all of
-them is a certificate that it holds: points of the invariants for
-brackets and numbers alone (``_invariant_certificate``), points (a, b, c,
-d) otherwise (``_certificate``).  It evaluates them ``_BLOCK_SIZE`` at a
-time: ``_value`` evaluates the tree once at a ``_Block``, where every node
-is a ``_Column`` holding, for each point, the number ``_value`` gives at
-that point alone.
-Only a disagreement, or a statement needing more than ``_POINT_BUDGET``
-points, runs the seeded random draws that pick the reported witness, one
-point at a time.  A falsified report counts the terms of the expanded
-difference only when its ``reduced_terms`` is read.  Both refuse a
-statement with a node of degree over ``_POINT_BUDGET``, or a power of a
-constant with exponent over it.
+independent, so it holds exactly when that polynomial is zero, and
+``verify`` and ``spot_check`` both decide it there, by the same
+comparison of its ``_pruned`` sides.  ``verify`` decides any other
+statement by its first seeded random draw, where a disagreement falsifies
+it, and otherwise by expanding the difference.  ``spot_check`` decides it
+by exact evaluation, ``_BLOCK_SIZE`` points at a time, at the integer
+points (a, b, c, d) of ``_certificate``, where agreement at all of them is
+a certificate that it holds.  Only a false statement, or one over
+``_POINT_BUDGET``, runs the seeded random draws that pick the reported
+witness.  A falsified report counts the terms of the expanded difference
+only when its ``reduced_terms`` is read.  Both refuse a statement with a
+node of degree over ``_POINT_BUDGET``, or a power of a constant with
+exponent over it.
 """
 
 from __future__ import annotations
@@ -161,11 +155,9 @@ def bracket_poly(kind: BracketKind, power: int) -> Polynomial:
 def expr_value(expr: Expr, point: Point) -> Fraction:
     """Exact value at a rational point, computed without polynomial expansion.
 
-    It shares ``_value`` with ``expr_to_poly``, but the two decision
-    procedures stay independent: ``verify`` tests a polynomial difference
-    for zero, ``spot_check`` evaluates at a certificate's points.  The tests
-    check the tree semantics against a plain Fraction reference.  Negative
-    powers raise ``ValueError``.
+    It shares ``_value`` with ``expr_to_poly`` and with the certificate
+    points of ``spot_check``; the tests check the tree semantics against a
+    plain Fraction reference.  Negative powers raise ``ValueError``.
     """
     return Fraction(_value(expr, point))
 
@@ -246,8 +238,37 @@ def _on_surface(a, b, c):
     return a, a * b, a * c, a * b * c
 
 
-def _sides_agree(statement: IdentityStatement, point: Union[tuple, _PowerSums]) -> bool:
+def _sides_agree(statement: IdentityStatement, point: tuple) -> bool:
     return _value(statement.lhs, point) == _value(statement.rhs, point)
+
+
+_ZERO, _ONE = Num(Fraction(0)), Num(Fraction(1))
+
+
+def _pruned(expr: Expr) -> Expr:
+    """``expr`` with each subtree that ``_degrees`` gives no degree made 0, and each zeroth power 1.
+
+    The value is the same at every point; an unchanged tree comes back as itself.
+    """
+    nodes = []
+    for node in _postorder(expr):
+        kind = type(node)
+        if kind is Pow:
+            base = nodes.pop()
+            if node.exponent == 0:
+                node = _ONE
+            elif base is _ZERO or base is not node.base:
+                node = base if base is _ZERO else Pow(base, node.exponent)
+        elif kind in _OPERATORS:
+            right, left = nodes.pop(), nodes.pop()
+            if (left is _ZERO or right is _ZERO) if kind is Mul else (left is _ZERO and right is _ZERO):
+                node = _ZERO
+            elif left is not node.left or right is not node.right:
+                node = kind(left, right)
+        elif kind is Num and node.value == 0:
+            node = _ZERO
+        nodes.append(node)
+    return nodes.pop()
 
 
 # ----------------------------------------------------------------------
@@ -291,17 +312,10 @@ class _PowerSums:
         return Polynomial(terms)
 
 
-def _proved_by_power_sums(statement: IdentityStatement) -> bool:
-    """Whether lhs - rhs is zero as a polynomial in the triples' invariants.
-
-    True is a proof.  The invariants are algebraically independent (see
-    ``_PowerSums``), so False disproves a statement of brackets and numbers
-    alone; for a statement with a variable, which is not tried, it says
-    nothing.  Raises ``ValueError`` as ``_degree_pass``, which finds the
-    variables.
-    """
-    *_, bracket_only = _degree_pass(statement)
-    return bracket_only and _sides_agree(statement, _PowerSums(statement.constrained))
+def _power_sums_agree(statement: IdentityStatement) -> bool:
+    """Whether a statement of brackets and numbers holds: its ``_pruned`` sides are equal in ``_PowerSums``."""
+    sums = _PowerSums(statement.constrained)
+    return _value(_pruned(statement.lhs), sums) == _value(_pruned(statement.rhs), sums)
 
 
 # ----------------------------------------------------------------------
@@ -321,27 +335,13 @@ def _proved_by_power_sums(statement: IdentityStatement) -> bool:
 # points are ``_on_surface(t, b, c)``, the free variables are b and c, and
 # the total degree is at most 2*max J; agreement proves P(a, a*b, a*c, a*b*c)
 # zero, the polynomial that ``verify`` expands.
-#
-# A statement of brackets and numbers alone is a polynomial Q in the
-# invariants (e2, e3, e2', e3') (see ``_PowerSums``), and with e2 of weight
-# 2 and e3 of weight 3 a bracket of power n has weight n, so Q splits into
-# weighted parts Q_j over the same J.  At (t^2, t^3*v, t^2*u, t^3*w) it
-# takes sum_j t^j * Q_j(1, v, u, w), so t = 1..|J| separate the parts as
-# above.  A monomial e2^i*e3^k*e2'^l*e3'^m of weight j = 2i + 3k + 2l + 3m
-# becomes v^k*u^l*w^m: distinct monomials stay distinct, since i follows
-# from j and the rest, and k + l + m <= j/2.  So Q_j is zero once Q_j(1, v,
-# u, w) vanishes on the simplex lattice of total degree floor(max J/2).
-# Under the constraint e2' = e2, the points are (t^2, t^3*v, t^2, t^3*w),
-# and k + m <= j/3 bounds the lattice of (v, w) by floor(max J/3).  The
-# invariants are algebraically independent, so Q is zero exactly when P,
-# or P(a, a*b, a*c, a*b*c) under the constraint, is: both certificates
-# decide the same statement, and ``_invariant_certificate`` needs far fewer
-# points (21 against 289 for Ramanujan's identity).
 
-# Most integer points ``spot_check`` evaluates for a certificate.  The
-# catalog entries need 6-81 and the benchmark's statements 6-56 in the
-# invariants, 81-560 with a variable; b^99*c^99 == b^99*c^99 under the
-# constraint needs exactly 10,000 and takes 0.04-0.05 s on a 2-core x86 host.
+# Most integer points ``spot_check`` evaluates for a certificate, and the
+# largest ``_invariant_count`` of a statement of brackets and numbers whose
+# power sums it compares.  The catalog's bracket entries count 6-56,
+# asym-6-8-factored needs 81 points and the benchmark's statements with a
+# variable 81-560; b^99*c^99 == b^99*c^99 under the constraint needs exactly
+# 10,000 and takes 0.04-0.05 s on a 2-core x86 host.
 _POINT_BUDGET = 10_000
 
 _CONSTANT = frozenset({0})
@@ -451,35 +451,26 @@ def _grid_certificate(
     if count > _POINT_BUDGET:
         return count, None
     scales = len(degrees)
-    grid = _simplex(top, scales, 3) if simplex else _tensor(sides, scales)
+    grid = _simplex(top, scales) if simplex else _tensor(sides, scales)
     if constrained:
         return count, _blocks(count, scales, grid, lambda t, b, c: _Block(_on_surface(t, b, c)))
     return count, _blocks(count, scales, grid, lambda t, *free: _Block((t, *(t * x for x in free))))
 
 
-def _invariant_certificate(constrained: bool, degrees: frozenset[int]) -> tuple[int, Optional[Iterator[_Block]]]:
-    """How many points of the triples' invariants prove a statement of brackets and numbers alone, and the points.
+def _invariant_count(constrained: bool, degrees: frozenset[int]) -> int:
+    """How many weighted monomials lhs - rhs of a statement of brackets and numbers can have in the invariants.
 
-    Points are (e2, e3, e2', e3') = (t^2, t^3*v, t^2*u, t^3*w) for (v, u, w)
-    on the simplex lattice of total degree floor(max J/2), or (t^2, t^3*v,
-    t^2, t^3*w) under the constraint, where e2' = e2, for (v, w) on the
-    lattice of total degree floor(max J/3); lexicographic, with t = 1..|J|
-    innermost, and as lazy ``_InvariantBlock``s.  They are None when there
-    would be more than _POINT_BUDGET points.
+    With e2 of weight 2 and e3 of weight 3 a bracket of power n has weight
+    n, so the difference splits into weighted parts over J.  A monomial
+    e2^i*e3^k*e2'^l*e3'^m of weight j follows from (k, l, m), since i does
+    from j, and k + l + m <= j/2; under the constraint, where e2' = e2, it
+    follows from (k, m), with k + m <= j/3.  So |J|*C(floor(max J/2) + 3,
+    3), or |J|*C(floor(max J/3) + 2, 2) under the constraint, bounds the
+    terms of the power sums' difference, and of each node of the
+    ``_pruned`` sides, whose degrees are never more, nor larger, than J's.
     """
     dimension, weight = (2, 3) if constrained else (3, 2)
-    total, scales = max(degrees, default=0) // weight, len(degrees)
-    count = scales * comb(total + dimension, dimension)
-    if count > _POINT_BUDGET:
-        return count, None
-    grid = _simplex(total, scales, dimension)
-    if constrained:
-        return count, _blocks(
-            count, scales, grid, lambda t, v, w: _InvariantBlock((t * t, t * t * t * v, t * t, t * t * t * w))
-        )
-    return count, _blocks(
-        count, scales, grid, lambda t, v, u, w: _InvariantBlock((t * t, t * t * t * v, t * t * u, t * t * t * w))
-    )
+    return len(degrees) * comb(max(degrees, default=0) // weight + dimension, dimension)
 
 
 def _degree_pass(statement: IdentityStatement) -> tuple[frozenset[int], tuple[int, ...], bool]:
@@ -509,13 +500,13 @@ def _tensor(sides: list[int], scales: int) -> list[Iterator[int]]:
     return streams
 
 
-def _simplex(total: int, scales: int, dimension: int) -> list[Iterator[int]]:
-    """Streams over the nonnegative ``dimension``-tuples with sum at most ``total``, in lexicographic order.
+def _simplex(total: int, scales: int) -> list[Iterator[int]]:
+    """Streams of b, c, d over the nonnegative triples with sum at most ``total``, in lexicographic order.
 
-    Each tuple is held for ``scales`` points, one per t.
+    Each triple is held for ``scales`` points, one per t.
     """
     streams, used = [], [0]
-    for rest in reversed(range(dimension)):
+    for rest in (2, 1, 0):
         streams.append(_lattice_coordinate(total, used, rest, scales))
         if rest:
             used = [s + x for s in used for x in range(total + 1 - s)]
@@ -580,7 +571,7 @@ class _Column:
 
 
 class _Block:
-    """Points evaluated together: a variable is the column of its coordinates.
+    """Points (a, b, c, d) of a certificate, evaluated together: a variable is the column of its coordinates.
 
     Like ``_PowerSums``, a block gives each bracket through ``of``.
     """
@@ -624,28 +615,6 @@ class _Block:
         return self.point(differs.index(True)) if True in differs else None
 
 
-class _InvariantBlock(_Block):
-    """Points (e2, e3, e2', e3') of the triples' invariants, evaluated together.
-
-    A bracket is p_power of its triple's (e2, e3) by Newton's recurrence,
-    from p_0 = 3, p_1 = 0 and p_2 = -2*e2, so each lower power is computed
-    once.  Only a statement of brackets and numbers is evaluated here.
-    """
-
-    def __init__(self, coordinates: tuple[_Column, _Column, _Column, _Column]):
-        super().__init__(coordinates)
-        e2, e3, e2_prime, e3_prime = coordinates
-        # Per triple, (-e2, e3) and the power sums so far.
-        self._recurrences = [((-e2, e3), [3, 0, -2 * e2]), ((-e2_prime, e3_prime), [3, 0, -2 * e2_prime])]
-
-    def of(self, triple: int, power: int) -> Union[int, _Column]:
-        """p_power of triple 0 (the A brackets) or triple 1 (the B brackets) at each point."""
-        (minus_e2, e3), sums = self._recurrences[triple]
-        for n in range(len(sums), power + 1):
-            sums.append(minus_e2 * sums[n - 2] + e3 * sums[n - 3])
-        return sums[power]
-
-
 def _blocks(count: int, scales: int, grid: list[Iterator[int]], build: Callable[..., _Block]) -> Iterator[_Block]:
     """The first ``count`` points, ``_BLOCK_SIZE`` to a block, from the grid's streams, t = 1..``scales`` innermost.
 
@@ -659,11 +628,7 @@ def _blocks(count: int, scales: int, grid: list[Iterator[int]], build: Callable[
 
 def _first_difference(statement: IdentityStatement, blocks: Iterable[_Block]) -> Optional[tuple]:
     """The first point of the blocks where the sides differ, else None."""
-    for block in blocks:
-        point = block.disagreement(statement)
-        if point is not None:
-            return point
-    return None
+    return next(filter(None, (block.disagreement(statement) for block in blocks)), None)
 
 
 # ----------------------------------------------------------------------
@@ -718,25 +683,22 @@ def reduce_difference(statement: IdentityStatement) -> Polynomial:
 def verify(statement: IdentityStatement, seed: int = 0) -> VerificationReport:
     """Symbolic verdict; a FALSIFIED verdict carries a concrete witness.
 
-    A statement of brackets and numbers alone is decided without
-    expanding anything by ``_proved_by_power_sums``: PROVED when it holds,
-    on every point of the constraint surface when constrained, and
-    otherwise FALSIFIED.  A false statement, and any statement with a
-    variable, then has the first of ``_WITNESS_DRAWS`` seeded random draws
-    (see ``spot_check``) evaluated: where the sides differ, it is
-    FALSIFIED with that point as its witness, and nothing is expanded.
-    Where they agree, a statement with a variable is expanded by
-    ``reduce_difference``, which proves a zero difference.  A false
-    statement is FALSIFIED at the first of the remaining draws from the
-    same generator where the sides differ, else at ``_integer_witness`` of
-    the expanded difference.  So the witness is the first differing draw
-    either way.  The report's ``reduced_terms`` is counted on first read
-    when the difference was not expanded.  What ``spot_check`` refuses
-    over ``_POINT_BUDGET`` raises the same ``ValueError`` here, before
-    either route runs.
+    A statement of brackets and numbers alone is PROVED, without expanding
+    anything, when ``_power_sums_agree``, on every point of the constraint
+    surface when constrained; otherwise it is false.  A false statement, and
+    any statement with a variable, then has the first of ``_WITNESS_DRAWS``
+    seeded random draws (see ``spot_check``) evaluated: where the sides
+    differ, it is FALSIFIED there and nothing is expanded.  Where they
+    agree, a statement with a variable is expanded by ``reduce_difference``,
+    which proves a zero difference; a false one is FALSIFIED at the first of
+    the remaining draws where the sides differ, else at ``_integer_witness``
+    of the expanded difference.  ``reduced_terms`` is counted on first read
+    when the difference was not expanded.  ``ValueError`` is raised as in
+    ``spot_check``, before either route runs.
     """
     start = time.perf_counter()
-    if _proved_by_power_sums(statement):
+    *_, bracket_only = _degree_pass(statement)
+    if bracket_only and _power_sums_agree(statement):
         return _report(statement, start)
     # A false statement's difference is a nonzero polynomial, so random
     # rational points miss its zero set with overwhelming probability and
@@ -746,14 +708,11 @@ def verify(statement: IdentityStatement, seed: int = 0) -> VerificationReport:
     witness = _first_disagreement(statement, 1, rng)
     if witness is not None:
         return _report(statement, start, witness)
-    if _degree_pass(statement)[2]:
-        # Brackets and numbers alone, and not proved in the independent
-        # invariants: the statement is false, and only its witness is left.
-        reduced = None
-    else:
-        reduced = reduce_difference(statement)
-        if not reduced:
-            return _report(statement, start)
+    # A bracket statement not proved in the invariants is false, and only
+    # its witness is left.
+    reduced = None if bracket_only else reduce_difference(statement)
+    if not bracket_only and not reduced:
+        return _report(statement, start)
     witness = _first_disagreement(statement, _WITNESS_DRAWS - 1, rng)
     if witness is None:
         reduced = reduce_difference(statement) if reduced is None else reduced
@@ -762,43 +721,43 @@ def verify(statement: IdentityStatement, seed: int = 0) -> VerificationReport:
 
 
 def spot_check(statement: IdentityStatement, trials: int = _WITNESS_DRAWS, seed: int = 0) -> VerificationReport:
-    """Decide the statement by exact evaluation at integer points.
+    """Decide the statement exactly, without expanding it in a, b, c, d.
 
-    Both sides are evaluated, never expanded, at the points of
-    ``_invariant_certificate`` for a statement of brackets and numbers
-    alone, else of ``_certificate``, a ``_Block`` of ``_BLOCK_SIZE``
-    points at a time; agreement at every one of them proves the statement,
-    exactly as ``verify`` would.  On a disagreement the witness comes from
-    ``trials`` seeded random draws: free coordinates are nonzero rationals
-    with numerator and denominator bounded by 9, and for a constrained
-    statement d = b*c/a, so every point satisfies a*d = b*c exactly.  The
-    first draw where the sides differ is reported.  Only if every draw
-    agrees is an integer point reported: the first point of
-    ``_certificate`` where the sides differ, or, when that is over the
-    budget, ``_integer_witness`` of the expanded difference.  A node of
-    degree over ``_POINT_BUDGET``, or a power of a constant with exponent
-    over it, raises ``ValueError`` at once.  Over ``_POINT_BUDGET`` points,
-    where the certificate gives only their count, a lower degree gets the
-    draws alone: a differing draw falsifies it, and if every draw agrees
-    ``ValueError`` is raised, naming the count, since nothing was proved.
-    Otherwise nothing is expanded here: a FALSIFIED report counts the
-    terms of ``reduce_difference`` on the first read of its
-    ``reduced_terms``.
+    A statement of brackets and numbers alone is decided as ``verify``
+    decides it, by ``_power_sums_agree``.  Any other statement is evaluated
+    at the integer points of ``_certificate``, a ``_Block`` at a time, and
+    agreement at every one proves it, exactly as ``verify`` would.  On a
+    disagreement the witness is the first of ``trials`` seeded draws where
+    the sides differ: free coordinates are nonzero rationals with numerator
+    and denominator bounded by 9, and d = b*c/a under the constraint, so
+    a*d = b*c exactly.  If every draw agrees, it is the first point of
+    ``_certificate`` where they differ, or, over its budget,
+    ``_integer_witness`` of the expanded difference.  A node of degree over
+    ``_POINT_BUDGET``, or a power of a constant with exponent over it,
+    raises ``ValueError`` at once.  A statement with more certificate points
+    than that, or an ``_invariant_count`` over it, gets the draws alone, and
+    ``ValueError`` naming the count if every draw agrees.  A FALSIFIED
+    report counts the terms of ``reduce_difference`` on the first read of
+    its ``reduced_terms``.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     start = time.perf_counter()
     degrees, bounds, bracket_only = _degree_pass(statement)
     if bracket_only:
-        count, blocks = _invariant_certificate(statement.constrained, degrees)
+        count = _invariant_count(statement.constrained, degrees)
+        holds = count <= _POINT_BUDGET and _power_sums_agree(statement)
     else:
         count, blocks = _grid_certificate(statement.constrained, degrees, bounds)
-    if blocks is not None and _first_difference(statement, blocks) is None:
+        holds = blocks is not None and _first_difference(statement, blocks) is None
+    if holds:
         return _report(statement, start)
     witness = _first_disagreement(statement, trials, random.Random(seed))
     if witness is not None:
         return _report(statement, start, witness)
-    if blocks is None:
+    if count > _POINT_BUDGET:
+        # For brackets and numbers the count bounds the power sums' terms; the
+        # message names it as points, as when they were evaluated at points.
         raise ValueError(
             f"{statement.name}: deciding it exactly needs at least {count} integer"
             f" points, over the budget of {_POINT_BUDGET}, and all {trials} seeded draws"
@@ -811,7 +770,7 @@ def _certificate_witness(statement: IdentityStatement) -> tuple[Point, Optional[
     """Where the sides of a false statement differ, and the term count if it was expanded to find out.
 
     The first point of ``_certificate`` where they differ; over its budget,
-    which only a statement decided in the invariants reaches,
+    which only a statement of brackets and numbers reaches here,
     ``_integer_witness`` of the expanded difference, as in ``verify``.
     """
     _, blocks = _certificate(statement)

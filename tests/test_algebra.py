@@ -301,6 +301,11 @@ def assert_same_polynomial(p, q):
     assert Polynomial(p.terms) == p
     assert hash(Polynomial(p.terms)) == hash(p)
     assert str(Polynomial(p.terms)) == str(p)
+    if all(not any(monomial) for monomial in p.terms):
+        # A constant equals its scalar, so sets and dicts must treat them as one.
+        scalar = p.terms.get((0, 0, 0, 0), 0)
+        assert p == scalar and hash(p) == hash(scalar)
+        assert scalar in {p} and p in {scalar} and len({p, scalar}) == 1
 
 
 def test_power_matches_repeated_multiplication():
@@ -336,6 +341,8 @@ def test_power_of_the_zero_polynomial():
     assert_same_polynomial(zero ** 0, Polynomial.constant(1))
     for exponent in (1, 2, 12):
         assert_same_polynomial(zero ** exponent, zero)
+    assert_same_polynomial((zero + 3) ** 1, Polynomial.constant(3))
+    assert_same_polynomial((zero + Fraction(3, 2)) ** 2, Polynomial.constant(Fraction(9, 4)))
 
 
 def test_terms_is_a_read_only_view_keyed_by_tuples():

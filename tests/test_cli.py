@@ -16,7 +16,7 @@ from trigident import identities
 from trigident.cli import CliError, build_parser, run
 from trigident.dsl import load_statement
 from trigident.fourier import POWER_BUDGET
-from trigident.identities import _certificate, expr_value
+from trigident.identities import CATALOG, _certificate, expr_value
 
 
 def invoke(capsys, *argv):
@@ -337,28 +337,80 @@ def test_verify_numeric_point_budget(capsys, tmp_path):
         "trigident: over: deciding it exactly needs at least 10201 integer points,"
         " over the budget of 10000, and all 100 seeded draws agree; verify it symbolically instead\n"
     )
-    # Brackets and numbers alone are decided in the triples' invariants: D(n)
-    # under the constraint at C(n//3 + 2, 2) points, 595 for D(100) and
-    # 1,378 for D(150)*D(3), which the grid needed 10,201 and 23,716 for.
+    # Brackets and numbers alone are decided by the power sums, held to the
+    # budget by their count in the triples' invariants: D(n) under the
+    # constraint counts C(n//3 + 2, 2), 595 for D(100) and 1,378 for
+    # D(150)*D(3), which the grid needed 10,201 and 23,716 points for.
     for text in ("D(100) == D(100)", "D(150)*D(3) == D(3)*D(150)"):
         path.write_text(f"constraint: a*d - b*c = 0; {text}\n", encoding="utf-8")
         code, out, err = invoke(capsys, "verify", str(path), "--numeric")
         assert (code, err) == (0, "")
         assert out.startswith("PROVED over reduced_terms=0 ")
-    # Unconstrained, A(60)*B(40) needs C(100//2 + 3, 3) = 23,426 points of
-    # the invariants, still over the budget; the refusal names that count.
-    path.write_text("A(60)*B(40) == B(40)*A(60)\n", encoding="utf-8")
-    code, out, err = invoke(capsys, "verify", str(path), "--numeric")
-    assert (code, out) == (2, "")
-    assert err == (
-        "trigident: over: deciding it exactly needs at least 23426 integer points,"
-        " over the budget of 10000, and all 100 seeded draws agree; verify it symbolically instead\n"
-    )
+    # Unconstrained, A(60)*B(40) counts C(100//2 + 3, 3) = 23,426, and
+    # D(210)*D(210) under the constraint C(420//3 + 2, 2) = 10,011, both over
+    # the budget; the refusal names that count.
+    for text, count in (
+        ("A(60)*B(40) == B(40)*A(60)", 23426),
+        ("constraint: a*d - b*c = 0; D(210)*D(210) == D(210)^2", 10011),
+    ):
+        path.write_text(text + "\n", encoding="utf-8")
+        code, out, err = invoke(capsys, "verify", str(path), "--numeric")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"trigident: over: deciding it exactly needs at least {count} integer points,"
+            " over the budget of 10000, and all 100 seeded draws agree; verify it symbolically instead\n"
+        )
     # A false statement over the budget still gets its first seeded draw.
     path.write_text("constraint: a*d - b*c = 0; b^100*c^100 == b^100*c^100 + 1\n", encoding="utf-8")
     code, out, err = invoke(capsys, "verify", str(path), "--numeric")
     assert (code, err) == (1, "")
     assert out == "FALSIFIED over witness=(3/7,-8/5,7/8,-49/15)\n"
+
+
+@pytest.mark.parametrize(
+    "target",
+    ["ramanujan-6-10-8", "gen-3-7-5-six", "gen-3-7-5-three", "asym-6-8-r2",
+     "constraint: a*d - b*c = 0; D(200)*D(200) == D(200)^2"],
+)
+def test_verify_numeric_decides_brackets_and_numbers_by_the_power_sums(capsys, tmp_path, monkeypatch, target):
+    # No certificate point is evaluated: the sides are compared as
+    # polynomials in the triples' invariants, as symbolic verify does.
+    def no_blocks(*args):
+        raise AssertionError("evaluated a bracket statement at certificate points")
+
+    monkeypatch.setattr(identities, "_blocks", no_blocks)
+    if target not in CATALOG:
+        path = tmp_path / "d200.rid"
+        path.write_text(target + "\n", encoding="utf-8")
+        target = str(path)
+    code, out, err = invoke(capsys, "verify", target, "--numeric")
+    assert (code, err) == (0, "")
+    assert out.startswith("PROVED ")
+
+
+@pytest.mark.parametrize("route", [[], ["--numeric"]], ids=["symbolic", "numeric"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0*(A(2)+A(3)+B(2)+B(3))^80 == 0",
+        "((A(6)+B(6))^1000)^0 == 1",
+        "constraint: a*d - b*c = 0; 0*(D(2)+D(3))^200*D(5) == D(6)^0 - 1",
+    ],
+    ids=["zero-factor", "zeroth-power", "both-under-constraint"],
+)
+def test_verify_never_builds_what_a_zero_factor_or_zeroth_power_hides(capsys, tmp_path, monkeypatch, text, route):
+    # The degrees of the whole leave the hidden power out, and its power
+    # sums would take minutes or longer to build; no bracket is left to
+    # build once the sides are pruned.
+    def no_power_sums(self, triple, power):
+        raise AssertionError("built the power sums of a hidden subtree")
+
+    monkeypatch.setattr(identities._PowerSums, "of", no_power_sums)
+    path = tmp_path / "hidden.rid"
+    path.write_text(text + "\n", encoding="utf-8")
+    code, out, err = invoke(capsys, "verify", str(path), *route)
+    assert (code, err) == (0, "")
+    assert out.startswith("PROVED hidden reduced_terms=0 ")
 
 
 @pytest.mark.parametrize(

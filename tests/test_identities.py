@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trigident.algebra import Polynomial
+from trigident.dsl import parse
 from trigident.fourier import linearize_closed
 from trigident.identities import (
     CATALOG,
@@ -43,9 +44,10 @@ from trigident.identities import (
     _degrees,
     _first_difference,
     _integer_witness,
-    _invariant_certificate,
+    _invariant_count,
     _on_surface,
-    _proved_by_power_sums,
+    _power_sums_agree,
+    _pruned,
     _sample_point,
     _sides_agree,
     _triple,
@@ -742,6 +744,8 @@ def test_power_sums_are_the_papers_polar_reading():
         assert polar == _value(Bracket(BracketKind.A, power), sums), power
 
 
+
+
 bracket_expressions = st.recursive(
     st.one_of(rationals.map(Num), st.builds(Bracket, st.sampled_from(list(BracketKind)), st.integers(0, 12))),
     branches,
@@ -776,7 +780,7 @@ def bracket_statements():
 def test_power_sum_route_agrees_with_the_full_route(statement, seed):
     # The invariants are algebraically independent, so the power-sum route
     # decides the statement both ways.
-    assert _proved_by_power_sums(statement) is (not reduce_difference(statement))
+    assert _power_sums_agree(statement) is (not reduce_difference(statement))
     report = verify(statement, seed=seed)
     # The full route is the one a statement with a variable takes.
     with mock.patch.object(identities, "_degree_pass", side_effect=lambda s: (*_degree_pass(s)[:2], False)):
@@ -786,7 +790,9 @@ def test_power_sum_route_agrees_with_the_full_route(statement, seed):
 
 def test_only_bracket_statements_take_the_power_sum_route(monkeypatch):
     for statement in catalog():
-        assert _proved_by_power_sums(statement) is (statement.name != "asym-6-8-factored"), statement.name
+        bracket_only = statement.name != "asym-6-8-factored"
+        assert _degree_pass(statement)[2] is bracket_only, statement.name
+        assert not bracket_only or _power_sums_agree(statement), statement.name
 
     def no_table(self, constrained):
         raise AssertionError("built a power-sum table for a statement with a variable")
@@ -796,8 +802,26 @@ def test_only_bracket_statements_take_the_power_sum_route(monkeypatch):
     assert (report.verdict, report.reduced_terms, report.witness) == (Verdict.PROVED, 0, None)
 
 
+def test_pruning_drops_only_what_no_degree_shows():
+    zero, one, hidden = Num(Fraction(0)), Num(Fraction(1)), Pow(Add(Bracket(BracketKind.A, 2), Var("a")), 80)
+    ramanujan = catalog_entry("ramanujan-6-10-8")
+    assert _pruned(ramanujan.lhs) is ramanujan.lhs
+    cases = [
+        (Mul(hidden, zero), zero),
+        (Pow(hidden, 0), one),
+        (Pow(Mul(zero, hidden), 3), zero),
+        (Sub(Mul(zero, hidden), Pow(zero, 2)), zero),
+        (Add(Bracket(BracketKind.D, 3), Mul(Var("b"), Mul(hidden, zero))), Add(Bracket(BracketKind.D, 3), zero)),
+        (Mul(Pow(hidden, 0), Pow(Num(Fraction(2)), 3)), Mul(one, Pow(Num(Fraction(2)), 3))),
+    ]
+    point = _sample_point(False, random.Random(0))
+    for expr, expected in cases:
+        assert _pruned(expr) == expected
+        assert expr_value(expr, point) == expr_value(expected, point)
+
+
 # ----------------------------------------------------------------------
-# the invariant certificate
+# deciding brackets and numbers in the invariants
 
 
 def partial_derivative_at(polynomial, index, point):
@@ -845,46 +869,29 @@ def test_the_invariants_have_full_jacobian_rank():
     assert rank(jacobian) == 3
 
 
-def invariant_points(statement):
-    """The invariant certificate's points enumerated one by one, as a reference for its blocks.
-
-    They are (t^2, t^3*v, t^2*u, t^3*w) over the simplex lattice of (v, u, w)
-    of total degree max J // 2, or (t^2, t^3*v, t^2, t^3*w) over that of
-    (v, w) of total degree max J // 3 under the constraint, with t innermost.
-    """
-    degrees, _, _ = _degree_pass(statement)
-    top = max(degrees, default=0)
-    scales = range(1, len(degrees) + 1)
-    if statement.constrained:
-        total = top // 3
-        return [(t * t, t ** 3 * v, t * t, t ** 3 * w)
-                for v in range(total + 1) for w in range(total + 1 - v) for t in scales]
-    total = top // 2
-    return [(t * t, t ** 3 * v, t * t * u, t ** 3 * w)
-            for v in range(total + 1) for u in range(total + 1 - v) for w in range(total + 1 - v - u) for t in scales]
-
-
 @pytest.mark.parametrize(
     "name, points",
-    [("ramanujan-6-10-8", 21), ("gen-3-7-5-six", 10), ("gen-3-7-5-three", 56), ("asym-6-8-r2", 6)],
+    [
+        ("ramanujan-6-10-8", 21),
+        ("gen-3-7-5-six", 10),
+        ("gen-3-7-5-three", 56),
+        ("asym-6-8-r2", 6),
+        # Under the constraint C(max J//3 + 2, 2) for a single degree.
+        pytest.param("constraint: a*d - b*c = 0; D(100) == D(100)", 595, id="d100-595"),
+        pytest.param("constraint: a*d - b*c = 0; D(150)*D(3) == D(3)*D(150)", 1_378, id="d150-1378"),
+        pytest.param("constraint: a*d - b*c = 0; D(200)*D(200) == D(200)^2", 9_045, id="d200-9045"),
+        pytest.param("constraint: a*d - b*c = 0; D(210)*D(210) == D(210)^2", 10_011, id="d210-10011"),
+        # Unconstrained C(max J//2 + 3, 3).
+        pytest.param("A(60)*B(40) == B(40)*A(60)", 23_426, id="a60-23426"),
+    ],
 )
 def test_invariant_certificate_point_counts(name, points):
-    statement = catalog_entry(name)
+    # The bound on the power sums' terms that spot_check holds to the
+    # budget, and names when it refuses a statement over it.
+    statement = catalog_entry(name) if name in CATALOG else parse(name, "count")
     degrees, _, bracket_only = _degree_pass(statement)
     assert bracket_only
-    count, blocks = _invariant_certificate(statement.constrained, degrees)
-    blocks = list(blocks)
-    grid = block_points(blocks)
-    assert count == len(grid) == len(set(grid)) == points
-    assert grid == invariant_points(statement)
-    # At each point a side is its polynomial in (e2, e3, e2', e3'), the
-    # closed form of _PowerSums, evaluated there.
-    sums = _PowerSums(statement.constrained)
-    for side in (statement.lhs, statement.rhs):
-        value = _value(side, sums)
-        expected = [value.evaluate(point) if isinstance(value, Polynomial) else value for point in grid]
-        assert [v for block in blocks for v in block.values(side)] == expected
-        assert all(type(v) is int for block in blocks for v in block.values(side))
+    assert _invariant_count(statement.constrained, degrees) == points
 
 
 def grid_verdict(statement):
@@ -893,23 +900,17 @@ def grid_verdict(statement):
     return _first_difference(statement, blocks) is None
 
 
-def invariant_verdict(statement):
-    """Whether the invariant certificate proves the statement."""
-    degrees, _, bracket_only = _degree_pass(statement)
-    assert bracket_only
-    _, blocks = _invariant_certificate(statement.constrained, degrees)
-    return _first_difference(statement, blocks) is None
-
-
-def test_the_invariant_certificate_decides_the_catalog_as_the_grid_does():
+def test_the_power_sums_decide_the_catalog_as_the_grid_does():
     for statement in [*catalog(), corrupted_ramanujan()]:
         if _degree_pass(statement)[2]:
-            assert invariant_verdict(statement) is grid_verdict(statement) is (statement.name in CATALOG)
+            assert _power_sums_agree(statement) is grid_verdict(statement) is (statement.name in CATALOG)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(bracket_statements())
-# False, and equal wherever t = 1: 4*e2^2 against 4*e2, of weights 4 and 2.
+# Each example is false, yet its sides agree on a grid with one scale t, or
+# one lattice degree, too few.
+# Equal wherever t = 1: 4*e2^2 against 4*e2, of weights 4 and 2.
 @example(IdentityStatement("scales", Pow(Bracket(BracketKind.A, 2), 2),
                            Mul(Num(Fraction(-2)), Bracket(BracketKind.A, 2)), constrained=False))
 # False, and equal on the lattice one degree smaller: 3*e3 at e3 = 0; 9*e3*e3'
@@ -921,8 +922,8 @@ def test_the_invariant_certificate_decides_the_catalog_as_the_grid_does():
                            Num(Fraction(0)), constrained=True))
 @example(IdentityStatement("lattice", Pow(Bracket(BracketKind.B, 2), 2),
                            Mul(Bracket(BracketKind.A, 2), Bracket(BracketKind.B, 2)), constrained=False))
-def test_the_invariant_certificate_decides_what_the_grid_certificate_decides(statement):
-    assert invariant_verdict(statement) is grid_verdict(statement)
+def test_the_power_sums_decide_what_the_grid_certificate_decides(statement):
+    assert _power_sums_agree(statement) is grid_verdict(statement)
 
 
 def agreeing_at_the_first_draw(bracket, exponent=1):
@@ -949,15 +950,14 @@ def test_verify_falsifies_a_bracket_statement_without_expanding():
 
 
 def test_spot_check_reports_the_grid_point_when_every_draw_agrees():
-    # The invariant certificate says false, and the one draw agrees: the
-    # witness is the first point of today's certificate where the sides
-    # differ, as before.
+    # The power sums say false, and the one draw agrees: the witness is the
+    # first point of the grid certificate where the sides differ.
     statement = agreeing_at_the_first_draw(Bracket(BracketKind.A, 2))
     report = spot_check(statement, trials=1)
     first = next(point for point in certificate_points(statement)
                  if reference_value(statement.lhs, point) != reference_value(statement.rhs, point))
     assert (report.verdict, report.witness, report.reduced_terms) == (Verdict.FALSIFIED, first, 11)
-    # A(2)^15 needs 1,632 points of the invariants but 10,912 of the grid, so
+    # A(2)^15 counts 1,632 in the invariants but needs 10,912 grid points, so
     # the witness is the expanded difference's integer point, as in verify.
     statement = agreeing_at_the_first_draw(Bracket(BracketKind.A, 2), 15)
     assert _certificate(statement) == (10_912, None)
