@@ -144,9 +144,10 @@ def _resolve_statement(target: str) -> IdentityStatement:
         raise CliError(f"{target}: {exc}") from exc
     except (OSError, ValueError):
         # Unreadable: a path that exists reports why, one that does not is
-        # a missing file or, without the .rid suffix, an unknown name.
+        # a missing file or, without the .rid suffix, an unknown name.  The
+        # empty target is a name: as a path it would be the directory ".".
         path = Path(target)
-        if path.exists():
+        if target and path.exists():
             raise
         if path.suffix == ".rid":
             raise CliError(f"no such file: {target}") from None

@@ -29,17 +29,19 @@ triples' invariants (e2, e3, e2', e3'), with e2' = e2 under the constraint,
 by Newton's identities (``_PowerSums``).  The invariants are algebraically
 independent, so it holds exactly when that polynomial is zero, and
 ``verify`` and ``spot_check`` both decide it there, by the same
-comparison of its ``_pruned`` sides.  ``verify`` decides any other
-statement by its first seeded random draw, where a disagreement falsifies
-it, and otherwise by expanding the difference.  ``spot_check`` decides it
-by exact evaluation, ``_BLOCK_SIZE`` points at a time, at the integer
-points (a, b, c, d) of ``_certificate``, where agreement at all of them is
+comparison of its sides.  ``verify`` decides any other statement by its
+first seeded random draw, where a disagreement falsifies it, and
+otherwise by expanding the difference.  ``spot_check`` decides it by
+exact evaluation, ``_BLOCK_SIZE`` points at a time, at the integer points
+(a, b, c, d) of ``_grid_certificate``, where agreement at all of them is
 a certificate that it holds.  Only a false statement, or one over
 ``_POINT_BUDGET``, runs the seeded random draws that pick the reported
 witness.  A falsified report counts the terms of the expanded difference
-only when its ``reduced_terms`` is read.  Both refuse a statement with a
-node of degree over ``_POINT_BUDGET``, or a power of a constant with
-exponent over it.
+only when its ``reduced_terms`` is read.  Both first make one degree
+pass, ``_degree_pass``, which refuses a statement with a node of degree
+over ``_POINT_BUDGET``, or a power of a constant with exponent over it,
+and prunes it: a subtree that is zero by construction becomes 0 and a
+zeroth power 1.  Every route then evaluates the pruned statement.
 """
 
 from __future__ import annotations
@@ -238,37 +240,8 @@ def _on_surface(a, b, c):
     return a, a * b, a * c, a * b * c
 
 
-def _sides_agree(statement: IdentityStatement, point: tuple) -> bool:
+def _sides_agree(statement: IdentityStatement, point: Union[tuple, _PowerSums]) -> bool:
     return _value(statement.lhs, point) == _value(statement.rhs, point)
-
-
-_ZERO, _ONE = Num(Fraction(0)), Num(Fraction(1))
-
-
-def _pruned(expr: Expr) -> Expr:
-    """``expr`` with each subtree that ``_degrees`` gives no degree made 0, and each zeroth power 1.
-
-    The value is the same at every point; an unchanged tree comes back as itself.
-    """
-    nodes = []
-    for node in _postorder(expr):
-        kind = type(node)
-        if kind is Pow:
-            base = nodes.pop()
-            if node.exponent == 0:
-                node = _ONE
-            elif base is _ZERO or base is not node.base:
-                node = base if base is _ZERO else Pow(base, node.exponent)
-        elif kind in _OPERATORS:
-            right, left = nodes.pop(), nodes.pop()
-            if (left is _ZERO or right is _ZERO) if kind is Mul else (left is _ZERO and right is _ZERO):
-                node = _ZERO
-            elif left is not node.left or right is not node.right:
-                node = kind(left, right)
-        elif kind is Num and node.value == 0:
-            node = _ZERO
-        nodes.append(node)
-    return nodes.pop()
 
 
 # ----------------------------------------------------------------------
@@ -313,9 +286,8 @@ class _PowerSums:
 
 
 def _power_sums_agree(statement: IdentityStatement) -> bool:
-    """Whether a statement of brackets and numbers holds: its ``_pruned`` sides are equal in ``_PowerSums``."""
-    sums = _PowerSums(statement.constrained)
-    return _value(_pruned(statement.lhs), sums) == _value(_pruned(statement.rhs), sums)
+    """Whether a statement of brackets and numbers holds: its sides are equal in ``_PowerSums``."""
+    return _sides_agree(statement, _PowerSums(statement.constrained))
 
 
 # ----------------------------------------------------------------------
@@ -345,47 +317,61 @@ def _power_sums_agree(statement: IdentityStatement) -> bool:
 _POINT_BUDGET = 10_000
 
 _CONSTANT = frozenset({0})
+_ZERO, _ONE = Num(Fraction(0)), Num(Fraction(1))
 
 
-def _degrees(expr: Expr, free: str) -> tuple[frozenset[int], tuple[int, ...], bool]:
-    """The homogeneous degrees J of an expression, a degree bound per free variable, and whether it has no variable.
+def _degrees(expr: Expr, free: str) -> tuple[Expr, frozenset[int], tuple[int, ...], bool]:
+    """The pruned expression, its homogeneous degrees J, a degree bound per free variable, and whether it has no variable.
 
     ``free`` is "bcd", or "bc" under the constraint, where d := b*c; a
     becomes the scale t.  J is empty for a tree that is zero by
-    construction.  Raises ``ValueError`` as ``_postorder`` does, for a node
-    of degree or a power of a constant with exponent over the budget, and
-    as soon as J outgrows it, before building J where its size follows.
+    construction, and this is the one place that prunes: a node with
+    empty J becomes 0 and a zeroth power 1, so the value is the same at
+    every point, and an unchanged tree comes back as itself.  J, the
+    bounds and the flag are those of the tree as given.  Raises
+    ``ValueError`` as ``_postorder`` does, for a node of degree or a power
+    of a constant with exponent over the budget, and as soon as J
+    outgrows it, before building J where its size follows.
     """
     nodes, bracket_only = [], True
     for node in _postorder(expr):
-        if isinstance(node, Num):
+        kind = type(node)
+        if kind is Num:
             degrees, bounds = (frozenset() if node.value == 0 else _CONSTANT), (0,) * len(free)
-        elif isinstance(node, Var):
+        elif kind is Var:
             names = "bc" if node.name == "d" and "d" not in free else node.name
             degrees, bounds = frozenset({1}), tuple(int(name in names) for name in free)
             bracket_only = False
-        elif isinstance(node, Bracket):
+        elif kind is Bracket:
             degrees, bounds = frozenset({node.power}), (node.power,) * len(free)
-        elif isinstance(node, Pow):
-            base, base_bounds = nodes.pop()
-            if node.exponent > _POINT_BUDGET and not any(base):
+        elif kind is Pow:
+            base, base_degrees, base_bounds = nodes.pop()
+            if node.exponent > _POINT_BUDGET and not any(base_degrees):
                 # Degree 0, but the value of the power is still huge.
                 raise _over_budget(f"exponent {node.exponent}")
-            degrees, bounds = _multiple(base, node.exponent), tuple(node.exponent * bound for bound in base_bounds)
+            degrees = _multiple(base_degrees, node.exponent)
+            bounds = tuple(node.exponent * bound for bound in base_bounds)
+            if node.exponent == 0:
+                node = _ONE
+            elif base is not node.base:
+                node = Pow(base, node.exponent)
         else:
-            right, right_bounds = nodes.pop()
-            left, left_bounds = nodes.pop()
-            if isinstance(node, Mul):
-                degrees, bounds = _sumset(left, right), tuple(x + y for x, y in zip(left_bounds, right_bounds))
+            right, right_degrees, right_bounds = nodes.pop()
+            left, left_degrees, left_bounds = nodes.pop()
+            if kind is Mul:
+                degrees, bounds = _sumset(left_degrees, right_degrees), tuple(map(add, left_bounds, right_bounds))
             else:
-                degrees, bounds = left | right, tuple(map(max, left_bounds, right_bounds))
+                degrees, bounds = left_degrees | right_degrees, tuple(map(max, left_bounds, right_bounds))
                 _within_budget(len(degrees))
-        # Bound every node, not only the difference: a zero factor or a zeroth
-        # power would hide a huge one from the whole, but not from evaluation.
+            if left is not node.left or right is not node.right:
+                node = kind(left, right)
+        # Bound every node, not only the difference, and before it is pruned: a
+        # zero factor or a zeroth power hides a huge one from the whole.
         top = max(degrees, default=0)
         if top > _POINT_BUDGET:
             raise _over_budget(f"degree {top}")
-        nodes.append((degrees, bounds))
+        # A zero constant is 0 already.
+        nodes.append((node if degrees or kind is Num else _ZERO, degrees, bounds))
     return (*nodes.pop(), bracket_only)
 
 
@@ -425,23 +411,18 @@ def _multiple(degrees: frozenset[int], exponent: int) -> frozenset[int]:
     return result
 
 
-def _certificate(statement: IdentityStatement) -> tuple[int, Optional[Iterator[_Block]]]:
-    """How many integer points prove the statement by agreement, and the points, a block at a time.
+def _grid_certificate(
+    constrained: bool, degrees: frozenset[int], bounds: tuple[int, ...]
+) -> tuple[int, Optional[Iterator[_Block]]]:
+    """How many integer points prove a statement by agreement, and the points, a block at a time.
 
+    ``degrees`` and ``bounds`` are the statement's from ``_degree_pass``.
     Points are t*(1, b, c, d), or ``_on_surface(t, b, c)`` under the
     constraint, for (b, c[, d]) on the smaller of the tensor grid and the
     simplex lattice, in lexicographic order, and t = 1..|J| innermost; the
     blocks are built lazily.  They are None when there would be more than
-    _POINT_BUDGET points.  Raises ``ValueError`` as ``_degree_pass`` does.
+    _POINT_BUDGET points.
     """
-    degrees, bounds, _ = _degree_pass(statement)
-    return _grid_certificate(statement.constrained, degrees, bounds)
-
-
-def _grid_certificate(
-    constrained: bool, degrees: frozenset[int], bounds: tuple[int, ...]
-) -> tuple[int, Optional[Iterator[_Block]]]:
-    """``_certificate`` from the statement's ``_degree_pass``."""
     top = max(degrees, default=0)
     sides = [min(bound, top) + 1 for bound in bounds]
     # Under the constraint the simplex lattice, of total degree 2*max J in
@@ -466,20 +447,27 @@ def _invariant_count(constrained: bool, degrees: frozenset[int]) -> int:
     from j, and k + l + m <= j/2; under the constraint, where e2' = e2, it
     follows from (k, m), with k + m <= j/3.  So |J|*C(floor(max J/2) + 3,
     3), or |J|*C(floor(max J/3) + 2, 2) under the constraint, bounds the
-    terms of the power sums' difference, and of each node of the
-    ``_pruned`` sides, whose degrees are never more, nor larger, than J's.
+    terms of the power sums' difference, and of each node of the sides
+    that ``_degrees`` prunes, whose degrees are never more, nor larger,
+    than J's.
     """
     dimension, weight = (2, 3) if constrained else (3, 2)
     return len(degrees) * comb(max(degrees, default=0) // weight + dimension, dimension)
 
 
-def _degree_pass(statement: IdentityStatement) -> tuple[frozenset[int], tuple[int, ...], bool]:
-    """``_degrees`` of lhs - rhs; its ``ValueError`` is prefixed with the statement's name."""
+def _degree_pass(statement: IdentityStatement) -> tuple[IdentityStatement, frozenset[int], tuple[int, ...], bool]:
+    """``_degrees`` of lhs - rhs, led by the statement as pruned; its ``ValueError`` is prefixed with the name."""
     free = "bc" if statement.constrained else "bcd"
+    difference = Sub(statement.lhs, statement.rhs)
     try:
-        return _degrees(Sub(statement.lhs, statement.rhs), free)
+        pruned, *rest = _degrees(difference, free)
     except ValueError as exc:
         raise ValueError(f"{statement.name}: {exc}") from None
+    if pruned is not difference:
+        # Only a difference of two zeros is pruned whole.
+        lhs, rhs = (_ZERO, _ZERO) if pruned is _ZERO else (pruned.left, pruned.right)
+        statement = replace(statement, lhs=lhs, rhs=rhs)
+    return (statement, *rest)
 
 
 # The grid coordinates come as streams, one value per certificate point, so
@@ -694,10 +682,11 @@ def verify(statement: IdentityStatement, seed: int = 0) -> VerificationReport:
     the remaining draws where the sides differ, else at ``_integer_witness``
     of the expanded difference.  ``reduced_terms`` is counted on first read
     when the difference was not expanded.  ``ValueError`` is raised as in
-    ``spot_check``, before either route runs.
+    ``spot_check``, before either route runs.  Every route evaluates the
+    statement as ``_degree_pass`` prunes it.
     """
     start = time.perf_counter()
-    *_, bracket_only = _degree_pass(statement)
+    statement, *_, bracket_only = _degree_pass(statement)
     if bracket_only and _power_sums_agree(statement):
         return _report(statement, start)
     # A false statement's difference is a nonzero polynomial, so random
@@ -725,25 +714,27 @@ def spot_check(statement: IdentityStatement, trials: int = _WITNESS_DRAWS, seed:
 
     A statement of brackets and numbers alone is decided as ``verify``
     decides it, by ``_power_sums_agree``.  Any other statement is evaluated
-    at the integer points of ``_certificate``, a ``_Block`` at a time, and
-    agreement at every one proves it, exactly as ``verify`` would.  On a
+    at the integer points of ``_grid_certificate``, a ``_Block`` at a time,
+    and agreement at every one proves it, exactly as ``verify`` would.  On a
     disagreement the witness is the first of ``trials`` seeded draws where
     the sides differ: free coordinates are nonzero rationals with numerator
     and denominator bounded by 9, and d = b*c/a under the constraint, so
     a*d = b*c exactly.  If every draw agrees, it is the first point of
-    ``_certificate`` where they differ, or, over its budget,
+    that certificate where they differ, or, over its budget,
     ``_integer_witness`` of the expanded difference.  A node of degree over
     ``_POINT_BUDGET``, or a power of a constant with exponent over it,
     raises ``ValueError`` at once.  A statement with more certificate points
     than that, or an ``_invariant_count`` over it, gets the draws alone, and
     ``ValueError`` naming the count if every draw agrees.  A FALSIFIED
     report counts the terms of ``reduce_difference`` on the first read of
-    its ``reduced_terms``.
+    its ``reduced_terms``.  As in ``verify``, the counts come from the
+    statement as given, and every route evaluates it as ``_degree_pass``
+    prunes it.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     start = time.perf_counter()
-    degrees, bounds, bracket_only = _degree_pass(statement)
+    statement, degrees, bounds, bracket_only = _degree_pass(statement)
     if bracket_only:
         count = _invariant_count(statement.constrained, degrees)
         holds = count <= _POINT_BUDGET and _power_sums_agree(statement)
@@ -763,17 +754,18 @@ def spot_check(statement: IdentityStatement, trials: int = _WITNESS_DRAWS, seed:
             f" points, over the budget of {_POINT_BUDGET}, and all {trials} seeded draws"
             " agree; verify it symbolically instead"
         )
-    return _report(statement, start, *_certificate_witness(statement))
+    return _report(statement, start, *_certificate_witness(statement, degrees, bounds))
 
 
-def _certificate_witness(statement: IdentityStatement) -> tuple[Point, Optional[int]]:
+def _certificate_witness(statement: IdentityStatement, degrees: frozenset, bounds: tuple) -> tuple[Point, Optional[int]]:
     """Where the sides of a false statement differ, and the term count if it was expanded to find out.
 
-    The first point of ``_certificate`` where they differ; over its budget,
-    which only a statement of brackets and numbers reaches here,
-    ``_integer_witness`` of the expanded difference, as in ``verify``.
+    The first point of ``_grid_certificate`` of its ``degrees`` and
+    ``bounds`` where they differ; over its budget, which only a statement
+    of brackets and numbers reaches here, ``_integer_witness`` of the
+    expanded difference, as in ``verify``.
     """
-    _, blocks = _certificate(statement)
+    _, blocks = _grid_certificate(statement.constrained, degrees, bounds)
     if blocks is not None:
         return tuple(map(Fraction, _first_difference(statement, blocks))), None
     reduced = reduce_difference(statement)

@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigident import identities
+from trigident.algebra import Polynomial
 from trigident.cli import CliError, build_parser, run
 from trigident.dsl import load_statement
 from trigident.fourier import POWER_BUDGET
-from trigident.identities import CATALOG, _certificate, expr_value
+from trigident.identities import CATALOG, _degree_pass, _grid_certificate, expr_value
 
 
 def invoke(capsys, *argv):
@@ -250,6 +251,12 @@ def test_verify_finds_a_witness_when_every_draw_is_a_root(capsys, tmp_path, cons
         assert a * d == b * c
 
 
+def certificate(statement):
+    """The statement's ``_grid_certificate``, from its own degree pass."""
+    _, degrees, bounds, _ = _degree_pass(statement)
+    return _grid_certificate(statement.constrained, degrees, bounds)
+
+
 def test_verify_numeric_falsifies_a_statement_that_vanishes_on_the_sampling_box(capsys, tmp_path):
     # Every seeded draw is a root, so the witness is the certificate's
     # integer point: a = 10 is the first of t = 1..111 that is no root.
@@ -261,7 +268,7 @@ def test_verify_numeric_falsifies_a_statement_that_vanishes_on_the_sampling_box(
     witness = tuple(Fraction(v) for v in out[out.index("(") + 1:out.rindex(")")].split(","))
     statement = load_statement(path)
     assert expr_value(statement.lhs, witness) != expr_value(statement.rhs, witness)
-    count, blocks = _certificate(statement)
+    count, blocks = certificate(statement)
     assert count == sum(map(len, blocks)) == 111
 
 
@@ -276,7 +283,7 @@ def test_verify_numeric_reports_the_first_disagreement_past_the_first_block(caps
     code, out, err = invoke(capsys, "verify", str(path), "--numeric")
     assert (code, err) == (1, "")
     assert out == "FALSIFIED roots witness=(141,0,0,0)\n"
-    count, blocks = _certificate(load_statement(path))
+    count, blocks = certificate(load_statement(path))
     points = [block.point(index) for block in blocks for index in range(len(block))]
     assert count == len(points) == 242
     assert identities._BLOCK_SIZE < points.index((141, 0, 0, 0)) < 2 * identities._BLOCK_SIZE
@@ -411,6 +418,56 @@ def test_verify_never_builds_what_a_zero_factor_or_zeroth_power_hides(capsys, tm
     code, out, err = invoke(capsys, "verify", str(path), *route)
     assert (code, err) == (0, "")
     assert out.startswith("PROVED hidden reduced_terms=0 ")
+
+
+def no_hidden_powers(monkeypatch):
+    """Make building any power fail, expanded or at certificate points."""
+    def no_power(self, exponent):
+        raise AssertionError("built a power that a zero factor or zeroth power hides")
+
+    monkeypatch.setattr(Polynomial, "__pow__", no_power)
+    monkeypatch.setattr(identities._Column, "__pow__", no_power)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0*(a+b+c+d)^80 == 0",
+        "((a+b+c+d)^80)^0 == 1",
+        "constraint: a*d - b*c = 0; 0*(a+b+c+d)^80*D(5) + a*d == b*c + ((a+b)^60)^0 - 1",
+    ],
+    ids=["zero-factor", "zeroth-power", "both-under-constraint"],
+)
+def test_verify_never_builds_a_hidden_subtree_with_a_variable(capsys, tmp_path, monkeypatch, text):
+    # Expanded, (a+b+c+d)^80 has 91,881 terms and takes tens of seconds to
+    # build.  Every route evaluates the statement as the degree pass prunes
+    # it, and then no power is left.
+    no_hidden_powers(monkeypatch)
+    path = tmp_path / "hidden.rid"
+    path.write_text(text + "\n", encoding="utf-8")
+    for route in [], ["--numeric"]:
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "verify", str(path), *route)
+        assert time.perf_counter() - start < 1.0, route
+        assert (code, err) == (0, ""), route
+        assert out.startswith("PROVED hidden reduced_terms=0 "), route
+
+
+@pytest.mark.parametrize("route", [[], ["--numeric"]], ids=["symbolic", "numeric"])
+def test_a_false_statement_with_a_hidden_subtree_counts_the_pruned_difference(capsys, tmp_path, monkeypatch, route):
+    # The JSON count expands the pruned difference, a, and the witness is
+    # the first seed-0 draw.
+    no_hidden_powers(monkeypatch)
+    path = tmp_path / "hidden.rid"
+    path.write_text("0*(a+b+c+d)^80 + a == 0\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "verify", str(path), "--format", "json", *route)
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert (report["verdict"], report["reduced_terms"], report["witness"]) == (
+        "FALSIFIED", 1, ["3/7", "-8/5", "7/8", "3/5"]
+    )
 
 
 @pytest.mark.parametrize(
@@ -568,6 +625,8 @@ def test_verify_unreadable_targets_exit_two_with_pinned_stderr(capsys, tmp_path,
         # A path the operating system cannot name does not exist.
         "nul\0.rid": "no such file: nul\0.rid",
         "nul\0": "unknown identity 'nul\\x00': not a catalog name or .rid file",
+        # Not the working directory, which the empty path would name.
+        "": "unknown identity '': not a catalog name or .rid file",
     }
     for target, message in cases.items():
         assert invoke(capsys, "verify", target) == (2, "", f"trigident: {message}\n"), target

@@ -39,15 +39,14 @@ from trigident import identities
 from trigident.identities import (
     _WITNESS_DRAWS,
     _PowerSums,
-    _certificate,
     _degree_pass,
     _degrees,
     _first_difference,
+    _grid_certificate,
     _integer_witness,
     _invariant_count,
     _on_surface,
     _power_sums_agree,
-    _pruned,
     _sample_point,
     _sides_agree,
     _triple,
@@ -314,13 +313,19 @@ def test_negative_powers_raise_on_both_routes():
 )
 def test_certificate_point_counts(name, points):
     statement = catalog_entry(name)
-    count, blocks = _certificate(statement)
+    count, blocks = certificate(statement)
     grid = block_points(blocks)
     assert count == len(grid) == len(set(grid)) == points
     assert grid == certificate_points(statement)
     for a, b, c, d in grid:
         assert a >= 1
         assert a * d == b * c or not statement.constrained
+
+
+def certificate(statement):
+    """The statement's ``_grid_certificate``, from its own degree pass."""
+    _, degrees, bounds, _ = _degree_pass(statement)
+    return _grid_certificate(statement.constrained, degrees, bounds)
 
 
 def block_points(blocks):
@@ -334,7 +339,7 @@ def certificate_points(statement):
     They are t*(1, b, c, d), or (t, t*b, t*c, t*b*c) under the constraint,
     over the smaller grid in lexicographic order, with t innermost.
     """
-    degrees, bounds, _ = _degree_pass(statement)
+    _, degrees, bounds, _ = _degree_pass(statement)
     top = max(degrees, default=0)
     sides = [min(bound, top) + 1 for bound in bounds]
     if not statement.constrained and comb(top + 3, 3) < prod(sides):
@@ -352,7 +357,7 @@ def values_by_block(statement):
 
     They must be what ``_value`` gives point by point, of the same types.
     """
-    _, blocks = _certificate(statement)
+    _, blocks = certificate(statement)
     if blocks is None:
         return []
     by_block = [
@@ -384,12 +389,15 @@ def test_values_at_certificate_points_are_ints():
 
 
 def test_degree_sets_are_sumsets():
-    # The last member says whether the tree has no variable.
+    # The first member is the pruned tree, the last says whether the tree
+    # has no variable.
     sum_of_two = Add(Mul(Var("a"), Var("b")), Pow(Add(Var("a"), Bracket(BracketKind.D, 5)), 2))
-    assert _degrees(sum_of_two, "bcd") == (frozenset({2, 10, 6}), (10, 10, 10), False)
-    assert _degrees(Mul(Num(Fraction(0)), Var("d")), "bc") == (frozenset(), (1, 1), False)
-    assert _degrees(Pow(Num(Fraction(0)), 0), "bc") == (frozenset({0}), (0, 0), True)
-    assert _degrees(Mul(Bracket(BracketKind.A, 2), Num(Fraction(3))), "bc") == (frozenset({2}), (2, 2), True)
+    assert _degrees(sum_of_two, "bcd") == (sum_of_two, frozenset({2, 10, 6}), (10, 10, 10), False)
+    zero, one = Num(Fraction(0)), Num(Fraction(1))
+    assert _degrees(Mul(zero, Var("d")), "bc") == (zero, frozenset(), (1, 1), False)
+    assert _degrees(Pow(zero, 0), "bc") == (one, frozenset({0}), (0, 0), True)
+    three_a2 = Mul(Bracket(BracketKind.A, 2), Num(Fraction(3)))
+    assert _degrees(three_a2, "bc") == (three_a2, frozenset({2}), (2, 2), True)
 
 
 def test_a_huge_power_is_over_budget_before_any_degree_set_is_built(monkeypatch):
@@ -405,7 +413,7 @@ def test_a_huge_power_is_over_budget_before_any_degree_set_is_built(monkeypatch)
 def test_a_certificate_over_the_point_budget_has_no_points():
     # (100 + 1)^2 points on the (b, c) grid, for the single degree 100.
     statement = IdentityStatement("over", Bracket(BracketKind.D, 100), Bracket(BracketKind.D, 100), constrained=True)
-    assert _certificate(statement) == (10_201, None)
+    assert certificate(statement) == (10_201, None)
 
 
 # ----------------------------------------------------------------------
@@ -783,7 +791,7 @@ def test_power_sum_route_agrees_with_the_full_route(statement, seed):
     assert _power_sums_agree(statement) is (not reduce_difference(statement))
     report = verify(statement, seed=seed)
     # The full route is the one a statement with a variable takes.
-    with mock.patch.object(identities, "_degree_pass", side_effect=lambda s: (*_degree_pass(s)[:2], False)):
+    with mock.patch.object(identities, "_degree_pass", side_effect=lambda s: (*_degree_pass(s)[:3], False)):
         full = verify(statement, seed=seed)
     assert (report.verdict, report.witness, report.reduced_terms) == (full.verdict, full.witness, full.reduced_terms)
 
@@ -791,7 +799,7 @@ def test_power_sum_route_agrees_with_the_full_route(statement, seed):
 def test_only_bracket_statements_take_the_power_sum_route(monkeypatch):
     for statement in catalog():
         bracket_only = statement.name != "asym-6-8-factored"
-        assert _degree_pass(statement)[2] is bracket_only, statement.name
+        assert _degree_pass(statement)[3] is bracket_only, statement.name
         assert not bracket_only or _power_sums_agree(statement), statement.name
 
     def no_table(self, constrained):
@@ -804,8 +812,10 @@ def test_only_bracket_statements_take_the_power_sum_route(monkeypatch):
 
 def test_pruning_drops_only_what_no_degree_shows():
     zero, one, hidden = Num(Fraction(0)), Num(Fraction(1)), Pow(Add(Bracket(BracketKind.A, 2), Var("a")), 80)
+    # The degree pass prunes as it goes; what it leaves is returned as itself.
     ramanujan = catalog_entry("ramanujan-6-10-8")
-    assert _pruned(ramanujan.lhs) is ramanujan.lhs
+    assert _degrees(ramanujan.lhs, "bc")[0] is ramanujan.lhs
+    assert _degree_pass(ramanujan)[0] is ramanujan
     cases = [
         (Mul(hidden, zero), zero),
         (Pow(hidden, 0), one),
@@ -816,7 +826,7 @@ def test_pruning_drops_only_what_no_degree_shows():
     ]
     point = _sample_point(False, random.Random(0))
     for expr, expected in cases:
-        assert _pruned(expr) == expected
+        assert _degrees(expr, "bcd")[0] == expected
         assert expr_value(expr, point) == expr_value(expected, point)
 
 
@@ -889,20 +899,20 @@ def test_invariant_certificate_point_counts(name, points):
     # The bound on the power sums' terms that spot_check holds to the
     # budget, and names when it refuses a statement over it.
     statement = catalog_entry(name) if name in CATALOG else parse(name, "count")
-    degrees, _, bracket_only = _degree_pass(statement)
+    _, degrees, _, bracket_only = _degree_pass(statement)
     assert bracket_only
     assert _invariant_count(statement.constrained, degrees) == points
 
 
 def grid_verdict(statement):
     """Whether today's (a, b, c, d) certificate proves the statement."""
-    _, blocks = _certificate(statement)
+    _, blocks = certificate(statement)
     return _first_difference(statement, blocks) is None
 
 
 def test_the_power_sums_decide_the_catalog_as_the_grid_does():
     for statement in [*catalog(), corrupted_ramanujan()]:
-        if _degree_pass(statement)[2]:
+        if _degree_pass(statement)[3]:
             assert _power_sums_agree(statement) is grid_verdict(statement) is (statement.name in CATALOG)
 
 
@@ -960,7 +970,7 @@ def test_spot_check_reports_the_grid_point_when_every_draw_agrees():
     # A(2)^15 counts 1,632 in the invariants but needs 10,912 grid points, so
     # the witness is the expanded difference's integer point, as in verify.
     statement = agreeing_at_the_first_draw(Bracket(BracketKind.A, 2), 15)
-    assert _certificate(statement) == (10_912, None)
+    assert certificate(statement) == (10_912, None)
     reduced = reduce_difference(statement)
     report = spot_check(statement, trials=1)
     witness = _integer_witness(reduced, constrained=False)
