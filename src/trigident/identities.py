@@ -27,17 +27,15 @@ the zero polynomial for P = lhs - rhs, and otherwise when P itself is.  A
 statement of brackets and numbers alone is a polynomial in the two
 triples' invariants (e2, e3, e2', e3'), with e2' = e2 under the constraint,
 by Newton's identities (``_PowerSums``).  The invariants are algebraically
-independent, so it holds exactly when that polynomial is zero, and
-``verify`` and ``spot_check`` both decide it there, by the same
-comparison of its sides.  ``verify`` decides any other statement by its
-first seeded random draw, where a disagreement falsifies it, and
-otherwise by expanding the difference.  ``spot_check`` decides it by
-exact evaluation, ``_BLOCK_SIZE`` points at a time, at the integer points
-(a, b, c, d) of ``_grid_certificate``, where agreement at all of them is
-a certificate that it holds.  Only a false statement, or one over
-``_POINT_BUDGET``, runs the seeded random draws that pick the reported
-witness.  A falsified report counts the terms of the expanded difference
-only when its ``reduced_terms`` is read.  Both first make one degree
+independent, so it holds exactly when that polynomial is zero.  Any other
+statement holds exactly when its sides agree at every integer point
+(a, b, c, d) of ``_grid_certificate``, evaluated ``_BLOCK_SIZE`` points at
+a time.  ``_decide`` is the one home of that decision, and ``verify`` and
+``spot_check`` both make it; over ``_POINT_BUDGET`` points ``verify``
+expands a statement with a variable, and ``spot_check`` refuses it once
+its draws agree.  Seeded random draws pick a false statement's witness,
+and a falsified report counts the terms of the expanded difference only
+when its ``reduced_terms`` is read.  ``_decide`` first makes one degree
 pass, ``_degree_pass``, which refuses a statement with a node of degree
 over ``_POINT_BUDGET``, or a power of a constant with exponent over it,
 and prunes it: a subtree that is zero by construction becomes 0 and a
@@ -619,6 +617,30 @@ def _first_difference(statement: IdentityStatement, blocks: Iterable[_Block]) ->
     return next(filter(None, (block.disagreement(statement) for block in blocks)), None)
 
 
+_HOLDS, _FAILS, _OVER_BUDGET = "holds", "fails", "over budget"
+
+
+def _decide(statement: IdentityStatement) -> tuple[IdentityStatement, frozenset[int], tuple[int, ...], bool, str]:
+    """The one decision of both routes, after the one ``_degree_pass``.
+
+    A statement of brackets and numbers holds exactly when
+    ``_power_sums_agree``, and any other exactly when its sides agree at
+    every point of ``_grid_certificate``.  Returns the pruned statement, J,
+    the bounds, whether it is of brackets and numbers, and ``_HOLDS``,
+    ``_FAILS``, or ``_OVER_BUDGET`` when its ``_invariant_count`` or grid
+    is over ``_POINT_BUDGET``, and nothing was compared.
+    """
+    statement, degrees, bounds, bracket_only = _degree_pass(statement)
+    if bracket_only:
+        within = _invariant_count(statement.constrained, degrees) <= _POINT_BUDGET
+        holds = within and _power_sums_agree(statement)
+    else:
+        _, blocks = _grid_certificate(statement.constrained, degrees, bounds)
+        within = blocks is not None
+        holds = within and _first_difference(statement, blocks) is None
+    return statement, degrees, bounds, bracket_only, (_HOLDS if holds else _FAILS) if within else _OVER_BUDGET
+
+
 # ----------------------------------------------------------------------
 # verification
 
@@ -661,7 +683,7 @@ def reduce_difference(statement: IdentityStatement) -> Polynomial:
     """lhs - rhs expanded at (a, b, c, d), or at ``_on_surface(a, b, c)`` when constrained.
 
     Under the constraint the result is P(a, a*b, a*c, a*b*c) for P = lhs -
-    rhs, the polynomial ``spot_check`` evaluates at its certificate; it is
+    rhs, the polynomial ``_decide`` evaluates at its certificate; it is
     zero exactly when the statement holds on the a != 0 chart of a*d = b*c.
     """
     point = _on_surface(*_VARIABLE_POINT[:3]) if statement.constrained else _VARIABLE_POINT
@@ -671,38 +693,35 @@ def reduce_difference(statement: IdentityStatement) -> Polynomial:
 def verify(statement: IdentityStatement, seed: int = 0) -> VerificationReport:
     """Symbolic verdict; a FALSIFIED verdict carries a concrete witness.
 
-    A statement of brackets and numbers alone is PROVED, without expanding
-    anything, when ``_power_sums_agree``, on every point of the constraint
-    surface when constrained; otherwise it is false.  A false statement, and
-    any statement with a variable, then has the first of ``_WITNESS_DRAWS``
-    seeded random draws (see ``spot_check``) evaluated: where the sides
-    differ, it is FALSIFIED there and nothing is expanded.  Where they
-    agree, a statement with a variable is expanded by ``reduce_difference``,
-    which proves a zero difference; a false one is FALSIFIED at the first of
-    the remaining draws where the sides differ, else at ``_integer_witness``
-    of the expanded difference.  ``reduced_terms`` is counted on first read
-    when the difference was not expanded.  ``ValueError`` is raised as in
-    ``spot_check``, before either route runs.  Every route evaluates the
-    statement as ``_degree_pass`` prunes it.
+    The statement is decided by ``_decide``, as ``spot_check`` decides it.
+    Brackets and numbers over the budget are still compared in the power
+    sums.  A statement with a variable over the grid's budget has the first
+    of ``_WITNESS_DRAWS`` seeded draws (see ``spot_check``) evaluated, and
+    where they agree it is expanded by ``reduce_difference``, which proves
+    a zero difference.  A false statement is FALSIFIED at the first of the
+    draws where the sides differ, else at ``_integer_witness`` of the
+    expanded difference.  ``reduced_terms`` is counted on first read when
+    the difference was not expanded.  ``ValueError`` is raised as in
+    ``spot_check``, before either route runs.
     """
     start = time.perf_counter()
-    statement, *_, bracket_only = _degree_pass(statement)
-    if bracket_only and _power_sums_agree(statement):
+    statement, _, _, bracket_only, outcome = _decide(statement)
+    if outcome is _OVER_BUDGET and bracket_only:
+        outcome = _HOLDS if _power_sums_agree(statement) else _FAILS
+    if outcome is _HOLDS:
         return _report(statement, start)
     # A false statement's difference is a nonzero polynomial, so random
     # rational points miss its zero set with overwhelming probability and
     # the first draw almost always falsifies it.  The cap only bounds the
     # rare statement whose zero set covers the sampling box.
     rng = random.Random(seed)
-    witness = _first_disagreement(statement, 1, rng)
-    if witness is not None:
-        return _report(statement, start, witness)
-    # A bracket statement not proved in the invariants is false, and only
-    # its witness is left.
-    reduced = None if bracket_only else reduce_difference(statement)
-    if not bracket_only and not reduced:
-        return _report(statement, start)
-    witness = _first_disagreement(statement, _WITNESS_DRAWS - 1, rng)
+    witness, reduced = _first_disagreement(statement, 1, rng), None
+    if witness is None and outcome is _OVER_BUDGET:
+        reduced = reduce_difference(statement)
+        if not reduced:
+            return _report(statement, start)
+    if witness is None:
+        witness = _first_disagreement(statement, _WITNESS_DRAWS - 1, rng)
     if witness is None:
         reduced = reduce_difference(statement) if reduced is None else reduced
         witness = _integer_witness(reduced, statement.constrained)
@@ -712,64 +731,43 @@ def verify(statement: IdentityStatement, seed: int = 0) -> VerificationReport:
 def spot_check(statement: IdentityStatement, trials: int = _WITNESS_DRAWS, seed: int = 0) -> VerificationReport:
     """Decide the statement exactly, without expanding it in a, b, c, d.
 
-    A statement of brackets and numbers alone is decided as ``verify``
-    decides it, by ``_power_sums_agree``.  Any other statement is evaluated
-    at the integer points of ``_grid_certificate``, a ``_Block`` at a time,
-    and agreement at every one proves it, exactly as ``verify`` would.  On a
-    disagreement the witness is the first of ``trials`` seeded draws where
-    the sides differ: free coordinates are nonzero rationals with numerator
-    and denominator bounded by 9, and d = b*c/a under the constraint, so
-    a*d = b*c exactly.  If every draw agrees, it is the first point of
-    that certificate where they differ, or, over its budget,
+    The statement is decided by ``_decide``, as ``verify`` decides it.  On
+    a disagreement the witness is the first of ``trials`` seeded draws
+    where the sides differ: free coordinates are nonzero rationals with
+    numerator and denominator bounded by 9, and d = b*c/a under the
+    constraint, so a*d = b*c exactly.  If every draw agrees, it is the
+    first point of ``_grid_certificate`` where they differ, or, over its
+    budget, which only brackets and numbers reach here,
     ``_integer_witness`` of the expanded difference.  A node of degree over
     ``_POINT_BUDGET``, or a power of a constant with exponent over it,
-    raises ``ValueError`` at once.  A statement with more certificate points
-    than that, or an ``_invariant_count`` over it, gets the draws alone, and
-    ``ValueError`` naming the count if every draw agrees.  A FALSIFIED
-    report counts the terms of ``reduce_difference`` on the first read of
-    its ``reduced_terms``.  As in ``verify``, the counts come from the
-    statement as given, and every route evaluates it as ``_degree_pass``
-    prunes it.
+    raises ``ValueError`` at once.  A statement that ``_decide`` finds over
+    the budget gets the draws alone, and ``ValueError`` naming its count if
+    every draw agrees.  A FALSIFIED report counts the terms of
+    ``reduce_difference`` on the first read of its ``reduced_terms``.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     start = time.perf_counter()
-    statement, degrees, bounds, bracket_only = _degree_pass(statement)
-    if bracket_only:
-        count = _invariant_count(statement.constrained, degrees)
-        holds = count <= _POINT_BUDGET and _power_sums_agree(statement)
-    else:
-        count, blocks = _grid_certificate(statement.constrained, degrees, bounds)
-        holds = blocks is not None and _first_difference(statement, blocks) is None
-    if holds:
+    statement, degrees, bounds, bracket_only, outcome = _decide(statement)
+    if outcome is _HOLDS:
         return _report(statement, start)
     witness = _first_disagreement(statement, trials, random.Random(seed))
     if witness is not None:
         return _report(statement, start, witness)
-    if count > _POINT_BUDGET:
+    count, blocks = _grid_certificate(statement.constrained, degrees, bounds)
+    if outcome is _OVER_BUDGET:
         # For brackets and numbers the count bounds the power sums' terms; the
         # message names it as points, as when they were evaluated at points.
+        count = _invariant_count(statement.constrained, degrees) if bracket_only else count
         raise ValueError(
             f"{statement.name}: deciding it exactly needs at least {count} integer"
             f" points, over the budget of {_POINT_BUDGET}, and all {trials} seeded draws"
             " agree; verify it symbolically instead"
         )
-    return _report(statement, start, *_certificate_witness(statement, degrees, bounds))
-
-
-def _certificate_witness(statement: IdentityStatement, degrees: frozenset, bounds: tuple) -> tuple[Point, Optional[int]]:
-    """Where the sides of a false statement differ, and the term count if it was expanded to find out.
-
-    The first point of ``_grid_certificate`` of its ``degrees`` and
-    ``bounds`` where they differ; over its budget, which only a statement
-    of brackets and numbers reaches here, ``_integer_witness`` of the
-    expanded difference, as in ``verify``.
-    """
-    _, blocks = _grid_certificate(statement.constrained, degrees, bounds)
     if blocks is not None:
-        return tuple(map(Fraction, _first_difference(statement, blocks))), None
+        return _report(statement, start, tuple(map(Fraction, _first_difference(statement, blocks))))
     reduced = reduce_difference(statement)
-    return _integer_witness(reduced, statement.constrained), len(reduced.terms)
+    return _report(statement, start, _integer_witness(reduced, statement.constrained), len(reduced.terms))
 
 
 def _report(

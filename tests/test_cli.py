@@ -204,9 +204,10 @@ def test_verify_plain_falsifies_without_expanding(capsys, tmp_path, monkeypatch,
     ids=["unconstrained", "constrained"],
 )
 def test_verify_falsifies_at_a_later_draw_when_the_first_agrees(capsys, tmp_path, monkeypatch, route, constraint, witness):
-    # The first draw of seed 0 has a = 3/7, a root of 7*a - 3.  Symbolic
-    # verify then expands the difference once and goes on with the same
-    # generator, so the witness is the second draw, as --numeric reports it.
+    # The first draw of seed 0 has a = 3/7, a root of 7*a - 3.  Both routes
+    # find the difference nonzero on the grid certificate and take the
+    # witness from the same seeded draws, so it is the second draw, and the
+    # plain line expands nothing.
     expanded = []
     reduce_difference = identities.reduce_difference
     monkeypatch.setattr(identities, "reduce_difference", lambda s: expanded.append(s) or reduce_difference(s))
@@ -214,12 +215,45 @@ def test_verify_falsifies_at_a_later_draw_when_the_first_agrees(capsys, tmp_path
     path.write_text(f"{constraint}7*a == 3\n", encoding="utf-8")
     code, out, err = invoke(capsys, "verify", str(path), *route, "--seed", "0")
     assert (code, out, err) == (1, f"FALSIFIED first witness=({','.join(witness)})\n", "")
-    assert len(expanded) == (0 if route else 1)
+    assert len(expanded) == 0
     code, out, err = invoke(capsys, "verify", str(path), *route, "--seed", "0", "--format", "json")
     assert (code, err) == (1, "")
     payload = json.loads(out)
     del payload["elapsed_ms"]
     assert payload == {"verdict": "FALSIFIED", "name": "first", "reduced_terms": 2, "witness": witness}
+
+
+@pytest.mark.parametrize("route", [[], ["--numeric"]], ids=["symbolic", "numeric"])
+@pytest.mark.parametrize(
+    "source, points, witness, terms",
+    [
+        ("(7*a - 3)*(b + c + d)^60 == 0", 83328, ["1", "9/4", "7/3", "-5/2"], 3782),
+        ("constraint: a*d - b*c = 0; (7*a - 3)*(b + c)^70 == 0", 10082, ["3/5", "1", "9/4", "15/4"], 142),
+    ],
+    ids=["unconstrained", "constrained"],
+)
+def test_verify_expands_over_the_grid_budget_when_the_first_draw_agrees(
+    capsys, tmp_path, monkeypatch, route, source, points, witness, terms
+):
+    # Over the point budget the grid decides nothing.  The first draw of seed
+    # 0 has a = 3/7, so symbolic verify expands the difference once, finds it
+    # nonzero and goes on with the same generator: the witness is the second
+    # draw, as --numeric reports it without expanding.
+    path = tmp_path / "over.rid"
+    path.write_text(source + "\n", encoding="utf-8")
+    assert certificate(load_statement(path)) == (points, None)
+    expanded = []
+    reduce_difference = identities.reduce_difference
+    monkeypatch.setattr(identities, "reduce_difference", lambda s: expanded.append(s) or reduce_difference(s))
+    code, out, err = invoke(capsys, "verify", str(path), *route, "--seed", "0")
+    assert (code, out, err) == (1, f"FALSIFIED over witness=({','.join(witness)})\n", "")
+    assert len(expanded) == (0 if route else 1)
+    code, out, err = invoke(capsys, "verify", str(path), *route, "--seed", "0", "--format", "json")
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    del payload["elapsed_ms"]
+    assert payload == {"verdict": "FALSIFIED", "name": "over", "reduced_terms": terms, "witness": witness}
+    assert len(expanded) == (1 if route else 2)
 
 
 # The sampler draws every coordinate from these 110 rationals n/d with

@@ -594,6 +594,29 @@ def test_spot_check_decides_what_verify_decides(statement):
     assert spot_check(statement, trials=1).verdict is verify(statement).verdict
 
 
+def statements_with_a_variable():
+    # Both sides gain the same variable, so the statement holds exactly when
+    # it held without it, and brackets and numbers no longer take the power sums.
+    def joined(statement, name):
+        return IdentityStatement(
+            statement.name, Add(statement.lhs, Var(name)), Add(Var(name), statement.rhs), statement.constrained
+        )
+
+    return st.one_of(
+        statement_strategy().filter(lambda statement: not _degree_pass(statement)[3]),
+        st.builds(joined, statement_strategy(), st.sampled_from("abcd")),
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(statements_with_a_variable())
+def test_verify_proves_exactly_what_expands_to_zero(statement):
+    # Both routes decide a statement with a variable on the grid certificate,
+    # so this checks that decision against expansion itself.
+    assert not _degree_pass(statement)[3]
+    assert (verify(statement).verdict is Verdict.PROVED) is (not reduce_difference(statement))
+
+
 # ----------------------------------------------------------------------
 # the constraint surface
 

@@ -1,0 +1,147 @@
+"""Same-output gate: the outputs of a fixed set of ``verify`` invocations, one line each.
+
+Run from anywhere, once per tree to compare:
+
+    python3 tools/sameout.py --out FILE
+
+It calls ``trigident.cli.run`` in-process, with this checkout's ``src``
+first on the path, on
+
+* the 3,560 invocations of the gate: the 5 catalog entries and the 440
+  ``generate``/``true_versions`` statements of ``bench/statements.py`` for
+  seeds 0-9, each symbolic and ``--numeric``, ``--seed`` 0 and 3, plain and
+  ``--format json``;
+* bracket, hidden-subtree, over-budget and unreadable inputs (``EXTRAS``),
+  among them statements with a variable over the point budget.
+
+Each line of FILE is a JSON list: the argv, the exit code, stdout with the
+elapsed time removed, and stderr.  Statements are written as ``.rid``
+files into a temporary directory that is the working directory during
+the calls, so argv and messages name them by relative paths.  Two trees
+give the same outputs exactly when their files compare equal with ``cmp``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import statements  # noqa: E402
+from trigident import cli  # noqa: E402
+from trigident.identities import CATALOG  # noqa: E402
+
+CONSTRAINT = statements.CONSTRAINT_PREFIX
+ROUTES = ([], ["--numeric"])
+SEEDS = ("0", "3")
+FORMATS = ([], ["--format", "json"])
+
+# name -> (statement text, routes, formats).  A JSON report counts the terms
+# of a false statement's expanded difference, which for some of these would
+# take minutes, and symbolic verify compares the power sums of sum20 whatever
+# its count, which takes seconds.
+NUMERIC, PLAIN = ROUTES[1:], FORMATS[:1]
+EXTRAS = {
+    # Brackets and numbers, at and around the invariant count's budget.
+    "a60-b40": ("A(60)*B(40) == B(40)*A(60)", ROUTES, FORMATS),
+    "d210": (CONSTRAINT + "D(210)*D(210) == D(210)^2", ROUTES, FORMATS),
+    "sum20": ("(D(2)+D(3)+D(5))^20 == (D(2)+D(3)+D(5))^20", NUMERIC, FORMATS),
+    "d200": (CONSTRAINT + "D(200)*D(200) == D(200)^2", ROUTES, FORMATS),
+    "d150": (CONSTRAINT + "D(150)*D(3) == D(3)*D(150)", ROUTES, FORMATS),
+    "d100": (CONSTRAINT + "D(100) == D(100)", ROUTES, FORMATS),
+    "a36-b36": ("A(36)*B(36) == B(36)*A(36)", ROUTES, FORMATS),
+    "d2": (CONSTRAINT + "D(2) == 0", ROUTES, FORMATS),
+    # False statements of brackets and numbers.
+    "newton-off": ("6*A(5) == 5*A(2)*A(3) + 1", ROUTES, FORMATS),
+    "d2-free": ("D(2) == 0", ROUTES, FORMATS),
+    "gen-free": ("25*D(3)*D(7) == 21*D(5)^2", ROUTES, FORMATS),
+    "d100-zero": (CONSTRAINT + "D(100) == 0", ROUTES, PLAIN),
+    "ramanujan-plus": (CONSTRAINT + "64*D(6)*D(10) == 45*D(8)^2 + 1", ROUTES, FORMATS),
+    # Subtrees that a zero factor or a zeroth power hides.
+    "hidden-brackets": ("0*(A(2)+A(3)+B(2)+B(3))^80 == 0", ROUTES, FORMATS),
+    "zeroth-brackets": ("((A(6)+B(6))^1000)^0 == 1", ROUTES, FORMATS),
+    "hidden-brackets-false": ("0*(A(2)+A(3)+B(2)+B(3))^80 + A(2) == 0", ROUTES, PLAIN),
+    "hidden-both": (CONSTRAINT + "0*(A(2)+A(3)+B(2)+B(3))^80 + ((A(6)+B(6))^1000)^0 == 1", ROUTES, FORMATS),
+    "hidden": ("0*(a+b+c+d)^80 == 0", ROUTES, FORMATS),
+    "zeroth": ("((a+b+c+d)^80)^0 == 1", ROUTES, FORMATS),
+    "hidden-a": ("0*(a+b+c+d)^80 + a == a", ROUTES, FORMATS),
+    "hidden-false": ("0*(a+b+c+d)^80 + a == 0", ROUTES, FORMATS),
+    "hidden-surface": (CONSTRAINT + "0*(a+b+c+d)^80 + ((a*d)^80)^0 == 1", ROUTES, FORMATS),
+    # Statements with a variable over the point budget: 83,328 points, and
+    # 10,082 under the constraint.
+    "over": ("(7*a - 3)*(b + c + d)^60 == 0", ROUTES, FORMATS),
+    "over-true": ("(7*a - 3)*(b + c + d)^60 == (7*a - 3)*(b + c + d)^60", ROUTES, FORMATS),
+    "over-surface": (CONSTRAINT + "(7*a - 3)*(b + c)^70 == 0", ROUTES, FORMATS),
+    "over-surface-true": (CONSTRAINT + "(7*a - 3)*(b + c)^70 == (7*a - 3)*(b + c)^70", ROUTES, FORMATS),
+    # A statement whose first seed-0 draw agrees.
+    "first": ("7*a == 3", ROUTES, FORMATS),
+    "first-surface": (CONSTRAINT + "7*a == 3", ROUTES, FORMATS),
+    # Fails to parse.
+    "unparsable": ("a == (b", ROUTES, FORMATS),
+}
+
+# Targets that do not name a statement, and the help text.
+UNREADABLE = (["verify", "-h"], ["verify", "nope"], ["verify", "missing.rid"], ["verify", ""])
+
+_ELAPSED = re.compile(r' elapsed=[^ \n]*ms|"elapsed_ms":[^,}]*,')
+
+
+def invocations(directory: Path):
+    """Every argv of the gate, in order, writing the statement files under ``directory``."""
+    targets = list(CATALOG)
+    for seed in range(10):
+        (directory / f"seed{seed}").mkdir()
+        for statement in statements.generate(seed) + statements.true_versions(seed):
+            path = f"seed{seed}/{statement.name}.rid"
+            (directory / path).write_text(statement.source(), encoding="utf-8")
+            targets.append(path)
+    for target in targets:
+        yield from variants(target)
+    for name, (text, routes, formats) in EXTRAS.items():
+        (directory / f"{name}.rid").write_text(text + "\n", encoding="utf-8")
+        yield from variants(f"{name}.rid", routes, formats)
+    yield from UNREADABLE
+
+
+def variants(target: str, routes=ROUTES, formats=FORMATS):
+    for route in routes:
+        for seed in SEEDS:
+            for format_ in formats:
+                yield ["verify", target, *route, "--seed", seed, *format_]
+
+
+def call(argv: list) -> list:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return [argv, code, _ELAPSED.sub("", out.getvalue()), err.getvalue()]
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, type=Path, help="file to write, one JSON line per invocation")
+    out = parser.parse_args().out.resolve()
+    # argparse wraps help to the terminal's width.
+    os.environ["COLUMNS"] = "80"
+    with tempfile.TemporaryDirectory() as directory:
+        home = os.getcwd()
+        os.chdir(directory)
+        try:
+            lines = [json.dumps(call(argv)) for argv in invocations(Path(directory))]
+        finally:
+            os.chdir(home)
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print(f"sameout: {len(lines)} invocations written to {out}")
+
+
+if __name__ == "__main__":
+    main()
