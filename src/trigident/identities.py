@@ -51,7 +51,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, cycle, islice, repeat
+from itertools import islice, product, repeat
 from math import comb, prod
 from operator import add, mul, ne, neg, sub
 from typing import Callable, Iterable, Iterator, Optional, Union
@@ -417,9 +417,9 @@ def _grid_certificate(
     ``degrees`` and ``bounds`` are the statement's from ``_degree_pass``.
     Points are t*(1, b, c, d), or ``_on_surface(t, b, c)`` under the
     constraint, for (b, c[, d]) on the smaller of the tensor grid and the
-    simplex lattice, in lexicographic order, and t = 1..|J| innermost; the
-    blocks are built lazily.  They are None when there would be more than
-    _POINT_BUDGET points.
+    simplex lattice, in lexicographic order, and t = 1..|J| innermost.  The
+    points are enumerated one tuple each and cut into ``_blocks`` lazily.
+    The blocks are None when there would be more than _POINT_BUDGET points.
     """
     top = max(degrees, default=0)
     sides = [min(bound, top) + 1 for bound in bounds]
@@ -429,11 +429,14 @@ def _grid_certificate(
     count = len(degrees) * (comb(top + 3, 3) if simplex else prod(sides))
     if count > _POINT_BUDGET:
         return count, None
-    scales = len(degrees)
-    grid = _simplex(top, scales) if simplex else _tensor(sides, scales)
+    if simplex:
+        grid = ((b, c, d) for b in range(top + 1) for c in range(top + 1 - b) for d in range(top + 1 - b - c))
+    else:
+        grid = product(*map(range, sides))
+    scales = range(1, len(degrees) + 1)
     if constrained:
-        return count, _blocks(count, scales, grid, lambda t, b, c: _Block(_on_surface(t, b, c)))
-    return count, _blocks(count, scales, grid, lambda t, *free: _Block((t, *(t * x for x in free))))
+        return count, _blocks(_on_surface(t, b, c) for b, c in grid for t in scales)
+    return count, _blocks((t, t * b, t * c, t * d) for b, c, d in grid for t in scales)
 
 
 def _invariant_count(constrained: bool, degrees: frozenset[int]) -> int:
@@ -468,50 +471,13 @@ def _degree_pass(statement: IdentityStatement) -> tuple[IdentityStatement, froze
     return (statement, *rest)
 
 
-# The grid coordinates come as streams, one value per certificate point, so
-# no point is ever built as a tuple of its coordinates.
-
-
-def _held(values: Iterable[int], times: int) -> Iterator[int]:
-    """Each of ``values`` in turn, repeated ``times`` times."""
-    return chain.from_iterable(map(repeat, values, repeat(times)))
-
-
-def _tensor(sides: list[int], scales: int) -> list[Iterator[int]]:
-    """Streams of b, c[, d] over ``product(*map(range, sides))`` in order, each grid point held for ``scales``."""
-    streams, inner = [], scales * prod(sides)
-    for side in sides:
-        inner //= side
-        streams.append(_held(cycle(range(side)), inner))
-    return streams
-
-
-def _simplex(total: int, scales: int) -> list[Iterator[int]]:
-    """Streams of b, c, d over the nonnegative triples with sum at most ``total``, in lexicographic order.
-
-    Each triple is held for ``scales`` points, one per t.
-    """
-    streams, used = [], [0]
-    for rest in (2, 1, 0):
-        streams.append(_lattice_coordinate(total, used, rest, scales))
-        if rest:
-            used = [s + x for s in used for x in range(total + 1 - s)]
-    return streams
-
-
-def _lattice_coordinate(total: int, used: list[int], rest: int, scales: int) -> Iterator[int]:
-    # After each prefix, of sum s in ``used``, the coordinate x is held for
-    # the C(total - s - x + rest, rest) ways to complete it with ``rest`` more.
-    return chain.from_iterable(
-        repeat(x, comb(total - s - x + rest, rest) * scales) for s in used for x in range(total + 1 - s)
-    )
-
-
 # ----------------------------------------------------------------------
 # blocks of certificate points
 #
-# At a ``_Block`` a node's value is a ``_Column``, or one number for a
-# constant subtree.  At each point the column holds exactly what ``_value``
+# A ``_Block`` holds up to ``_BLOCK_SIZE`` consecutive certificate points as
+# tuples, in certificate order, and the column of each coordinate.  At a
+# block a node's value is a ``_Column``, or one number for a constant
+# subtree.  At each point the column holds exactly what ``_value``
 # gives there, so an ``int`` at every integral point with integral constants.
 
 # Points per block.  A larger block saves little more time, and holding the
@@ -559,23 +525,25 @@ class _Column:
 class _Block:
     """Points (a, b, c, d) of a certificate, evaluated together: a variable is the column of its coordinates.
 
-    Like ``_PowerSums``, a block gives each bracket through ``of``.
+    The points are tuples in certificate order, transposed once into the
+    columns.  Like ``_PowerSums``, a block gives each bracket through ``of``.
     """
 
-    def __init__(self, coordinates: tuple[_Column, ...]):
-        self._coordinates = coordinates
+    def __init__(self, points: list[tuple]):
+        self._points = points
+        self._coordinates = tuple(_Column(list(values)) for values in zip(*points))
         # Each (triple, power) once, since both sides often share brackets.
         self._sums: dict[tuple[int, int], _Column] = {}
 
     def __len__(self) -> int:
-        return len(self._coordinates[0].values)
+        return len(self._points)
 
     def __getitem__(self, index: int) -> _Column:
         return self._coordinates[index]
 
     def point(self, index: int) -> tuple:
         """The coordinates (a, b, c, d) of one point of the block."""
-        return tuple(column.values[index] for column in self._coordinates)
+        return self._points[index]
 
     @cached_property
     def _forms(self) -> list[list[tuple]]:
@@ -601,15 +569,10 @@ class _Block:
         return self.point(differs.index(True)) if True in differs else None
 
 
-def _blocks(count: int, scales: int, grid: list[Iterator[int]], build: Callable[..., _Block]) -> Iterator[_Block]:
-    """The first ``count`` points, ``_BLOCK_SIZE`` to a block, from the grid's streams, t = 1..``scales`` innermost.
-
-    ``build`` makes a block from the columns of t and of the grid's streams.
-    """
-    scale = cycle(range(1, scales + 1))
-    for start in range(0, count, _BLOCK_SIZE):
-        size = min(_BLOCK_SIZE, count - start)
-        yield build(*(_Column(list(islice(stream, size))) for stream in (scale, *grid)))
+def _blocks(points: Iterator[tuple]) -> Iterator[_Block]:
+    """The points, in order, ``_BLOCK_SIZE`` to a block; only the last block may be shorter."""
+    while block := list(islice(points, _BLOCK_SIZE)):
+        yield _Block(block)
 
 
 def _first_difference(statement: IdentityStatement, blocks: Iterable[_Block]) -> Optional[tuple]:

@@ -302,18 +302,27 @@ def test_negative_powers_raise_on_both_routes():
 
 
 @pytest.mark.parametrize(
-    "name, points",
+    "text, points",
     [
         ("ramanujan-6-10-8", 289),
         ("gen-3-7-5-six", 121),
         ("gen-3-7-5-three", 286),
         ("asym-6-8-factored", 81),
         ("asym-6-8-r2", 81),
+        # Exactly two and exactly four full blocks, under the constraint and
+        # on the unconstrained tensor grid.
+        pytest.param("constraint: a*d - b*c = 0; b^15*c^15 == c^15*b^15", 256, id="blocks-two-256"),
+        pytest.param("a*b^7*c^7*d^7 == d^7*c^7*b^7*a", 512, id="blocks-four-512"),
     ],
 )
-def test_certificate_point_counts(name, points):
-    statement = catalog_entry(name)
+def test_certificate_point_counts(text, points):
+    statement = catalog_entry(text) if text in CATALOG else parse(text)
     count, blocks = certificate(statement)
+    blocks = list(blocks)
+    # Every block is full but the last, and none is empty.
+    sizes = [len(block) for block in blocks]
+    assert 0 < sizes[-1] <= identities._BLOCK_SIZE
+    assert sizes[:-1] == [identities._BLOCK_SIZE] * (len(sizes) - 1)
     grid = block_points(blocks)
     assert count == len(grid) == len(set(grid)) == points
     assert grid == certificate_points(statement)

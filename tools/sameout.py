@@ -12,7 +12,9 @@ first on the path, on
   seeds 0-9, each symbolic and ``--numeric``, ``--seed`` 0 and 3, plain and
   ``--format json``;
 * bracket, hidden-subtree, over-budget and unreadable inputs (``EXTRAS``),
-  among them statements with a variable over the point budget.
+  among them statements with a variable over the point budget, false
+  statements that every seeded draw satisfies, so that their witness is a
+  grid point, and grids of exactly two and four full blocks.
 
 Each line of FILE is a JSON list: the argv, the exit code, stdout with the
 elapsed time removed, and stderr.  Statements are written as ``.rid``
@@ -31,6 +33,7 @@ import os
 import re
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,6 +53,10 @@ FORMATS = ([], ["--format", "json"])
 # take minutes, and symbolic verify compares the power sums of sum20 whatever
 # its count, which takes seconds.
 NUMERIC, PLAIN = ROUTES[1:], FORMATS[:1]
+# The product of (a - r) over the 110 rationals n/d, 1 <= |n|, d <= 9, that
+# the sampler draws every coordinate from: every seeded draw is a root.
+SAMPLED = sorted({Fraction(n, d) for n in range(-9, 10) if n for d in range(1, 10)})
+ROOTS = "*".join(f"(a - {r})" if r > 0 else f"(a + {-r})" for r in SAMPLED)
 EXTRAS = {
     # Brackets and numbers, at and around the invariant count's budget.
     "a60-b40": ("A(60)*B(40) == B(40)*A(60)", ROUTES, FORMATS),
@@ -85,6 +92,16 @@ EXTRAS = {
     # A statement whose first seed-0 draw agrees.
     "first": ("7*a == 3", ROUTES, FORMATS),
     "first-surface": (CONSTRAINT + "7*a == 3", ROUTES, FORMATS),
+    # False statements that every seeded draw satisfies, so the witness is a
+    # grid point; under --numeric a = 141 of "roots-more" lies in the second
+    # block.
+    "roots": (ROOTS + " == 0", ROUTES, FORMATS),
+    "roots-surface": (CONSTRAINT + ROOTS + " == 0", ROUTES, FORMATS),
+    "roots-more": (ROOTS + "".join(f"*(a - {k})" for k in range(10, 141)) + " == 0", ROUTES, FORMATS),
+    # Grids of whole blocks: 256 points under the constraint, and 512 on the
+    # tensor grid.
+    "blocks-two": (CONSTRAINT + "b^15*c^15 == c^15*b^15", ROUTES, FORMATS),
+    "blocks-four": ("a*b^7*c^7*d^7 == d^7*c^7*b^7*a", ROUTES, FORMATS),
     # Fails to parse.
     "unparsable": ("a == (b", ROUTES, FORMATS),
 }
