@@ -38,9 +38,9 @@ more than ``RELATION_BUDGET`` relations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Union
 
+from ._record import Record, replace, setfield
 from .dsl import Format, parse, render
 from .fourier import POWER_BUDGET, Mode
 from .identities import CATALOG, IdentityStatement
@@ -52,11 +52,13 @@ from .identities import CATALOG, IdentityStatement
 RELATION_BUDGET = 10_000
 
 
-@dataclass(frozen=True)
-class DiscoveryQuery:
-    shift_count: int
-    max_power: int
-    mode: Mode
+class DiscoveryQuery(Record):
+    __slots__ = ("shift_count", "max_power", "mode")
+
+    def __init__(self, shift_count: int, max_power: int, mode: Mode):
+        setfield(self, "shift_count", shift_count)
+        setfield(self, "max_power", max_power)
+        setfield(self, "mode", mode)
 
 
 class DiscoveredIdentity(NamedTuple):

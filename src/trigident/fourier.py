@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Optional
+
+from ._record import Record, setfield
 
 # Largest power either route expands.  The expansion of f_n is Theta(n^2)
 # bits, and its coefficients have denominators up to 2^(n-1), which print
@@ -57,17 +58,19 @@ class Mode(Enum):
     POINTWISE = "pointwise"
 
 
-@dataclass(frozen=True)
-class FourierExpansion:
+class FourierExpansion(Record):
     """Expansion of one power sum: harmonic -> exact coefficient.
 
     Every stored harmonic h satisfies h % shift_count == 0, h <= power, and
     h has the same parity as power; zero coefficients are never stored.
     """
 
-    shift_count: int
-    power: int
-    coefficients: Mapping[int, Fraction] = field(default_factory=dict)
+    __slots__ = ("shift_count", "power", "coefficients")
+
+    def __init__(self, shift_count: int, power: int, coefficients: Optional[Mapping[int, Fraction]] = None):
+        setfield(self, "shift_count", shift_count)
+        setfield(self, "power", power)
+        setfield(self, "coefficients", {} if coefficients is None else coefficients)
 
     def sorted_items(self) -> list[tuple[int, Fraction]]:
         return sorted(self.coefficients.items())

@@ -47,7 +47,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -56,6 +55,7 @@ from math import comb, prod
 from operator import add, mul, ne, neg, sub
 from typing import Callable, Iterable, Iterator, Optional, Union
 
+from ._record import Record, replace, setfield
 from .algebra import VARIABLES, Polynomial
 
 # ----------------------------------------------------------------------
@@ -72,61 +72,73 @@ class BracketKind(Enum):
     B = "B"
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
+class Num(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: Fraction):
+        setfield(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        setfield(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Bracket:
-    kind: BracketKind
-    power: int
+class Bracket(Record):
+    __slots__ = ("kind", "power")
+
+    def __init__(self, kind: BracketKind, power: int):
+        setfield(self, "kind", kind)
+        setfield(self, "power", power)
 
 
-@dataclass(frozen=True)
-class Add:
-    left: Expr
-    right: Expr
+class _Binary(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: Expr
-    right: Expr
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: Expr
-    right: Expr
+class Sub(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: Expr
-    exponent: int
+class Mul(_Binary):
+    __slots__ = ()
+
+
+class Pow(Record):
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: Expr, exponent: int):
+        setfield(self, "base", base)
+        setfield(self, "exponent", exponent)
 
 
 Expr = Union[Num, Var, Bracket, Add, Sub, Mul, Pow]
 
 
-@dataclass(frozen=True)
-class IdentityStatement:
+class IdentityStatement(Record, uncompared=("name",)):
     """An equation, optionally under the side condition a*d - b*c = 0.
 
     The name labels reports and catalog lookups; it does not participate
     in equality, so a re-parsed rendering compares equal to the original.
     """
 
-    name: str = field(compare=False)
-    lhs: Expr
-    rhs: Expr
-    constrained: bool
+    __slots__ = ("name", "lhs", "rhs", "constrained")
+
+    def __init__(self, name: str, lhs: Expr, rhs: Expr, constrained: bool):
+        setfield(self, "name", name)
+        setfield(self, "lhs", lhs)
+        setfield(self, "rhs", rhs)
+        setfield(self, "constrained", constrained)
 
 
 # ----------------------------------------------------------------------
@@ -583,25 +595,29 @@ def _first_difference(statement: IdentityStatement, blocks: Iterable[_Block]) ->
 _HOLDS, _FAILS, _OVER_BUDGET = "holds", "fails", "over budget"
 
 
-def _decide(statement: IdentityStatement) -> tuple[IdentityStatement, frozenset[int], tuple[int, ...], bool, str]:
+def _decide(statement: IdentityStatement) -> tuple[IdentityStatement, frozenset[int], tuple[int, ...], bool, str, Optional[tuple]]:
     """The one decision of both routes, after the one ``_degree_pass``.
 
     A statement of brackets and numbers holds exactly when
     ``_power_sums_agree``, and any other exactly when its sides agree at
     every point of ``_grid_certificate``.  Returns the pruned statement, J,
-    the bounds, whether it is of brackets and numbers, and ``_HOLDS``,
+    the bounds, whether it is of brackets and numbers, ``_HOLDS``,
     ``_FAILS``, or ``_OVER_BUDGET`` when its ``_invariant_count`` or grid
-    is over ``_POINT_BUDGET``, and nothing was compared.
+    is over ``_POINT_BUDGET``, and nothing was compared; and last the first
+    point of the grid where the sides differ, which ``spot_check`` reports,
+    else None.
     """
     statement, degrees, bounds, bracket_only = _degree_pass(statement)
+    difference = None
     if bracket_only:
         within = _invariant_count(statement.constrained, degrees) <= _POINT_BUDGET
         holds = within and _power_sums_agree(statement)
     else:
         _, blocks = _grid_certificate(statement.constrained, degrees, bounds)
         within = blocks is not None
-        holds = within and _first_difference(statement, blocks) is None
-    return statement, degrees, bounds, bracket_only, (_HOLDS if holds else _FAILS) if within else _OVER_BUDGET
+        difference = _first_difference(statement, blocks) if within else None
+        holds = within and difference is None
+    return statement, degrees, bounds, bracket_only, (_HOLDS if holds else _FAILS) if within else _OVER_BUDGET, difference
 
 
 # ----------------------------------------------------------------------
@@ -616,8 +632,7 @@ class Verdict(Enum):
     FALSIFIED = "FALSIFIED"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record, hidden=("_count_terms",)):
     """Outcome of a symbolic verification or a numeric spot check.
 
     reduced_terms is the term count of the reduced difference polynomial;
@@ -630,12 +645,15 @@ class VerificationReport:
     verdict; it does not include that count.
     """
 
-    name: str
-    verdict: Verdict
-    witness: Optional[Point]
-    elapsed: float
-    # Returns reduced_terms; called at most once.
-    _count_terms: Callable[[], int] = field(repr=False, compare=False)
+    # _count_terms returns reduced_terms; it is called at most once.
+    __slots__ = ("name", "verdict", "witness", "elapsed", "_count_terms", "__dict__")
+
+    def __init__(self, name: str, verdict: Verdict, witness: Optional[Point], elapsed: float, _count_terms: Callable[[], int]):
+        setfield(self, "name", name)
+        setfield(self, "verdict", verdict)
+        setfield(self, "witness", witness)
+        setfield(self, "elapsed", elapsed)
+        setfield(self, "_count_terms", _count_terms)
 
     @cached_property
     def reduced_terms(self) -> int:
@@ -668,7 +686,7 @@ def verify(statement: IdentityStatement, seed: int = 0) -> VerificationReport:
     ``spot_check``, before either route runs.
     """
     start = time.perf_counter()
-    statement, _, _, bracket_only, outcome = _decide(statement)
+    statement, _, _, bracket_only, outcome, _ = _decide(statement)
     if outcome is _OVER_BUDGET and bracket_only:
         outcome = _HOLDS if _power_sums_agree(statement) else _FAILS
     if outcome is _HOLDS:
@@ -711,7 +729,7 @@ def spot_check(statement: IdentityStatement, trials: int = _WITNESS_DRAWS, seed:
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     start = time.perf_counter()
-    statement, degrees, bounds, bracket_only, outcome = _decide(statement)
+    statement, degrees, bounds, bracket_only, outcome, difference = _decide(statement)
     if outcome is _HOLDS:
         return _report(statement, start)
     witness = _first_disagreement(statement, trials, random.Random(seed))
@@ -727,8 +745,11 @@ def spot_check(statement: IdentityStatement, trials: int = _WITNESS_DRAWS, seed:
             f" points, over the budget of {_POINT_BUDGET}, and all {trials} seeded draws"
             " agree; verify it symbolically instead"
         )
-    if blocks is not None:
-        return _report(statement, start, tuple(map(Fraction, _first_difference(statement, blocks))))
+    if difference is None and blocks is not None:
+        # Brackets and numbers were compared in the power sums, not on the grid.
+        difference = _first_difference(statement, blocks)
+    if difference is not None:
+        return _report(statement, start, tuple(map(Fraction, difference)))
     reduced = reduce_difference(statement)
     return _report(statement, start, _integer_witness(reduced, statement.constrained), len(reduced.terms))
 

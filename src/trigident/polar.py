@@ -16,20 +16,21 @@ quantity x^2 + y^2 + z^2 = (3/2) * rho^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ._record import Record, setfield
 
 _ZERO_SUM_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class ZeroSumTriple:
+class ZeroSumTriple(Record):
     """A triple constrained to x + y + z = 0 up to float round-off."""
 
-    x: float
-    y: float
-    z: float
+    __slots__ = ("x", "y", "z")
 
-    def __post_init__(self) -> None:
+    def __init__(self, x: float, y: float, z: float):
+        setfield(self, "x", x)
+        setfield(self, "y", y)
+        setfield(self, "z", z)
         if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
             raise ValueError(f"triple entries must be finite: {self}")
         residual = abs(self.x + self.y + self.z)
@@ -38,14 +39,14 @@ class ZeroSumTriple:
             raise ValueError(f"triple does not sum to zero: {self}")
 
 
-@dataclass(frozen=True)
-class PolarForm:
+class PolarForm(Record):
     """Radius and angle with rho >= 0 and theta in (-pi, pi]."""
 
-    rho: float
-    theta: float
+    __slots__ = ("rho", "theta")
 
-    def __post_init__(self) -> None:
+    def __init__(self, rho: float, theta: float):
+        setfield(self, "rho", rho)
+        setfield(self, "theta", theta)
         if not (math.isfinite(self.rho) and math.isfinite(self.theta)):
             raise ValueError(f"radius and angle must be finite: {self}")
         if self.rho < 0:

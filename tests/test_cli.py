@@ -306,17 +306,22 @@ def test_verify_numeric_falsifies_a_statement_that_vanishes_on_the_sampling_box(
     assert count == sum(map(len, blocks)) == 111
 
 
-def test_verify_numeric_reports_the_first_disagreement_past_the_first_block(capsys, tmp_path):
+def test_verify_numeric_reports_the_first_disagreement_past_the_first_block(capsys, tmp_path, monkeypatch):
     # The roots a = 10..140 as well: every draw is still a root, and the
     # first of t = 1..242 that is no root, a = 141, lies inside the second
     # block of certificate points.  The line is the one the point-by-point
-    # evaluation printed.
+    # evaluation printed.  The decision finds that point, and the witness is
+    # the point it found: each block is built once.
     path = tmp_path / "roots.rid"
     more_roots = "".join(f"*(a - {k})" for k in range(10, 141))
     path.write_text(f"{ROOT_PRODUCT}{more_roots} == 0\n", encoding="utf-8")
+    built, block = [], identities._Block.__init__
+    monkeypatch.setattr(identities._Block, "__init__", lambda self, points: built.append(len(points)) or block(self, points))
     code, out, err = invoke(capsys, "verify", str(path), "--numeric")
+    monkeypatch.undo()
     assert (code, err) == (1, "")
     assert out == "FALSIFIED roots witness=(141,0,0,0)\n"
+    assert built == [identities._BLOCK_SIZE, 242 - identities._BLOCK_SIZE]
     count, blocks = certificate(load_statement(path))
     points = [block.point(index) for block in blocks for index in range(len(block))]
     assert count == len(points) == 242
@@ -801,25 +806,26 @@ def test_polar_compose(capsys):
 
 
 def test_polar_rejects_non_zero_sum_input(capsys):
-    code, _, err = invoke(capsys, "polar", "decompose", "1", "1", "1")
-    assert code == 2
-    assert "sum to zero" in err
+    code, out, err = invoke(capsys, "polar", "decompose", "1", "1", "1")
+    assert (code, out) == (2, "")
+    assert err == "trigident: triple does not sum to zero: ZeroSumTriple(x=1.0, y=1.0, z=1.0)\n"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("compose", "nan", "0"),
-        ("compose", "inf", "0"),
-        ("decompose", "nan", "0", "0"),
-        ("decompose", "--", "1e200", "1e200", "-2e200"),
-    ],
-)
+# Each refused polar argv and the message it prints, the value's repr included.
+NON_FINITE = {
+    ("compose", "nan", "0"): "radius and angle must be finite: PolarForm(rho=nan, theta=0.0)",
+    ("compose", "inf", "0"): "radius and angle must be finite: PolarForm(rho=inf, theta=0.0)",
+    ("decompose", "nan", "0", "0"): "triple entries must be finite: ZeroSumTriple(x=nan, y=0.0, z=0.0)",
+    ("decompose", "--", "1e200", "1e200", "-2e200"):
+        "triple too large for a finite radius: ZeroSumTriple(x=1e+200, y=1e+200, z=-2e+200)",
+}
+
+
+@pytest.mark.parametrize("argv", list(NON_FINITE))
 def test_polar_rejects_non_finite_input(capsys, argv):
     code, out, err = invoke(capsys, "polar", *argv)
-    assert code == 2
-    assert out == ""
-    assert "finite" in err
+    assert (code, out) == (2, "")
+    assert err == f"trigident: {NON_FINITE[argv]}\n"
 
 
 def test_catalog_listing(capsys):
