@@ -30,10 +30,16 @@ by Newton's identities (``_PowerSums``).  The invariants are algebraically
 independent, so it holds exactly when that polynomial is zero.  Any other
 statement holds exactly when its sides agree at every integer point
 (a, b, c, d) of ``_grid_certificate``, evaluated ``_BLOCK_SIZE`` points at
-a time.  ``_decide`` is the one home of that decision, and ``verify`` and
-``spot_check`` both make it; over ``_POINT_BUDGET`` points ``verify``
-expands a statement with a variable, and ``spot_check`` refuses it once
-its draws agree.  Seeded random draws pick a false statement's witness,
+a time.  Within that grid's budget, a statement whose sides are products
+sharing a factor F is decided by cancelling it (``_cancelled``): both
+routes decide in an integral domain, Q[a, b, c, d] or, under the
+constraint, Q[a, b, c] through ``_on_surface``, where F*(L - R) = 0
+exactly when F = 0 or L = R.  So L == R is decided first, then F == 0 for
+each distinct F; the report, its witness and its counts are still those
+of the whole statement.  ``_decide`` is the one home of that decision,
+and ``verify`` and ``spot_check`` both make it; over ``_POINT_BUDGET``
+points ``verify`` expands a statement with a variable, and ``spot_check``
+refuses it once its draws agree.  Seeded random draws pick a false statement's witness,
 and a falsified report counts the terms of the expanded difference only
 when its ``reduced_terms`` is read.  ``_decide`` first makes one degree
 pass, ``_degree_pass``, which refuses a statement with a node of degree
@@ -49,7 +55,7 @@ import random
 import time
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import islice, product, repeat
 from math import comb, prod
 from operator import add, mul, ne, neg, sub
@@ -599,13 +605,16 @@ def _decide(statement: IdentityStatement) -> tuple[IdentityStatement, frozenset[
     """The one decision of both routes, after the one ``_degree_pass``.
 
     A statement of brackets and numbers holds exactly when
-    ``_power_sums_agree``, and any other exactly when its sides agree at
-    every point of ``_grid_certificate``.  Returns the pruned statement, J,
-    the bounds, whether it is of brackets and numbers, ``_HOLDS``,
-    ``_FAILS``, or ``_OVER_BUDGET`` when its ``_invariant_count`` or grid
-    is over ``_POINT_BUDGET``, and nothing was compared; and last the first
-    point of the grid where the sides differ, which ``spot_check`` reports,
-    else None.
+    ``_power_sums_agree``.  Any other holds exactly when its sides agree at
+    every point of ``_grid_certificate``; within its budget, a statement
+    whose sides' products share factors is decided instead by
+    ``_cancelled``, since F*L == F*R holds exactly when L == R or F == 0.
+    Returns the pruned statement, J, the bounds, whether it is of brackets
+    and numbers, ``_HOLDS``, ``_FAILS``, or ``_OVER_BUDGET`` when its
+    ``_invariant_count`` or grid is over ``_POINT_BUDGET``, and nothing was
+    compared; and last the first point of the grid where the sides differ,
+    which ``spot_check`` reports, else None, as after a cancellation.  All
+    of it is of the statement as given, never of a cancelled part.
     """
     statement, degrees, bounds, bracket_only = _degree_pass(statement)
     difference = None
@@ -615,9 +624,84 @@ def _decide(statement: IdentityStatement) -> tuple[IdentityStatement, frozenset[
     else:
         _, blocks = _grid_certificate(statement.constrained, degrees, bounds)
         within = blocks is not None
-        difference = _first_difference(statement, blocks) if within else None
-        holds = within and difference is None
+        holds = within and _cancelled(statement)
+        if holds is None:
+            difference = _first_difference(statement, blocks)
+            holds = difference is None
     return statement, degrees, bounds, bracket_only, (_HOLDS if holds else _FAILS) if within else _OVER_BUDGET, difference
+
+
+def _cancelled(statement: IdentityStatement) -> Optional[bool]:
+    """Whether F*L == F*R holds, decided as L == R or else F == 0 for each shared F; None if no F or a part is over budget.
+
+    The factors are those of each side's top-level product, matched across
+    the sides as a multiset by ``_key``; numbers are not matched, and a side
+    with no factor left is 1.  Both routes decide in an integral domain:
+    Q[a, b, c, d], or under the constraint Q[a, b, c] through
+    ``_on_surface``, which is also what the power sums decide.  There
+    F*(L - R) is zero exactly when F or L - R is.  Each part is decided by
+    ``_decide``, under the statement's constraint, and shares no factor
+    itself: the rests have none in common, and F == 0 has 0 on the right.
+    The parts' degrees and counts are never over the statement's, so None
+    for a part over budget, which falls back to the statement's own grid,
+    is only a guard.
+    """
+    lhs, rhs = _factors(statement.lhs), _factors(statement.rhs)
+    unmatched: dict[tuple, list[int]] = {}
+    for index, factor in enumerate(rhs):
+        if type(factor) is not Num:
+            unmatched.setdefault(_key(factor), []).append(index)
+    shared, lhs_rest = {}, []
+    for factor in lhs:
+        key = None if type(factor) is Num else _key(factor)
+        indices = unmatched.get(key)
+        if indices:
+            rhs[indices.pop()] = None
+            shared.setdefault(key, factor)
+        else:
+            lhs_rest.append(factor)
+    if not shared:
+        return None
+    rhs_rest = [factor for factor in rhs if factor is not None]
+    reduced = replace(statement, lhs=_product(lhs_rest), rhs=_product(rhs_rest))
+    for part in (reduced, *(replace(statement, lhs=factor, rhs=_ZERO) for factor in shared.values())):
+        outcome = _decide(part)[4]
+        if outcome is not _FAILS:
+            return None if outcome is _OVER_BUDGET else True
+    return False
+
+
+def _factors(expr: Expr) -> list[Expr]:
+    """The factors of a top-level product, left to right, gathered on an explicit stack; else the expression alone."""
+    factors, stack = [], [expr]
+    while stack:
+        node = stack.pop()
+        if type(node) is Mul:
+            stack += node.right, node.left
+        else:
+            factors.append(node)
+    return factors
+
+
+def _product(factors: list[Expr]) -> Expr:
+    return reduce(Mul, factors) if factors else _ONE
+
+
+def _key(expr: Expr) -> tuple:
+    """A flat tuple, equal for two trees exactly when they are the same: each node of ``_postorder``, with its fields."""
+    key = []
+    for node in _postorder(expr):
+        kind = type(node)
+        key.append(kind)
+        if kind is Num:
+            key.append(node.value)
+        elif kind is Var:
+            key.append(node.name)
+        elif kind is Bracket:
+            key += node.kind, node.power
+        elif kind is Pow:
+            key.append(node.exponent)
+    return tuple(key)
 
 
 # ----------------------------------------------------------------------
@@ -712,12 +796,15 @@ def verify(statement: IdentityStatement, seed: int = 0) -> VerificationReport:
 def spot_check(statement: IdentityStatement, trials: int = _WITNESS_DRAWS, seed: int = 0) -> VerificationReport:
     """Decide the statement exactly, without expanding it in a, b, c, d.
 
-    The statement is decided by ``_decide``, as ``verify`` decides it.  On
-    a disagreement the witness is the first of ``trials`` seeded draws
-    where the sides differ: free coordinates are nonzero rationals with
-    numerator and denominator bounded by 9, and d = b*c/a under the
-    constraint, so a*d = b*c exactly.  If every draw agrees, it is the
-    first point of ``_grid_certificate`` where they differ, or, over its
+    The statement is decided by ``_decide``, as ``verify`` decides it, so
+    within the grid's budget F*L == F*R by L == R or F == 0 when its sides
+    share a factor F.  On a disagreement the witness is the first of
+    ``trials`` seeded draws where the sides differ: free coordinates are
+    nonzero rationals with numerator and denominator bounded by 9, and d =
+    b*c/a under the constraint, so a*d = b*c exactly.  The draws, like the
+    rest of the report, are of the whole pruned statement, never of a
+    cancelled part.  If every draw agrees, it is the first point of the
+    whole statement's ``_grid_certificate`` where they differ, or, over its
     budget, which only brackets and numbers reach here,
     ``_integer_witness`` of the expanded difference.  A node of degree over
     ``_POINT_BUDGET``, or a power of a constant with exponent over it,
@@ -746,7 +833,8 @@ def spot_check(statement: IdentityStatement, trials: int = _WITNESS_DRAWS, seed:
             " agree; verify it symbolically instead"
         )
     if difference is None and blocks is not None:
-        # Brackets and numbers were compared in the power sums, not on the grid.
+        # Brackets and numbers were compared in the power sums, and a statement
+        # with shared factors in its cancelled parts, not on its own grid.
         difference = _first_difference(statement, blocks)
     if difference is not None:
         return _report(statement, start, tuple(map(Fraction, difference)))

@@ -435,6 +435,22 @@ def test_verify_numeric_decides_brackets_and_numbers_by_the_power_sums(capsys, t
 
 
 @pytest.mark.parametrize("route", [[], ["--numeric"]], ids=["symbolic", "numeric"])
+def test_verify_cancels_a_shared_factor_and_decides_the_rest_by_the_power_sums(capsys, tmp_path, monkeypatch, route):
+    # F*L == F*R holds when L == R, and here L == R is gen-3-7-5-three, of
+    # brackets and numbers alone, so no point of the whole statement's grid
+    # is evaluated.
+    def no_block(points):
+        raise AssertionError("evaluated a statement with a shared factor at certificate points")
+
+    monkeypatch.setattr(identities, "_Block", no_block)
+    path = tmp_path / "shared.rid"
+    path.write_text("(b + c)^3*(25*A(3)*A(7)) == (b + c)^3*(21*A(5)^2)\n", encoding="utf-8")
+    code, out, err = invoke(capsys, "verify", str(path), *route)
+    assert (code, err) == (0, "")
+    assert out.startswith("PROVED shared reduced_terms=0 ")
+
+
+@pytest.mark.parametrize("route", [[], ["--numeric"]], ids=["symbolic", "numeric"])
 @pytest.mark.parametrize(
     "text",
     [

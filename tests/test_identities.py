@@ -626,6 +626,57 @@ def test_verify_proves_exactly_what_expands_to_zero(statement):
     assert (verify(statement).verdict is Verdict.PROVED) is (not reduce_difference(statement))
 
 
+def statements_sharing_a_factor():
+    # A statement with a variable, both sides times one factor F, on either
+    # side of each product and under either constraint; D(2) vanishes on the
+    # surface, so there F*L == F*R holds however L and R differ.
+    def shared(statement, factor, constrained, left_first):
+        lhs = Mul(factor, statement.lhs) if left_first else Mul(statement.lhs, factor)
+        return IdentityStatement("shared", lhs, Mul(factor, statement.rhs), constrained)
+
+    factors = st.one_of(
+        st.sampled_from([Bracket(BracketKind.D, 2), Var("a"), Add(Var("b"), Num(Fraction(1))), Bracket(BracketKind.A, 3)]),
+        expressions.filter(lambda e: degree_bound(e) <= 4),
+    )
+    return st.builds(shared, statements_with_a_variable(), factors, st.booleans(), st.booleans()).filter(
+        # Only a grid within its budget is decided by cancelling.
+        lambda statement: certificate(statement)[1] is not None
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(statements_sharing_a_factor())
+def test_both_routes_prove_a_shared_factor_statement_exactly_when_it_expands_to_zero(statement):
+    # F*L == F*R is decided as L == R or else F == 0, which the whole
+    # difference expanded decides too.
+    proved = not reduce_difference(statement)
+    assert (verify(statement).verdict is Verdict.PROVED) is proved
+    assert (spot_check(statement, trials=1).verdict is Verdict.PROVED) is proved
+
+
+@pytest.mark.parametrize("check", [verify, spot_check], ids=["symbolic", "numeric"])
+@pytest.mark.parametrize("constrained", [True, False], ids=["surface", "free"])
+def test_a_shared_factor_that_vanishes_on_the_surface_proves_the_statement(check, constrained):
+    # D(2) = 0 wherever a*d = b*c, so D(2)*a == D(2)*b holds there, though
+    # a == b does not; without the constraint it is false.
+    statement = parse("D(2)*a == D(2)*b", "shared")
+    report = check(IdentityStatement(statement.name, statement.lhs, statement.rhs, constrained))
+    assert report.verdict is (Verdict.PROVED if constrained else Verdict.FALSIFIED)
+
+
+@pytest.mark.parametrize("check", [verify, spot_check], ids=["symbolic", "numeric"])
+@pytest.mark.parametrize(
+    "left, right",
+    [("(a + b)^2", "(a + b)^3"), ("A(3)", "B(3)"), ("A(3)", "A(4)"), ("(a + 1)", "(a + 2)"),
+     ("(a + b)", "(a - b)"), ("(a + b)", "(a + c)")],
+    ids=["exponent", "bracket-kind", "bracket-power", "number", "operator", "variable"],
+)
+def test_factors_that_differ_in_one_field_are_not_cancelled(check, left, right):
+    # b is shared, and matching the two near factors as one would leave
+    # 1 == 1 and prove a false statement.
+    assert check(parse(f"{left}*b == {right}*b", "near")).verdict is Verdict.FALSIFIED
+
+
 # ----------------------------------------------------------------------
 # the constraint surface
 

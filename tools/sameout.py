@@ -14,7 +14,8 @@ first on the path, on
 * bracket, hidden-subtree, over-budget and unreadable inputs (``EXTRAS``),
   among them statements with a variable over the point budget, false
   statements that every seeded draw satisfies, so that their witness is a
-  grid point, and grids of exactly two and four full blocks.
+  grid point, grids of exactly two and four full blocks, and sides that
+  share a product factor.
 
 Each line of FILE is a JSON list: the argv, the exit code, stdout with the
 elapsed time removed, and stderr.  Statements are written as ``.rid``
@@ -57,6 +58,8 @@ NUMERIC, PLAIN = ROUTES[1:], FORMATS[:1]
 # the sampler draws every coordinate from: every seeded draw is a root.
 SAMPLED = sorted({Fraction(n, d) for n in range(-9, 10) if n for d in range(1, 10)})
 ROOTS = "*".join(f"(a - {r})" if r > 0 else f"(a + {-r})" for r in SAMPLED)
+# 300 factors (a+b), for both sides to share.
+PRODUCT = "*".join(["(a+b)"] * 300)
 EXTRAS = {
     # Brackets and numbers, at and around the invariant count's budget.
     "a60-b40": ("A(60)*B(40) == B(40)*A(60)", ROUTES, FORMATS),
@@ -102,6 +105,16 @@ EXTRAS = {
     # tensor grid.
     "blocks-two": (CONSTRAINT + "b^15*c^15 == c^15*b^15", ROUTES, FORMATS),
     "blocks-four": ("a*b^7*c^7*d^7 == d^7*c^7*b^7*a", ROUTES, FORMATS),
+    # Sides that share a product factor F, decided as L == R or F == 0: the
+    # rest holds; the rest fails but F vanishes on the surface; the rest and
+    # F both fail, and every seeded draw agrees, so the witness is a point of
+    # the whole statement's grid; and 300 shared factors, true and false.
+    "shared-rest": ("(b + c)^3*(25*A(3)*A(7)) == (b + c)^3*(21*A(5)^2)", ROUTES, FORMATS),
+    "shared-surface": (CONSTRAINT + "D(2)*a == D(2)*b", ROUTES, FORMATS),
+    "shared-free": ("D(2)*a == D(2)*b", ROUTES, FORMATS),
+    "shared-roots": (f"(b + 1)*{ROOTS} == (b + 1)*({ROOTS} - {ROOTS})", ROUTES, FORMATS),
+    "shared-300": (f"{PRODUCT} == {PRODUCT}", ROUTES, FORMATS),
+    "shared-300-false": (f"{PRODUCT}*a == {PRODUCT}*b", ROUTES, FORMATS),
     # Fails to parse.
     "unparsable": ("a == (b", ROUTES, FORMATS),
 }
