@@ -29,7 +29,7 @@ triples' invariants (e2, e3, e2', e3'), with e2' = e2 under the constraint,
 by Newton's identities (``_PowerSums``).  The invariants are algebraically
 independent, so it holds exactly when that polynomial is zero.  Any other
 statement holds exactly when its sides agree at every integer point
-(a, b, c, d) of ``_grid_certificate``, evaluated ``_BLOCK_SIZE`` points at
+(a, b, c, d) of ``_Decision.blocks``, evaluated ``_BLOCK_SIZE`` points at
 a time.  Within that grid's budget, a statement whose sides are products
 sharing a factor F is decided by cancelling it (``_cancelled``): both
 routes decide in an integral domain, Q[a, b, c, d] or, under the
@@ -37,15 +37,16 @@ constraint, Q[a, b, c] through ``_on_surface``, where F*(L - R) = 0
 exactly when F = 0 or L = R.  So L == R is decided first, then F == 0 for
 each distinct F; the report, its witness and its counts are still those
 of the whole statement.  ``_decide`` is the one home of that decision,
-and ``verify`` and ``spot_check`` both make it; over ``_POINT_BUDGET``
-points ``verify`` expands a statement with a variable, and ``spot_check``
-refuses it once its draws agree.  Seeded random draws pick a false statement's witness,
-and a falsified report counts the terms of the expanded difference only
-when its ``reduced_terms`` is read.  ``_decide`` first makes one degree
-pass, ``_degree_pass``, which refuses a statement with a node of degree
-over ``_POINT_BUDGET``, or a power of a constant with exponent over it,
-and prunes it: a subtree that is zero by construction becomes 0 and a
-zeroth power 1.  Every route then evaluates the pruned statement.
+and ``verify`` and ``spot_check`` both make it.  Seeded random draws pick
+a false statement's witness; over ``_POINT_BUDGET`` both routes take the
+first draw before anything else, then ``verify`` compares the power sums
+or expands, and ``spot_check`` refuses once its draws agree.  A falsified
+report counts the terms of the expanded difference only when its
+``reduced_terms`` is read.  ``_decide`` first builds a ``_Decision`` by
+one degree pass, which refuses a statement with a node of degree over
+``_POINT_BUDGET``, or a power of a constant with exponent over it, and
+prunes it: a subtree that is zero by construction becomes 0 and a zeroth
+power 1.  Every route then evaluates the pruned statement.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from functools import cached_property, lru_cache, reduce
 from itertools import islice, product, repeat
 from math import comb, prod
 from operator import add, mul, ne, neg, sub
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from ._record import Record, replace, setfield
 from .algebra import VARIABLES, Polynomial
@@ -325,7 +326,7 @@ def _power_sums_agree(statement: IdentityStatement) -> bool:
 # zero, the polynomial that ``verify`` expands.
 
 # Most integer points ``spot_check`` evaluates for a certificate, and the
-# largest ``_invariant_count`` of a statement of brackets and numbers whose
+# largest ``invariant_count`` of a statement of brackets and numbers whose
 # power sums it compares.  The catalog's bracket entries count 6-56,
 # asym-6-8-factored needs 81 points and the benchmark's statements with a
 # variable 81-560; b^99*c^99 == b^99*c^99 under the constraint needs exactly
@@ -427,66 +428,72 @@ def _multiple(degrees: frozenset[int], exponent: int) -> frozenset[int]:
     return result
 
 
-def _grid_certificate(
-    constrained: bool, degrees: frozenset[int], bounds: tuple[int, ...]
-) -> tuple[int, Optional[Iterator[_Block]]]:
-    """How many integer points prove a statement by agreement, and the points, a block at a time.
+class _Decision:
+    """What ``_decide`` knows of a statement, built by its one degree pass and completed by ``_decide``.
 
-    ``degrees`` and ``bounds`` are the statement's from ``_degree_pass``.
-    Points are t*(1, b, c, d), or ``_on_surface(t, b, c)`` under the
-    constraint, for (b, c[, d]) on the smaller of the tensor grid and the
-    simplex lattice, in lexicographic order, and t = 1..|J| innermost.  The
-    points are enumerated one tuple each and cut into ``_blocks`` lazily.
-    The blocks are None when there would be more than _POINT_BUDGET points.
+    The statement as ``_degrees`` of lhs - rhs prunes it, J, the bounds and
+    ``bracket_only``, with the pass's ``ValueError`` prefixed by the name.
     """
-    top = max(degrees, default=0)
-    sides = [min(bound, top) + 1 for bound in bounds]
-    # Under the constraint the simplex lattice, of total degree 2*max J in
-    # (b, c), is never smaller than the (max J + 1)^2 tensor grid.
-    simplex = not constrained and comb(top + 3, 3) < prod(sides)
-    count = len(degrees) * (comb(top + 3, 3) if simplex else prod(sides))
-    if count > _POINT_BUDGET:
-        return count, None
-    if simplex:
-        grid = ((b, c, d) for b in range(top + 1) for c in range(top + 1 - b) for d in range(top + 1 - b - c))
-    else:
-        grid = product(*map(range, sides))
-    scales = range(1, len(degrees) + 1)
-    if constrained:
-        return count, _blocks(_on_surface(t, b, c) for b, c in grid for t in scales)
-    return count, _blocks((t, t * b, t * c, t * d) for b, c, d in grid for t in scales)
 
+    __slots__ = ("statement", "degrees", "bounds", "bracket_only", "grid_count", "invariant_count", "count", "outcome", "difference")
 
-def _invariant_count(constrained: bool, degrees: frozenset[int]) -> int:
-    """How many weighted monomials lhs - rhs of a statement of brackets and numbers can have in the invariants.
+    def __init__(self, statement: IdentityStatement):
+        difference = Sub(statement.lhs, statement.rhs)
+        try:
+            pruned, self.degrees, self.bounds, self.bracket_only = _degrees(difference, "bc" if statement.constrained else "bcd")
+        except ValueError as exc:
+            raise ValueError(f"{statement.name}: {exc}") from None
+        if pruned is not difference:
+            # Only a difference of two zeros is pruned whole.
+            lhs, rhs = (_ZERO, _ZERO) if pruned is _ZERO else (pruned.left, pruned.right)
+            statement = replace(statement, lhs=lhs, rhs=rhs)
+        self.statement = statement
+        self.grid_count = len(self.degrees) * self._lattice()[0]
+        # How many weighted monomials lhs - rhs of a statement of brackets and
+        # numbers can have in the invariants.  With e2 of weight 2 and e3 of
+        # weight 3 a bracket of power n has weight n, so the difference splits
+        # into weighted parts over J.  A monomial e2^i*e3^k*e2'^l*e3'^m of
+        # weight j follows from (k, l, m), since i does from j, and k + l + m
+        # <= j/2; under the constraint, where e2' = e2, it follows from (k, m),
+        # with k + m <= j/3.  So |J|*C(floor(max J/2) + 3, 3), or
+        # |J|*C(floor(max J/3) + 2, 2) under the constraint, bounds the terms
+        # of the power sums' difference, and of each node of the sides that
+        # ``_degrees`` prunes, whose degrees are never more, nor larger, than
+        # J's.
+        dimension, weight = (2, 3) if statement.constrained else (3, 2)
+        self.invariant_count = len(self.degrees) * comb(max(self.degrees, default=0) // weight + dimension, dimension)
+        # The one of the two counts that ``_POINT_BUDGET`` holds.
+        self.count = self.invariant_count if self.bracket_only else self.grid_count
+        self.outcome = self.difference = None
 
-    With e2 of weight 2 and e3 of weight 3 a bracket of power n has weight
-    n, so the difference splits into weighted parts over J.  A monomial
-    e2^i*e3^k*e2'^l*e3'^m of weight j follows from (k, l, m), since i does
-    from j, and k + l + m <= j/2; under the constraint, where e2' = e2, it
-    follows from (k, m), with k + m <= j/3.  So |J|*C(floor(max J/2) + 3,
-    3), or |J|*C(floor(max J/3) + 2, 2) under the constraint, bounds the
-    terms of the power sums' difference, and of each node of the sides
-    that ``_degrees`` prunes, whose degrees are never more, nor larger,
-    than J's.
-    """
-    dimension, weight = (2, 3) if constrained else (3, 2)
-    return len(degrees) * comb(max(degrees, default=0) // weight + dimension, dimension)
+    def _lattice(self) -> tuple[int, Iterator[tuple]]:
+        """The size of the smaller of the tensor grid and the simplex lattice of (b, c[, d]), and its points."""
+        top = max(self.degrees, default=0)
+        sides = [min(bound, top) + 1 for bound in self.bounds]
+        # Under the constraint the simplex lattice, of total degree 2*max J in
+        # (b, c), is never smaller than the (max J + 1)^2 tensor grid.
+        if self.statement.constrained or comb(top + 3, 3) >= prod(sides):
+            return prod(sides), product(*map(range, sides))
+        return comb(top + 3, 3), ((b, c, d) for b in range(top + 1) for c in range(top + 1 - b) for d in range(top + 1 - b - c))
 
+    def blocks(self) -> Optional[Iterator[_Block]]:
+        """The points that prove the statement by agreement, a block at a time; None over ``_POINT_BUDGET``.
 
-def _degree_pass(statement: IdentityStatement) -> tuple[IdentityStatement, frozenset[int], tuple[int, ...], bool]:
-    """``_degrees`` of lhs - rhs, led by the statement as pruned; its ``ValueError`` is prefixed with the name."""
-    free = "bc" if statement.constrained else "bcd"
-    difference = Sub(statement.lhs, statement.rhs)
-    try:
-        pruned, *rest = _degrees(difference, free)
-    except ValueError as exc:
-        raise ValueError(f"{statement.name}: {exc}") from None
-    if pruned is not difference:
-        # Only a difference of two zeros is pruned whole.
-        lhs, rhs = (_ZERO, _ZERO) if pruned is _ZERO else (pruned.left, pruned.right)
-        statement = replace(statement, lhs=lhs, rhs=rhs)
-    return (statement, *rest)
+        Points are t*(1, b, c, d), or ``_on_surface(t, b, c)`` under the
+        constraint, for (b, c[, d]) on the smaller of the tensor grid and the
+        simplex lattice, in lexicographic order, and t = 1..|J| innermost.  The
+        points are enumerated one tuple each and cut into ``_blocks`` lazily.
+        """
+        if self.grid_count > _POINT_BUDGET:
+            return None
+        grid, scales = self._lattice()[1], range(1, len(self.degrees) + 1)
+        if self.statement.constrained:
+            return _blocks(_on_surface(t, b, c) for b, c in grid for t in scales)
+        return _blocks((t, t * b, t * c, t * d) for b, c, d in grid for t in scales)
+
+    def first_difference(self) -> Optional[tuple]:
+        """The first point of ``blocks`` where the sides differ; None where they agree, or over the budget."""
+        return next(filter(None, (block.disagreement(self.statement) for block in self.blocks() or ())), None)
 
 
 # ----------------------------------------------------------------------
@@ -593,42 +600,32 @@ def _blocks(points: Iterator[tuple]) -> Iterator[_Block]:
         yield _Block(block)
 
 
-def _first_difference(statement: IdentityStatement, blocks: Iterable[_Block]) -> Optional[tuple]:
-    """The first point of the blocks where the sides differ, else None."""
-    return next(filter(None, (block.disagreement(statement) for block in blocks)), None)
-
-
 _HOLDS, _FAILS, _OVER_BUDGET = "holds", "fails", "over budget"
 
 
-def _decide(statement: IdentityStatement) -> tuple[IdentityStatement, frozenset[int], tuple[int, ...], bool, str, Optional[tuple]]:
-    """The one decision of both routes, after the one ``_degree_pass``.
+def _decide(statement: IdentityStatement) -> _Decision:
+    """The one decision of both routes: the statement's ``_Decision``, with its outcome set.
 
     A statement of brackets and numbers holds exactly when
     ``_power_sums_agree``.  Any other holds exactly when its sides agree at
-    every point of ``_grid_certificate``; within its budget, a statement
-    whose sides' products share factors is decided instead by
-    ``_cancelled``, since F*L == F*R holds exactly when L == R or F == 0.
-    Returns the pruned statement, J, the bounds, whether it is of brackets
-    and numbers, ``_HOLDS``, ``_FAILS``, or ``_OVER_BUDGET`` when its
-    ``_invariant_count`` or grid is over ``_POINT_BUDGET``, and nothing was
-    compared; and last the first point of the grid where the sides differ,
-    which ``spot_check`` reports, else None, as after a cancellation.  All
-    of it is of the statement as given, never of a cancelled part.
+    every point of its ``blocks``; within their budget, a statement whose
+    sides' products share factors is decided instead by ``_cancelled``,
+    since F*L == F*R holds exactly when L == R or F == 0.  The outcome is
+    ``_HOLDS``, ``_FAILS``, or ``_OVER_BUDGET`` when ``count`` is over the
+    budget and nothing was compared; ``difference`` is the first grid point
+    where the sides differ, which ``spot_check`` reports, else None, as
+    after a cancellation.  All of it is of the statement as given, never
+    of a cancelled part.
     """
-    statement, degrees, bounds, bracket_only = _degree_pass(statement)
-    difference = None
-    if bracket_only:
-        within = _invariant_count(statement.constrained, degrees) <= _POINT_BUDGET
-        holds = within and _power_sums_agree(statement)
-    else:
-        _, blocks = _grid_certificate(statement.constrained, degrees, bounds)
-        within = blocks is not None
-        holds = within and _cancelled(statement)
+    decision = _Decision(statement)
+    statement, decision.outcome = decision.statement, _OVER_BUDGET
+    if decision.count <= _POINT_BUDGET:
+        holds = _power_sums_agree(statement) if decision.bracket_only else _cancelled(statement)
         if holds is None:
-            difference = _first_difference(statement, blocks)
-            holds = difference is None
-    return statement, degrees, bounds, bracket_only, (_HOLDS if holds else _FAILS) if within else _OVER_BUDGET, difference
+            decision.difference = decision.first_difference()
+            holds = decision.difference is None
+        decision.outcome = _HOLDS if holds else _FAILS
+    return decision
 
 
 def _cancelled(statement: IdentityStatement) -> Optional[bool]:
@@ -665,7 +662,7 @@ def _cancelled(statement: IdentityStatement) -> Optional[bool]:
     rhs_rest = [factor for factor in rhs if factor is not None]
     reduced = replace(statement, lhs=_product(lhs_rest), rhs=_product(rhs_rest))
     for part in (reduced, *(replace(statement, lhs=factor, rhs=_ZERO) for factor in shared.values())):
-        outcome = _decide(part)[4]
+        outcome = _decide(part).outcome
         if outcome is not _FAILS:
             return None if outcome is _OVER_BUDGET else True
     return False
@@ -759,31 +756,35 @@ def verify(statement: IdentityStatement, seed: int = 0) -> VerificationReport:
     """Symbolic verdict; a FALSIFIED verdict carries a concrete witness.
 
     The statement is decided by ``_decide``, as ``spot_check`` decides it.
-    Brackets and numbers over the budget are still compared in the power
-    sums.  A statement with a variable over the grid's budget has the first
-    of ``_WITNESS_DRAWS`` seeded draws (see ``spot_check``) evaluated, and
-    where they agree it is expanded by ``reduce_difference``, which proves
-    a zero difference.  A false statement is FALSIFIED at the first of the
-    draws where the sides differ, else at ``_integer_witness`` of the
-    expanded difference.  ``reduced_terms`` is counted on first read when
-    the difference was not expanded.  ``ValueError`` is raised as in
-    ``spot_check``, before either route runs.
+    Over the budget the first of ``_WITNESS_DRAWS`` seeded draws (see
+    ``spot_check``) comes first; where it agrees, brackets and numbers are
+    compared in the power sums and a statement with a variable is expanded
+    by ``reduce_difference``, which proves a zero difference.  A false
+    statement is FALSIFIED at the first of the draws where the sides
+    differ, else at ``_integer_witness`` of the expanded difference.
+    ``reduced_terms`` is counted on first read when the difference was not
+    expanded.  ``ValueError`` is raised as in ``spot_check``, before either
+    route runs.
     """
     start = time.perf_counter()
-    statement, _, _, bracket_only, outcome, _ = _decide(statement)
-    if outcome is _OVER_BUDGET and bracket_only:
-        outcome = _HOLDS if _power_sums_agree(statement) else _FAILS
+    decision = _decide(statement)
+    statement, outcome = decision.statement, decision.outcome
     if outcome is _HOLDS:
         return _report(statement, start)
     # A false statement's difference is a nonzero polynomial, so random
     # rational points miss its zero set with overwhelming probability and
     # the first draw almost always falsifies it.  The cap only bounds the
-    # rare statement whose zero set covers the sampling box.
+    # rare statement whose zero set covers the sampling box.  Over the budget
+    # it comes before the power sums or expansion, whose work is unbounded.
     rng = random.Random(seed)
     witness, reduced = _first_disagreement(statement, 1, rng), None
     if witness is None and outcome is _OVER_BUDGET:
-        reduced = reduce_difference(statement)
-        if not reduced:
+        if decision.bracket_only:
+            holds = _power_sums_agree(statement)
+        else:
+            reduced = reduce_difference(statement)
+            holds = not reduced
+        if holds:
             return _report(statement, start)
     if witness is None:
         witness = _first_disagreement(statement, _WITNESS_DRAWS - 1, rng)
@@ -804,38 +805,36 @@ def spot_check(statement: IdentityStatement, trials: int = _WITNESS_DRAWS, seed:
     b*c/a under the constraint, so a*d = b*c exactly.  The draws, like the
     rest of the report, are of the whole pruned statement, never of a
     cancelled part.  If every draw agrees, it is the first point of the
-    whole statement's ``_grid_certificate`` where they differ, or, over its
+    whole statement's ``blocks`` where they differ, or, over their
     budget, which only brackets and numbers reach here,
     ``_integer_witness`` of the expanded difference.  A node of degree over
     ``_POINT_BUDGET``, or a power of a constant with exponent over it,
     raises ``ValueError`` at once.  A statement that ``_decide`` finds over
-    the budget gets the draws alone, and ``ValueError`` naming its count if
-    every draw agrees.  A FALSIFIED report counts the terms of
+    the budget gets the draws alone, and ``ValueError`` naming the record's
+    ``count`` if every draw agrees.  A FALSIFIED report counts the terms of
     ``reduce_difference`` on the first read of its ``reduced_terms``.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     start = time.perf_counter()
-    statement, degrees, bounds, bracket_only, outcome, difference = _decide(statement)
-    if outcome is _HOLDS:
+    decision = _decide(statement)
+    statement = decision.statement
+    if decision.outcome is _HOLDS:
         return _report(statement, start)
     witness = _first_disagreement(statement, trials, random.Random(seed))
     if witness is not None:
         return _report(statement, start, witness)
-    count, blocks = _grid_certificate(statement.constrained, degrees, bounds)
-    if outcome is _OVER_BUDGET:
+    if decision.outcome is _OVER_BUDGET:
         # For brackets and numbers the count bounds the power sums' terms; the
         # message names it as points, as when they were evaluated at points.
-        count = _invariant_count(statement.constrained, degrees) if bracket_only else count
         raise ValueError(
-            f"{statement.name}: deciding it exactly needs at least {count} integer"
+            f"{statement.name}: deciding it exactly needs at least {decision.count} integer"
             f" points, over the budget of {_POINT_BUDGET}, and all {trials} seeded draws"
             " agree; verify it symbolically instead"
         )
-    if difference is None and blocks is not None:
-        # Brackets and numbers were compared in the power sums, and a statement
-        # with shared factors in its cancelled parts, not on its own grid.
-        difference = _first_difference(statement, blocks)
+    # Brackets and numbers were compared in the power sums, and a statement
+    # with shared factors in its cancelled parts, not on its own grid.
+    difference = decision.difference or decision.first_difference()
     if difference is not None:
         return _report(statement, start, tuple(map(Fraction, difference)))
     reduced = reduce_difference(statement)

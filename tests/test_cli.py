@@ -17,7 +17,7 @@ from trigident.algebra import Polynomial
 from trigident.cli import CliError, build_parser, run
 from trigident.dsl import load_statement
 from trigident.fourier import POWER_BUDGET
-from trigident.identities import CATALOG, _degree_pass, _grid_certificate, expr_value
+from trigident.identities import CATALOG, _Decision, expr_value
 
 
 def invoke(capsys, *argv):
@@ -241,7 +241,8 @@ def test_verify_expands_over_the_grid_budget_when_the_first_draw_agrees(
     # draw, as --numeric reports it without expanding.
     path = tmp_path / "over.rid"
     path.write_text(source + "\n", encoding="utf-8")
-    assert certificate(load_statement(path)) == (points, None)
+    decision = _Decision(load_statement(path))
+    assert (decision.grid_count, decision.blocks()) == (points, None)
     expanded = []
     reduce_difference = identities.reduce_difference
     monkeypatch.setattr(identities, "reduce_difference", lambda s: expanded.append(s) or reduce_difference(s))
@@ -285,12 +286,6 @@ def test_verify_finds_a_witness_when_every_draw_is_a_root(capsys, tmp_path, cons
         assert a * d == b * c
 
 
-def certificate(statement):
-    """The statement's ``_grid_certificate``, from its own degree pass."""
-    _, degrees, bounds, _ = _degree_pass(statement)
-    return _grid_certificate(statement.constrained, degrees, bounds)
-
-
 def test_verify_numeric_falsifies_a_statement_that_vanishes_on_the_sampling_box(capsys, tmp_path):
     # Every seeded draw is a root, so the witness is the certificate's
     # integer point: a = 10 is the first of t = 1..111 that is no root.
@@ -302,8 +297,8 @@ def test_verify_numeric_falsifies_a_statement_that_vanishes_on_the_sampling_box(
     witness = tuple(Fraction(v) for v in out[out.index("(") + 1:out.rindex(")")].split(","))
     statement = load_statement(path)
     assert expr_value(statement.lhs, witness) != expr_value(statement.rhs, witness)
-    count, blocks = certificate(statement)
-    assert count == sum(map(len, blocks)) == 111
+    decision = _Decision(statement)
+    assert decision.grid_count == sum(map(len, decision.blocks())) == 111
 
 
 def test_verify_numeric_reports_the_first_disagreement_past_the_first_block(capsys, tmp_path, monkeypatch):
@@ -322,9 +317,9 @@ def test_verify_numeric_reports_the_first_disagreement_past_the_first_block(caps
     assert (code, err) == (1, "")
     assert out == "FALSIFIED roots witness=(141,0,0,0)\n"
     assert built == [identities._BLOCK_SIZE, 242 - identities._BLOCK_SIZE]
-    count, blocks = certificate(load_statement(path))
-    points = [block.point(index) for block in blocks for index in range(len(block))]
-    assert count == len(points) == 242
+    decision = _Decision(load_statement(path))
+    points = [block.point(index) for block in decision.blocks() for index in range(len(block))]
+    assert decision.grid_count == len(points) == 242
     assert identities._BLOCK_SIZE < points.index((141, 0, 0, 0)) < 2 * identities._BLOCK_SIZE
 
 

@@ -38,13 +38,10 @@ from trigident.identities import (
 from trigident import identities
 from trigident.identities import (
     _WITNESS_DRAWS,
+    _Decision,
     _PowerSums,
-    _degree_pass,
     _degrees,
-    _first_difference,
-    _grid_certificate,
     _integer_witness,
-    _invariant_count,
     _on_surface,
     _power_sums_agree,
     _sample_point,
@@ -317,24 +314,18 @@ def test_negative_powers_raise_on_both_routes():
 )
 def test_certificate_point_counts(text, points):
     statement = catalog_entry(text) if text in CATALOG else parse(text)
-    count, blocks = certificate(statement)
-    blocks = list(blocks)
+    decision = _Decision(statement)
+    blocks = list(decision.blocks())
     # Every block is full but the last, and none is empty.
     sizes = [len(block) for block in blocks]
     assert 0 < sizes[-1] <= identities._BLOCK_SIZE
     assert sizes[:-1] == [identities._BLOCK_SIZE] * (len(sizes) - 1)
     grid = block_points(blocks)
-    assert count == len(grid) == len(set(grid)) == points
+    assert decision.grid_count == len(grid) == len(set(grid)) == points
     assert grid == certificate_points(statement)
     for a, b, c, d in grid:
         assert a >= 1
         assert a * d == b * c or not statement.constrained
-
-
-def certificate(statement):
-    """The statement's ``_grid_certificate``, from its own degree pass."""
-    _, degrees, bounds, _ = _degree_pass(statement)
-    return _grid_certificate(statement.constrained, degrees, bounds)
 
 
 def block_points(blocks):
@@ -348,9 +339,10 @@ def certificate_points(statement):
     They are t*(1, b, c, d), or (t, t*b, t*c, t*b*c) under the constraint,
     over the smaller grid in lexicographic order, with t innermost.
     """
-    _, degrees, bounds, _ = _degree_pass(statement)
+    decision = _Decision(statement)
+    degrees = decision.degrees
     top = max(degrees, default=0)
-    sides = [min(bound, top) + 1 for bound in bounds]
+    sides = [min(bound, top) + 1 for bound in decision.bounds]
     if not statement.constrained and comb(top + 3, 3) < prod(sides):
         grid = [(b, c, d) for b in range(top + 1) for c in range(top + 1 - b) for d in range(top + 1 - b - c)]
     else:
@@ -366,7 +358,7 @@ def values_by_block(statement):
 
     They must be what ``_value`` gives point by point, of the same types.
     """
-    _, blocks = certificate(statement)
+    blocks = _Decision(statement).blocks()
     if blocks is None:
         return []
     by_block = [
@@ -422,7 +414,8 @@ def test_a_huge_power_is_over_budget_before_any_degree_set_is_built(monkeypatch)
 def test_a_certificate_over_the_point_budget_has_no_points():
     # (100 + 1)^2 points on the (b, c) grid, for the single degree 100.
     statement = IdentityStatement("over", Bracket(BracketKind.D, 100), Bracket(BracketKind.D, 100), constrained=True)
-    assert certificate(statement) == (10_201, None)
+    decision = _Decision(statement)
+    assert (decision.grid_count, decision.blocks()) == (10_201, None)
 
 
 # ----------------------------------------------------------------------
@@ -612,7 +605,7 @@ def statements_with_a_variable():
         )
 
     return st.one_of(
-        statement_strategy().filter(lambda statement: not _degree_pass(statement)[3]),
+        statement_strategy().filter(lambda statement: not _Decision(statement).bracket_only),
         st.builds(joined, statement_strategy(), st.sampled_from("abcd")),
     )
 
@@ -622,7 +615,7 @@ def statements_with_a_variable():
 def test_verify_proves_exactly_what_expands_to_zero(statement):
     # Both routes decide a statement with a variable on the grid certificate,
     # so this checks that decision against expansion itself.
-    assert not _degree_pass(statement)[3]
+    assert not _Decision(statement).bracket_only
     assert (verify(statement).verdict is Verdict.PROVED) is (not reduce_difference(statement))
 
 
@@ -640,7 +633,7 @@ def statements_sharing_a_factor():
     )
     return st.builds(shared, statements_with_a_variable(), factors, st.booleans(), st.booleans()).filter(
         # Only a grid within its budget is decided by cancelling.
-        lambda statement: certificate(statement)[1] is not None
+        lambda statement: _Decision(statement).blocks() is not None
     )
 
 
@@ -859,6 +852,14 @@ def bracket_statements():
     )
 
 
+class GridDecision(_Decision):
+    """A ``_Decision`` that takes every statement for one with a variable."""
+
+    def __init__(self, statement):
+        super().__init__(statement)
+        self.bracket_only, self.count = False, self.grid_count
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(bracket_statements(), st.integers(0, 50))
 # Newton's identities: p_5 = -5*e2*e3 = 5/6 * p_2 * p_3, for either triple.
@@ -874,7 +875,7 @@ def test_power_sum_route_agrees_with_the_full_route(statement, seed):
     assert _power_sums_agree(statement) is (not reduce_difference(statement))
     report = verify(statement, seed=seed)
     # The full route is the one a statement with a variable takes.
-    with mock.patch.object(identities, "_degree_pass", side_effect=lambda s: (*_degree_pass(s)[:3], False)):
+    with mock.patch.object(identities, "_Decision", GridDecision):
         full = verify(statement, seed=seed)
     assert (report.verdict, report.witness, report.reduced_terms) == (full.verdict, full.witness, full.reduced_terms)
 
@@ -882,7 +883,7 @@ def test_power_sum_route_agrees_with_the_full_route(statement, seed):
 def test_only_bracket_statements_take_the_power_sum_route(monkeypatch):
     for statement in catalog():
         bracket_only = statement.name != "asym-6-8-factored"
-        assert _degree_pass(statement)[3] is bracket_only, statement.name
+        assert _Decision(statement).bracket_only is bracket_only, statement.name
         assert not bracket_only or _power_sums_agree(statement), statement.name
 
     def no_table(self, constrained):
@@ -893,12 +894,26 @@ def test_only_bracket_statements_take_the_power_sum_route(monkeypatch):
     assert (report.verdict, report.reduced_terms, report.witness) == (Verdict.PROVED, 0, None)
 
 
+def test_verify_draws_before_the_power_sums_over_the_budget(monkeypatch):
+    # D(2000) has an invariant count of C(1003, 3), far over the budget, and
+    # its first seed-0 draw falsifies it: that draw comes before the power
+    # sums, whose size the count bounds, and is the witness they lead to.
+    def no_table(self, constrained):
+        raise AssertionError("built a power-sum table before the first draw")
+
+    monkeypatch.setattr(_PowerSums, "__init__", no_table)
+    statement = parse("D(2000) == 0", "d2000")
+    assert _Decision(statement).count > identities._POINT_BUDGET
+    report = verify(statement)
+    assert (report.verdict, report.witness) == (Verdict.FALSIFIED, tuple(map(Fraction, ("3/7", "-8/5", "7/8", "3/5"))))
+
+
 def test_pruning_drops_only_what_no_degree_shows():
     zero, one, hidden = Num(Fraction(0)), Num(Fraction(1)), Pow(Add(Bracket(BracketKind.A, 2), Var("a")), 80)
     # The degree pass prunes as it goes; what it leaves is returned as itself.
     ramanujan = catalog_entry("ramanujan-6-10-8")
     assert _degrees(ramanujan.lhs, "bc")[0] is ramanujan.lhs
-    assert _degree_pass(ramanujan)[0] is ramanujan
+    assert _Decision(ramanujan).statement is ramanujan
     cases = [
         (Mul(hidden, zero), zero),
         (Pow(hidden, 0), one),
@@ -982,20 +997,21 @@ def test_invariant_certificate_point_counts(name, points):
     # The bound on the power sums' terms that spot_check holds to the
     # budget, and names when it refuses a statement over it.
     statement = catalog_entry(name) if name in CATALOG else parse(name, "count")
-    _, degrees, _, bracket_only = _degree_pass(statement)
-    assert bracket_only
-    assert _invariant_count(statement.constrained, degrees) == points
+    decision = _Decision(statement)
+    assert decision.bracket_only
+    assert decision.invariant_count == decision.count == points
 
 
 def grid_verdict(statement):
     """Whether today's (a, b, c, d) certificate proves the statement."""
-    _, blocks = certificate(statement)
-    return _first_difference(statement, blocks) is None
+    decision = _Decision(statement)
+    assert decision.blocks() is not None
+    return decision.first_difference() is None
 
 
 def test_the_power_sums_decide_the_catalog_as_the_grid_does():
     for statement in [*catalog(), corrupted_ramanujan()]:
-        if _degree_pass(statement)[3]:
+        if _Decision(statement).bracket_only:
             assert _power_sums_agree(statement) is grid_verdict(statement) is (statement.name in CATALOG)
 
 
@@ -1053,7 +1069,8 @@ def test_spot_check_reports_the_grid_point_when_every_draw_agrees():
     # A(2)^15 counts 1,632 in the invariants but needs 10,912 grid points, so
     # the witness is the expanded difference's integer point, as in verify.
     statement = agreeing_at_the_first_draw(Bracket(BracketKind.A, 2), 15)
-    assert certificate(statement) == (10_912, None)
+    decision = _Decision(statement)
+    assert (decision.grid_count, decision.blocks()) == (10_912, None)
     reduced = reduce_difference(statement)
     report = spot_check(statement, trials=1)
     witness = _integer_witness(reduced, constrained=False)
