@@ -118,7 +118,8 @@ def _run_linearize(args: argparse.Namespace) -> int:
     expansion = linearize_closed(args.shift_count, args.power)
     # POWER_BUDGET keeps the denominators printable, but a shift count just
     # under the limit on integer strings multiplies the numerators past it.
-    limit = sys.get_int_max_str_digits()
+    # Python before 3.10.7 has no such limit, which 0 also means.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     largest = max((max(abs(c.numerator), c.denominator) for c in expansion.coefficients.values()), default=0)
     if limit and largest >= 10**limit:
         raise CliError(

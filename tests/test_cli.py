@@ -83,6 +83,13 @@ def test_linearize_coefficients_over_the_integer_string_limit_exit_two(capsys, o
     assert shift_count in out
 
 
+def test_linearize_without_an_integer_string_limit(capsys, monkeypatch):
+    # Python 3.10.0-3.10.6, which requires-python admits, has neither the
+    # limit nor sys.get_int_max_str_digits.
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    assert invoke(capsys, "linearize", "-N", "3", "-n", "6") == (0, "f_6 = 15/16 + 3/32 cos(6θ)\n", "")
+
+
 def test_verify_catalog_entry(capsys):
     code, out, _ = invoke(capsys, "verify", "ramanujan-6-10-8")
     assert code == 0
