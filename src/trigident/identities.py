@@ -429,7 +429,7 @@ def _multiple(degrees: frozenset[int], exponent: int) -> frozenset[int]:
 
 
 class _Decision:
-    """What ``_decide`` knows of a statement, built by its one degree pass and completed by ``_decide``.
+    """What ``_decide`` knows of a statement, built by its one degree pass and completed by ``_compared``.
 
     The statement as ``_degrees`` of lhs - rhs prunes it, J, the bounds and
     ``bracket_only``, with the pass's ``ValueError`` prefixed by the name.
@@ -618,10 +618,21 @@ def _decide(statement: IdentityStatement) -> _Decision:
     of a cancelled part.
     """
     decision = _Decision(statement)
-    statement, decision.outcome = decision.statement, _OVER_BUDGET
+    if decision.count <= _POINT_BUDGET and not decision.bracket_only:
+        holds = _cancelled(decision.statement)
+        if holds is not None:
+            decision.outcome = _HOLDS if holds else _FAILS
+            return decision
+    return _compared(decision)
+
+
+def _compared(decision: _Decision) -> _Decision:
+    """``decision`` with its outcome set by comparing the sides, by their power sums or on the grid, with no cancelling."""
+    decision.outcome = _OVER_BUDGET
     if decision.count <= _POINT_BUDGET:
-        holds = _power_sums_agree(statement) if decision.bracket_only else _cancelled(statement)
-        if holds is None:
+        if decision.bracket_only:
+            holds = _power_sums_agree(decision.statement)
+        else:
             decision.difference = decision.first_difference()
             holds = decision.difference is None
         decision.outcome = _HOLDS if holds else _FAILS
@@ -637,8 +648,9 @@ def _cancelled(statement: IdentityStatement) -> Optional[bool]:
     Q[a, b, c, d], or under the constraint Q[a, b, c] through
     ``_on_surface``, which is also what the power sums decide.  There
     F*(L - R) is zero exactly when F or L - R is.  Each part is decided by
-    ``_decide``, under the statement's constraint, and shares no factor
-    itself: the rests have none in common, and F == 0 has 0 on the right.
+    ``_compared``, under the statement's constraint, with no second attempt
+    to cancel, since it shares no factor itself: the rests have none in
+    common, and F == 0 has 0 on the right.
     The parts' degrees and counts are never over the statement's, so None
     for a part over budget, which falls back to the statement's own grid,
     is only a guard.
@@ -662,7 +674,7 @@ def _cancelled(statement: IdentityStatement) -> Optional[bool]:
     rhs_rest = [factor for factor in rhs if factor is not None]
     reduced = replace(statement, lhs=_product(lhs_rest), rhs=_product(rhs_rest))
     for part in (reduced, *(replace(statement, lhs=factor, rhs=_ZERO) for factor in shared.values())):
-        outcome = _decide(part).outcome
+        outcome = _compared(_Decision(part)).outcome
         if outcome is not _FAILS:
             return None if outcome is _OVER_BUDGET else True
     return False

@@ -670,6 +670,24 @@ def test_factors_that_differ_in_one_field_are_not_cancelled(check, left, right):
     assert check(parse(f"{left}*b == {right}*b", "near")).verdict is Verdict.FALSIFIED
 
 
+@pytest.mark.parametrize("check", [verify, spot_check], ids=["symbolic", "numeric"])
+def test_a_part_left_by_cancelling_is_not_cancelled_again(check, monkeypatch):
+    # The rests share no factor, so a part is compared at once; a call to
+    # _cancelled while another is running is wasted work.
+    cancelled, running = identities._cancelled, []
+
+    def once(statement):
+        assert not running, "_cancelled was called while deciding one of its parts"
+        running.append(statement)
+        try:
+            return cancelled(statement)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(identities, "_cancelled", once)
+    assert check(parse("(a + b)*(c + d) == (a + b)*(d + c)", "swapped")).verdict is Verdict.PROVED
+
+
 # ----------------------------------------------------------------------
 # the constraint surface
 

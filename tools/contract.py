@@ -88,6 +88,10 @@ CASES = (
     # 83,328 grid points, over the 10,000 budget, so it is expanded.
     Case("over", VERIFY, 0, proved("over"), text=b"(7*a - 3)*(b + c + d)^60 == (7*a - 3)*(b + c + d)^60\n",
          limit=10),
+    # Expanded as well, and limited to pin the expansion route's speed: a certificate the
+    # variable puts over the budget, and a power of four terms built by repeated squaring.
+    Case("expand", VERIFY, 0, proved("expand"), text=b"A(200)*A(2) == A(2)*A(200) + a - a\n", limit=10),
+    Case("square", VERIFY, 0, proved("square"), text=b"(a+b+c+d)^40 == (a+b+c+d)^40 + a - a\n", limit=10),
     # The bound is far past the last power that can qualify; the CI job's own timeout guards its cost.
     Case("five", ("discover", "-N", "5", "--max-n", "1000000", "--emit", "json"), 0, FIVE),
     # A power over the degree budget, with the stderr that tests/test_cli.py pins.
