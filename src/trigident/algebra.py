@@ -125,10 +125,18 @@ class Polynomial:
     # arithmetic
 
     def __add__(self, other: Polynomial | Scalar) -> Polynomial:
+        # Both operands are canonical, so only a key of the right one can
+        # cancel or need narrowing; it is settled as it is merged.
         merged = dict(self._terms)
         for key, coefficient in _coerce(other)._terms.items():
-            merged[key] = merged.get(key, 0) + coefficient
-        return _wrap(_canonical(merged))
+            total = merged.get(key, 0) + coefficient
+            if not total:
+                del merged[key]
+            elif type(total) is int or total.denominator != 1:
+                merged[key] = total
+            else:
+                merged[key] = total.numerator
+        return _wrap(merged)
 
     __radd__ = __add__
 

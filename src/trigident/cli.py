@@ -141,7 +141,7 @@ def _resolve_statement(target: str) -> IdentityStatement:
         pass
     try:
         return load_statement(target)
-    except DslError as exc:
+    except (DslError, UnicodeDecodeError) as exc:
         raise CliError(f"{target}: {exc}") from exc
     except (OSError, ValueError):
         # Unreadable: a path that exists reports why, one that does not is

@@ -20,7 +20,10 @@ rationals, the variables, brackets, +, -, *, and integer powers, optionally
 assuming a*d - b*c = 0.  One evaluator, ``_value``, gives a statement its
 meaning at a point in plain exact arithmetic: ints where the point and the
 constants are integral, Fractions elsewhere, and Polynomials at the point
-(a, b, c, d) itself, which expands the statement.  Under the constraint
+(a, b, c, d) itself, which expands the statement.  Its points (a, b, c, d)
+come in a ``_Block``, which computes each bracket once: a block of one
+point for a seeded draw, for ``expr_value`` and for an expansion, and of
+up to ``_BLOCK_SIZE`` points on the grid below.  Under the constraint
 the surface a*d = b*c is read as the image of ``_on_surface``, (a, b, c) ->
 (a, a*b, a*c, a*b*c), so a statement holds when P(a, a*b, a*c, a*b*c) is
 the zero polynomial for P = lhs - rhs, and otherwise when P itself is.  A
@@ -60,7 +63,7 @@ from functools import cached_property, lru_cache, reduce
 from itertools import islice, product, repeat
 from math import comb, prod
 from operator import add, mul, ne, neg, sub
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from ._record import Record, replace, setfield
 from .algebra import VARIABLES, Polynomial
@@ -161,7 +164,7 @@ _OPERATORS = {Add: add, Sub: sub, Mul: mul}
 
 def expr_to_poly(expr: Expr) -> Polynomial:
     """Fully expanded polynomial of an expression: its value at (a, b, c, d)."""
-    value = _value(expr, _VARIABLE_POINT)
+    value = _at(expr, _VARIABLE_POINT)
     return value if isinstance(value, Polynomial) else Polynomial.constant(value)
 
 
@@ -174,11 +177,17 @@ def bracket_poly(kind: BracketKind, power: int) -> Polynomial:
 def expr_value(expr: Expr, point: Point) -> Fraction:
     """Exact value at a rational point, computed without polynomial expansion.
 
-    It shares ``_value`` with ``expr_to_poly`` and with the certificate
-    points of ``spot_check``; the tests check the tree semantics against a
-    plain Fraction reference.  Negative powers raise ``ValueError``.
+    It evaluates a ``_Block`` of one point, as ``expr_to_poly``, the seeded
+    draws and the certificate of ``spot_check`` do; the tests check the tree
+    semantics against a plain Fraction reference.  Negative powers raise
+    ``ValueError``.
     """
-    return Fraction(_value(expr, point))
+    return Fraction(_at(expr, point))
+
+
+def _at(expr: Expr, point: tuple) -> Union[int, Fraction, Polynomial]:
+    """The value at one point (a, b, c, d): ``_value`` at the ``_Block`` of that point alone."""
+    return _Block([point]).values(expr)[0]
 
 
 def _postorder(expr: Expr) -> list[Expr]:
@@ -205,23 +214,18 @@ def _postorder(expr: Expr) -> list[Expr]:
     return order[::-1]
 
 
-def _value(expr: Expr, point: Union[tuple, _PowerSums, _Block]) -> Union[int, Fraction, Polynomial, _Column]:
-    """Value at the point, one exact number per node of ``_postorder`` on a value stack.
+def _value(expr: Expr, point: Union[_PowerSums, _Block]) -> Union[int, Fraction, Polynomial, _Column]:
+    """Value at the point, one exact value per node of ``_postorder`` on a value stack.
 
-    The number is an ``int`` wherever the point and the constants are
+    The point gives each bracket through its ``of``.  A ``_PowerSums`` gives
+    it as a polynomial in the triples' invariants, and a variable no value.
+    At a ``_Block`` a bracket is the power sum of ``_triple`` and every node
+    is a ``_Column`` of its values, or one number for a constant subtree.
+    Each value is an ``int`` wherever the point and the constants are
     integral, as at every certificate point, a ``Fraction`` elsewhere, and
     a ``Polynomial`` at ``_VARIABLE_POINT``, which mixes exactly with both.
-    A bracket at a point is the power sum of ``_triple``.  A ``_PowerSums``
-    gives it as a polynomial in the triples' invariants, and a variable no
-    value; at a ``_Block`` every node is a ``_Column`` of its values.
     """
-    if isinstance(point, (_PowerSums, _Block)):
-        of = point.of
-    else:
-        def of(which: int, power: int):
-            x, y, z = _triple(which, *point)
-            return x ** power + y ** power + z ** power
-    values = []
+    of, values = point.of, []
     for node in _postorder(expr):
         kind = type(node)
         if kind is Num:
@@ -255,10 +259,6 @@ def _triple(which: int, a, b, c, d):
 def _on_surface(a, b, c):
     """The point of the constraint surface a*d = b*c that (a, b, c) parametrizes."""
     return a, a * b, a * c, a * b * c
-
-
-def _sides_agree(statement: IdentityStatement, point: Union[tuple, _PowerSums]) -> bool:
-    return _value(statement.lhs, point) == _value(statement.rhs, point)
 
 
 # ----------------------------------------------------------------------
@@ -304,7 +304,8 @@ class _PowerSums:
 
 def _power_sums_agree(statement: IdentityStatement) -> bool:
     """Whether a statement of brackets and numbers holds: its sides are equal in ``_PowerSums``."""
-    return _sides_agree(statement, _PowerSums(statement.constrained))
+    sums = _PowerSums(statement.constrained)
+    return _value(statement.lhs, sums) == _value(statement.rhs, sums)
 
 
 # ----------------------------------------------------------------------
@@ -493,17 +494,19 @@ class _Decision:
 
     def first_difference(self) -> Optional[tuple]:
         """The first point of ``blocks`` where the sides differ; None where they agree, or over the budget."""
-        return next(filter(None, (block.disagreement(self.statement) for block in self.blocks() or ())), None)
+        return _first_difference(self.statement, self.blocks() or ())
 
 
 # ----------------------------------------------------------------------
 # blocks of certificate points
 #
-# A ``_Block`` holds up to ``_BLOCK_SIZE`` consecutive certificate points as
-# tuples, in certificate order, and the column of each coordinate.  At a
-# block a node's value is a ``_Column``, or one number for a constant
-# subtree.  At each point the column holds exactly what ``_value``
-# gives there, so an ``int`` at every integral point with integral constants.
+# A ``_Block`` holds points (a, b, c, d) as tuples, in order, and the column
+# of each coordinate: up to ``_BLOCK_SIZE`` consecutive certificate points,
+# or the one point of a seeded draw, of ``expr_value`` or of an expansion.
+# At a block a node's value is a ``_Column``, or one number for a constant
+# subtree.  A column's entry at a point does not depend on the other points
+# of its block, so it is an ``int`` at every integral point with integral
+# constants.
 
 # Points per block.  A larger block saves little more time, and holding the
 # whole certificate as columns costs memory that grows with its size.
@@ -548,10 +551,11 @@ class _Column:
 
 
 class _Block:
-    """Points (a, b, c, d) of a certificate, evaluated together: a variable is the column of its coordinates.
+    """Points (a, b, c, d), evaluated together: a variable is the column of its coordinates.
 
-    The points are tuples in certificate order, transposed once into the
-    columns.  Like ``_PowerSums``, a block gives each bracket through ``of``.
+    The points are tuples, in order, transposed once into the columns.  Like
+    ``_PowerSums``, a block gives each bracket through ``of``, and it
+    computes each power sum once, however often the sides use it.
     """
 
     def __init__(self, points: list[tuple]):
@@ -598,6 +602,11 @@ def _blocks(points: Iterator[tuple]) -> Iterator[_Block]:
     """The points, in order, ``_BLOCK_SIZE`` to a block; only the last block may be shorter."""
     while block := list(islice(points, _BLOCK_SIZE)):
         yield _Block(block)
+
+
+def _first_difference(statement: IdentityStatement, blocks: Iterable[_Block]) -> Optional[tuple]:
+    """The first point where the sides differ, taking the blocks in order and none past its own; None where they agree."""
+    return next(filter(None, (block.disagreement(statement) for block in blocks)), None)
 
 
 _HOLDS, _FAILS, _OVER_BUDGET = "holds", "fails", "over budget"
@@ -761,7 +770,7 @@ def reduce_difference(statement: IdentityStatement) -> Polynomial:
     zero exactly when the statement holds on the a != 0 chart of a*d = b*c.
     """
     point = _on_surface(*_VARIABLE_POINT[:3]) if statement.constrained else _VARIABLE_POINT
-    return Polynomial.zero() + _value(Sub(statement.lhs, statement.rhs), point)
+    return Polynomial.zero() + _at(Sub(statement.lhs, statement.rhs), point)
 
 
 def verify(statement: IdentityStatement, seed: int = 0) -> VerificationReport:
@@ -874,12 +883,12 @@ def _report(
 def _first_disagreement(
     statement: IdentityStatement, draws: int, rng: random.Random
 ) -> Optional[Point]:
-    """The first of ``draws`` sample points where the sides differ, else None."""
-    for _ in range(draws):
-        point = _sample_point(statement.constrained, rng)
-        if not _sides_agree(statement, point):
-            return point
-    return None
+    """The first of ``draws`` sample points where the sides differ, else None.
+
+    Each is a block of one point, drawn only once the draws before it agree.
+    """
+    blocks = (_Block([_sample_point(statement.constrained, rng)]) for _ in range(draws))
+    return _first_difference(statement, blocks)
 
 
 def _sample_point(constrained: bool, rng: random.Random) -> Point:

@@ -313,12 +313,18 @@ def test_verify_numeric_reports_the_first_disagreement_past_the_first_block(caps
     # first of t = 1..242 that is no root, a = 141, lies inside the second
     # block of certificate points.  The line is the one the point-by-point
     # evaluation printed.  The decision finds that point, and the witness is
-    # the point it found: each block is built once.
+    # the point it found: each block of the grid is built once.
     path = tmp_path / "roots.rid"
     more_roots = "".join(f"*(a - {k})" for k in range(10, 141))
     path.write_text(f"{ROOT_PRODUCT}{more_roots} == 0\n", encoding="utf-8")
-    built, block = [], identities._Block.__init__
-    monkeypatch.setattr(identities._Block, "__init__", lambda self, points: built.append(len(points)) or block(self, points))
+    built, blocks = [], identities._blocks
+
+    def recorded(points):
+        for block in blocks(points):
+            built.append(len(block))
+            yield block
+
+    monkeypatch.setattr(identities, "_blocks", recorded)
     code, out, err = invoke(capsys, "verify", str(path), "--numeric")
     monkeypatch.undo()
     assert (code, err) == (1, "")
@@ -574,7 +580,7 @@ def test_verify_numeric_over_the_degree_budget_draws_nothing(capsys, tmp_path, m
         raise AssertionError("seeded draws ran over the degree budget")
 
     monkeypatch.setattr(identities, "_first_disagreement", no_draws)
-    monkeypatch.setattr(identities, "_sides_agree", no_draws)
+    monkeypatch.setattr(identities, "_value", no_draws)
     path = tmp_path / "huge.rid"
     path.write_text(text + "\n", encoding="utf-8")
     code, out, err = invoke(capsys, "verify", str(path), "--numeric")
@@ -603,7 +609,7 @@ def test_verify_power_of_a_constant_over_the_budget_exits_two(capsys, tmp_path, 
     def no_evaluation(*args):
         raise AssertionError("evaluated a power over the budget")
 
-    for name in ("reduce_difference", "_blocks", "_sides_agree", "_first_disagreement"):
+    for name in ("reduce_difference", "_blocks", "_value", "_first_disagreement"):
         monkeypatch.setattr(identities, name, no_evaluation)
     path = tmp_path / "huge.rid"
     path.write_text(text + "\n", encoding="utf-8")
@@ -673,12 +679,16 @@ def test_verify_unreadable_targets_exit_two_with_pinned_stderr(capsys, tmp_path,
     Path("dir.rid").mkdir()
     Path("dangling.rid").symlink_to("nowhere.rid")
     Path("latin.rid").write_bytes(b"a == \xff\n")
+    Path("sub").mkdir()
+    Path("sub/bad.rid").write_bytes(b"\xff\xfe == 0\n")
     cases = {
         "missing.rid": "no such file: missing.rid",
         "dangling.rid": "no such file: dangling.rid",
         "f.rid/x.rid": "no such file: f.rid/x.rid",
         "dir.rid": "[Errno 21] Is a directory: 'dir.rid'",
-        "latin.rid": "'utf-8' codec can't decode byte 0xff in position 5: invalid start byte",
+        # Named as every other unreadable file is.
+        "latin.rid": "latin.rid: 'utf-8' codec can't decode byte 0xff in position 5: invalid start byte",
+        "sub/bad.rid": "sub/bad.rid: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
         # A path the operating system cannot name does not exist.
         "nul\0.rid": "no such file: nul\0.rid",
         "nul\0": "unknown identity 'nul\\x00': not a catalog name or .rid file",

@@ -38,6 +38,7 @@ from trigident.identities import (
 from trigident import identities
 from trigident.identities import (
     _WITNESS_DRAWS,
+    _Block,
     _Decision,
     _PowerSums,
     _degrees,
@@ -45,7 +46,6 @@ from trigident.identities import (
     _on_surface,
     _power_sums_agree,
     _sample_point,
-    _sides_agree,
     _triple,
     _value,
 )
@@ -112,6 +112,17 @@ def test_expression_expansion_matches_manual_polynomial():
         Mul(Var("a"), Var("b")),
     )
     assert expr_to_poly(expr) == 2 * (A + B) ** 2 - A * B
+
+
+def test_expansion_builds_each_bracket_once(monkeypatch):
+    # A(5) three times in the tree, and its three fifth powers built once.
+    exponents, power = [], Polynomial.__pow__
+    monkeypatch.setattr(Polynomial, "__pow__", lambda self, exponent: exponents.append(exponent) or power(self, exponent))
+    a5 = Bracket(BracketKind.A, 5)
+    expanded = expr_to_poly(Add(Mul(a5, a5), a5))
+    monkeypatch.undo()
+    assert exponents.count(5) == 3
+    assert expanded == bracket_poly(BracketKind.A, 5) ** 2 + bracket_poly(BracketKind.A, 5)
 
 
 def test_catalog_is_fixed_and_ordered():
@@ -356,7 +367,8 @@ def certificate_points(statement):
 def values_by_block(statement):
     """(point, lhs, rhs) at each certificate point, from the blocks ``spot_check`` evaluates.
 
-    They must be what ``_value`` gives point by point, of the same types.
+    They must be what ``reference_value`` gives, and what a block of that
+    point alone gives, of the same types.
     """
     blocks = _Decision(statement).blocks()
     if blocks is None:
@@ -367,10 +379,14 @@ def values_by_block(statement):
         for index, (lhs, rhs) in enumerate(zip(block.values(statement.lhs), block.values(statement.rhs)))
     ]
     by_point = [
-        (point, _value(statement.lhs, point), _value(statement.rhs, point))
+        (point, *(_Block([point]).values(side)[0] for side in (statement.lhs, statement.rhs)))
         for point in certificate_points(statement)
     ]
     assert by_block == by_point
+    assert all(
+        (lhs, rhs) == (reference_value(statement.lhs, point), reference_value(statement.rhs, point))
+        for point, lhs, rhs in by_block
+    )
     assert [tuple(map(type, values)) for values in by_block] == [tuple(map(type, values)) for values in by_point]
     return by_block
 
@@ -1058,7 +1074,7 @@ def agreeing_at_the_first_draw(bracket, exponent=1):
     point = _sample_point(False, random.Random(0))
     value = expr_value(bracket, point)
     statement = IdentityStatement("first-agrees", Pow(bracket, exponent), Num(value ** exponent), constrained=False)
-    assert _sides_agree(statement, point)
+    assert reference_value(statement.lhs, point) == reference_value(statement.rhs, point)
     return statement
 
 

@@ -143,12 +143,31 @@ CASES = (
               b"64*D(6)*D(10) == 45*D(8)^2\r\n"),
     Case("line3", VERIFY, 2, b"", re.compile(rb"trigident: .*line3\.rid: 3:5: expected end of input, got 'c'\n"),
          text=b"a == # x\n# y\n  b c\n"),
+    # A file that is not UTF-8 is named, as every other unreadable file is.
+    Case("undecodable", VERIFY, 2, b"",
+         re.compile(rb"trigident: .*undecodable\.rid: 'utf-8' codec can't decode byte 0xff in position 0:"
+                    rb" invalid start byte\n"),
+         text=b"\xff\xfe == 0\n"),
     # The subcommand's own parser reads sys.argv: the listing is the reference that
     # bench/selfcheck.py checks, and a word left over gets the top-level parser's error.
     Case("grid", ("discover", "-N", "3", "--max-n", "11", "--emit", "json"), 0,
          statements.reference_json(3, 11, "diff").encode()),
     Case("extra", ("discover", "-N", "3", "--max-n", "11", "extra"), 2, b"",
          re.compile(rb"usage: trigident .*\ntrigident: error: unrecognized arguments: extra\n", re.S)),
+    # Ramanujan's relation and its (3, 7, 5) sibling, emitted in the statement language.
+    Case("discover-dsl", ("discover", "-N", "3", "--max-n", "11", "--emit", "dsl"), 0,
+         b"constraint: a*d - b*c = 0; 25*D(3)*D(7) == 21*D(5)^2\n"
+         b"constraint: a*d - b*c = 0; 64*D(6)*D(10) == 45*D(8)^2\n"),
+    # f_6 of three shifted cosines in each format, and the polar form of a zero-sum triple.
+    Case("linearize", ("linearize", "-N", "3", "-n", "6"), 0, "f_6 = 15/16 + 3/32 cos(6θ)\n".encode()),
+    Case("linearize-json", ("linearize", "-N", "3", "-n", "6", "--format", "json"), 0,
+         b'{"N":3,"n":6,"terms":[{"harmonic":0,"coeff":"15/16"},{"harmonic":6,"coeff":"3/32"}]}\n'),
+    Case("linearize-latex", ("linearize", "-N", "3", "-n", "6", "--format", "latex"), 0,
+         b"f_{6}(\\theta) = \\frac{15}{16} + \\frac{3}{32}\\cos(6\\theta)\n"),
+    Case("decompose", ("polar", "decompose", "2", "-1", "-1"), 0, b"rho=2 theta=0\n"),
+    Case("compose", ("polar", "compose", "2", "0"), 0, b"x=2 y=-1 z=-1\n"),
+    Case("nonzero-sum", ("polar", "decompose", "1", "1", "1"), 2, b"",
+         b"trigident: triple does not sum to zero: ZeroSumTriple(x=1.0, y=1.0, z=1.0)\n"),
     # Sides that share a product factor F and have a variable, within the grid budget, are decided
     # as L == R or else F == 0: the rest by its power sums, with no grid point; the 3,000-factor
     # product, whose own 3,001-point grid takes about 20 s, by its rest 1 == 1; and under the
