@@ -16,12 +16,13 @@ equality.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import comb
-from operator import index, mul, sub
+from operator import add, index, mul, sub
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Union
 
 VARIABLES: tuple[str, str, str, str] = ("a", "b", "c", "d")
 
@@ -74,7 +75,6 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value: Scalar) -> Polynomial:
-        # Every scalar operand comes through here.
         return _wrap(_canonical({_CONSTANT: value if type(value) is int else Fraction(value)}))
 
     @classmethod
@@ -125,18 +125,7 @@ class Polynomial:
     # arithmetic
 
     def __add__(self, other: Polynomial | Scalar) -> Polynomial:
-        # Both operands are canonical, so only a key of the right one can
-        # cancel or need narrowing; it is settled as it is merged.
-        merged = dict(self._terms)
-        for key, coefficient in _coerce(other)._terms.items():
-            total = merged.get(key, 0) + coefficient
-            if not total:
-                del merged[key]
-            elif type(total) is int or total.denominator != 1:
-                merged[key] = total
-            else:
-                merged[key] = total.numerator
-        return _wrap(merged)
+        return _merged(self, _coerce(other), add)
 
     __radd__ = __add__
 
@@ -144,14 +133,16 @@ class Polynomial:
         return _wrap({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: Polynomial | Scalar) -> Polynomial:
-        return self + (-_coerce(other))
+        return _merged(self, _coerce(other), sub)
 
     def __rsub__(self, other: Scalar) -> Polynomial:
-        return _coerce(other) - self
+        return _merged(_coerce(other), self, sub)
 
     def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
+        if not isinstance(other, Polynomial):
+            return _wrap(_scaled(self._terms, _scalar(other)))
         product: dict[Monomial, Scalar] = {}
-        _accumulate_product(product, self._terms.items(), _coerce(other)._terms)
+        _accumulate_product(product, self._terms.items(), other._terms)
         return _wrap(_canonical(product))
 
     __rmul__ = __mul__
@@ -242,10 +233,17 @@ class Polynomial:
 
 
 def _coerce(value: Polynomial | Scalar) -> Polynomial:
-    if isinstance(value, Polynomial):
+    return value if isinstance(value, Polynomial) else Polynomial.constant(_scalar(value))
+
+
+def _scalar(value: Scalar) -> Scalar:
+    # Every scalar operand comes through here, as an int or a Fraction: a
+    # bool or another int subclass becomes a Fraction, which the terms it
+    # makes narrow again.
+    if type(value) is int:
         return value
     if isinstance(value, (int, Fraction)):
-        return Polynomial.constant(value)
+        return Fraction(value)
     raise TypeError(f"cannot treat {type(value).__name__} as a polynomial")
 
 
@@ -254,6 +252,36 @@ def _wrap(terms: dict[Monomial, Scalar]) -> Polynomial:
     poly = Polynomial.__new__(Polynomial)
     poly._terms = terms
     return poly
+
+
+def _merged(left: Polynomial, right: Polynomial, op: Callable[[Scalar, Scalar], Scalar]) -> Polynomial:
+    # left + right or left - right in one merge.  Both are canonical, so only
+    # a key of the right one can cancel or need narrowing; it is settled as
+    # it is merged.
+    merged = dict(left._terms)
+    for key, coefficient in right._terms.items():
+        total = op(merged.get(key, 0), coefficient)
+        if not total:
+            del merged[key]
+        elif type(total) is int or total.denominator != 1:
+            merged[key] = total
+        else:
+            merged[key] = total.numerator
+    return _wrap(merged)
+
+
+def _scaled(terms: dict[Monomial, Scalar], scalar: Scalar) -> dict[Monomial, Scalar]:
+    # Every coefficient times an int or Fraction scalar, in one pass.  A
+    # nonzero product of nonzero exact numbers is nonzero, so only a Fraction
+    # that turned integral needs narrowing.
+    if not scalar:
+        return {}
+    return {
+        key: product
+        if type(product := coefficient * scalar) is int or product.denominator != 1
+        else product.numerator
+        for key, coefficient in terms.items()
+    }
 
 
 def _accumulate_product(

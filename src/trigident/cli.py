@@ -2,8 +2,9 @@
 
 Subcommands: linearize, verify, discover, polar, catalog.  Exit codes:
 0 for success (including PROVED verdicts), 1 exclusively for a FALSIFIED
-verdict, 2 for usage errors, unreadable files, and statement-language
-errors.  Diagnostics go to the error stream; results go to stdout.
+verdict, 2 for usage errors, unreadable files, statement-language errors
+and running out of memory.  Diagnostics go to the error stream; results
+go to stdout.
 
 ``run`` parses an ``argv`` whose first word names a subcommand with that
 subcommand's own parser, which skips the top-level parser's pass over the
@@ -229,6 +230,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return args.handler(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"trigident: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # Exit 1 means FALSIFIED and nothing else.
+        print(f"trigident: {getattr(args, 'target', argv[0])}: out of memory", file=sys.stderr)
         return 2
 
 

@@ -61,12 +61,12 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import islice, product, repeat
-from math import comb, prod
+from math import comb, gcd, prod
 from operator import add, mul, ne, neg, sub
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from ._record import Record, replace, setfield
-from .algebra import VARIABLES, Polynomial
+from .algebra import VARIABLES, Polynomial, _wrap
 
 # ----------------------------------------------------------------------
 # expression AST
@@ -231,9 +231,10 @@ def _value(expr: Expr, point: Union[_PowerSums, _Block]) -> Union[int, Fraction,
         if kind is Num:
             values.append(node.value.numerator if node.value.denominator == 1 else node.value)
         elif kind is Bracket:
-            one = of(0, node.power) if node.kind is not BracketKind.B else 0
-            two = of(1, node.power) if node.kind is not BracketKind.A else 0
-            values.append(one - two if node.kind is BracketKind.D else one + two)
+            if node.kind is BracketKind.D:
+                values.append(of(0, node.power) - of(1, node.power))
+            else:
+                values.append(of(0 if node.kind is BracketKind.A else 1, node.power))
         elif kind is Var:
             values.append(point[VARIABLES.index(node.name)])
         elif kind is Pow:
@@ -281,25 +282,32 @@ class _PowerSums:
     (2, 3, 5)), so by the Jacobian criterion in characteristic 0 (Beecken,
     Mittmann and Saxena, ICALP 2011) the invariants are algebraically
     independent: a polynomial in them is zero exactly when it is zero once
-    the triples' actual invariants are put in.
+    the triples' actual invariants are put in.  Like a ``_Block``, a table
+    computes each (triple, power) once, and it writes p_n's terms, which
+    are nonzero ints, straight into a ``Polynomial``.
     """
 
     def __init__(self, constrained: bool):
         # The slots of each triple's (e2, e3).
         self._slots = ((0, 1), (0 if constrained else 2, 3))
+        # Each (triple, power) once, as in a ``_Block``.
+        self._sums: dict[tuple[int, int], Polynomial] = {}
 
     def of(self, triple: int, power: int) -> Union[int, Polynomial]:
         """p_power of triple 0 (the A brackets) or triple 1 (the B brackets)."""
         if power == 0:
             return 3
-        two, three = self._slots[triple]
-        terms = {}
-        for k in range(power % 2, power // 3 + 1, 2):
-            j, monomial = (power - 3 * k) // 2, [0, 0, 0, 0]
-            monomial[two], monomial[three] = j, k
-            # n*C(j+k, k) is a multiple of j + k.
-            terms[tuple(monomial)] = (-1) ** j * power * comb(j + k, k) // (j + k)
-        return Polynomial(terms)
+        sums = self._sums.get((triple, power))
+        if sums is None:
+            two, three = self._slots[triple]
+            terms = {}
+            for k in range(power % 2, power // 3 + 1, 2):
+                j, monomial = (power - 3 * k) // 2, [0, 0, 0, 0]
+                monomial[two], monomial[three] = j, k
+                # n*C(j+k, k) is a multiple of j + k.
+                terms[tuple(monomial)] = (-1) ** j * power * comb(j + k, k) // (j + k)
+            sums = self._sums[triple, power] = _wrap(terms)
+        return sums
 
 
 def _power_sums_agree(statement: IdentityStatement) -> bool:
@@ -334,7 +342,6 @@ def _power_sums_agree(statement: IdentityStatement) -> bool:
 # 10,000 and takes 0.04-0.05 s on a 2-core x86 host.
 _POINT_BUDGET = 10_000
 
-_CONSTANT = frozenset({0})
 _ZERO, _ONE = Num(Fraction(0)), Num(Fraction(1))
 
 
@@ -346,25 +353,29 @@ def _degrees(expr: Expr, free: str) -> tuple[Expr, frozenset[int], tuple[int, ..
     construction, and this is the one place that prunes: a node with
     empty J becomes 0 and a zeroth power 1, so the value is the same at
     every point, and an unchanged tree comes back as itself.  J, the
-    bounds and the flag are those of the tree as given.  Raises
-    ``ValueError`` as ``_postorder`` does, for a node of degree or a power
-    of a constant with exponent over the budget, and as soon as J
-    outgrows it, before building J where its size follows.
+    bounds and the flag are those of the tree as given.  Each node's J is
+    held as an int bitmask, bit j set for degree j, and made a frozenset
+    once, at the root: a union is ``|``, a product's J is ``_sumset`` and a
+    power's ``_multiple``.  Raises ``ValueError`` as ``_postorder`` does,
+    for a node of degree or a power of a constant with exponent over the
+    budget, and as soon as J outgrows it, before building J where its size
+    follows; a degree is checked before its bit is set.
     """
     nodes, bracket_only = [], True
     for node in _postorder(expr):
         kind = type(node)
         if kind is Num:
-            degrees, bounds = (frozenset() if node.value == 0 else _CONSTANT), (0,) * len(free)
+            degrees, bounds = int(node.value != 0), (0,) * len(free)
         elif kind is Var:
             names = "bc" if node.name == "d" and "d" not in free else node.name
-            degrees, bounds = frozenset({1}), tuple(int(name in names) for name in free)
+            degrees, bounds = 1 << 1, tuple(int(name in names) for name in free)
             bracket_only = False
         elif kind is Bracket:
-            degrees, bounds = frozenset({node.power}), (node.power,) * len(free)
+            _within_degree(node.power)
+            degrees, bounds = 1 << node.power, (node.power,) * len(free)
         elif kind is Pow:
             base, base_degrees, base_bounds = nodes.pop()
-            if node.exponent > _POINT_BUDGET and not any(base_degrees):
+            if node.exponent > _POINT_BUDGET and base_degrees <= 1:
                 # Degree 0, but the value of the power is still huge.
                 raise _over_budget(f"exponent {node.exponent}")
             degrees = _multiple(base_degrees, node.exponent)
@@ -380,17 +391,16 @@ def _degrees(expr: Expr, free: str) -> tuple[Expr, frozenset[int], tuple[int, ..
                 degrees, bounds = _sumset(left_degrees, right_degrees), tuple(map(add, left_bounds, right_bounds))
             else:
                 degrees, bounds = left_degrees | right_degrees, tuple(map(max, left_bounds, right_bounds))
-                _within_budget(len(degrees))
+                _within_budget(degrees.bit_count())
             if left is not node.left or right is not node.right:
                 node = kind(left, right)
         # Bound every node, not only the difference, and before it is pruned: a
         # zero factor or a zeroth power hides a huge one from the whole.
-        top = max(degrees, default=0)
-        if top > _POINT_BUDGET:
-            raise _over_budget(f"degree {top}")
+        _within_degree(degrees.bit_length() - 1)
         # A zero constant is 0 already.
         nodes.append((node if degrees or kind is Num else _ZERO, degrees, bounds))
-    return (*nodes.pop(), bracket_only)
+    pruned, degrees, bounds = nodes.pop()
+    return pruned, frozenset(_members(degrees)), bounds, bracket_only
 
 
 def _within_budget(size: int) -> None:
@@ -400,33 +410,65 @@ def _within_budget(size: int) -> None:
         raise _over_budget(f"degree at least {size - 1}")
 
 
+def _within_degree(top: int) -> None:
+    if top > _POINT_BUDGET:
+        raise _over_budget(f"degree {top}")
+
+
 def _over_budget(what: str) -> ValueError:
     # A value at any point, and any expansion, would hold huge powers.
     return ValueError(f"{what} is over the budget of {_POINT_BUDGET}")
 
 
-def _sumset(left: frozenset[int], right: frozenset[int]) -> frozenset[int]:
-    # A sumset of nonempty integer sets has at least |left| + |right| - 1 members.
+def _members(degrees: int) -> Iterator[int]:
+    """The degrees whose bits are set, in increasing order."""
+    digits, j = bin(degrees)[:1:-1], -1
+    while (j := digits.find("1", j + 1)) >= 0:
+        yield j
+
+
+def _sumset(left: int, right: int) -> int:
+    # A sumset of nonempty integer sets has at least |left| + |right| - 1
+    # members.  It is one shift-or of the larger set per member of the smaller.
     if left and right:
-        _within_budget(len(left) + len(right) - 1)
-    result = frozenset(i + j for i in left for j in right)
-    _within_budget(len(result))
+        _within_budget(left.bit_count() + right.bit_count() - 1)
+    if left.bit_count() > right.bit_count():
+        left, right = right, left
+    result = 0
+    while left:
+        low = left & -left
+        result |= right << low.bit_length() - 1
+        left ^= low
+    _within_budget(result.bit_count())
     return result
 
 
-def _multiple(degrees: frozenset[int], exponent: int) -> frozenset[int]:
-    # The exponent-fold sumset, by doubling; with two or more members it has
-    # at least exponent * (|J| - 1) + 1 of them.
-    if len(degrees) > 1:
-        _within_budget(exponent * (len(degrees) - 1) + 1)
-    result = _CONSTANT
-    while exponent:
-        if exponent & 1:
-            result = _sumset(result, degrees)
-        exponent >>= 1
-        if exponent:
-            degrees = _sumset(degrees, degrees)
-    return result
+def _multiple(degrees: int, exponent: int) -> int:
+    # The exponent-fold sumset.  Of at most one member it is one shift, by a
+    # degree checked first; the zero polynomial's 0th power is 1.
+    count = degrees.bit_count()
+    if count < 2:
+        top = max(degrees.bit_length() - 1, 0) * exponent
+        _within_degree(top)
+        return 1 << top if degrees or not exponent else 0
+    # Of two or more it has at least exponent * (|J| - 1) + 1 members.  It is
+    # built by doubling, with the same checks, from K, where J = low + step*K
+    # and K has least member 0 and gcd 1: the folds of K have the sizes of
+    # J's, and no more bits than they need.
+    _within_budget(exponent * (count - 1) + 1)
+    low = (degrees & -degrees).bit_length() - 1
+    shifted = list(_members(degrees >> low))
+    step = gcd(*shifted)
+    base, result, folds = sum(1 << (j // step) for j in shifted), 1, exponent
+    while folds:
+        if folds & 1:
+            result = _sumset(result, base)
+        folds >>= 1
+        if folds:
+            base = _sumset(base, base)
+    low *= exponent
+    _within_degree(low + step * (result.bit_length() - 1))
+    return result << low if step == 1 else sum(1 << (low + step * k) for k in _members(result))
 
 
 class _Decision:

@@ -428,3 +428,48 @@ def test_terms_that_a_sum_cancels_leave_nothing_behind():
         (0, 3, 0, 0): 1,
     }
     assert dict(q.substitute_clear("d", A ** WIDE, B).terms) == {(WIDE, 1, 0, 0): 1}
+
+
+def typed_terms(poly):
+    return {monomial: (type(coefficient), coefficient) for monomial, coefficient in poly.terms.items()}
+
+
+def test_scaling_matches_the_product_with_a_constant():
+    # A scalar factor scales the terms in one pass; the reference multiplies
+    # by the constant polynomial.  Fraction terms may turn integral, a zero
+    # factor leaves no term, and a bool factor is the number it stands for.
+    p = Polynomial({(1, 0, 0, 0): Fraction(1, 2), (0, 1, 0, 0): 3, (0, 0, 0, 0): Fraction(2, 3)})
+    for scalar in (0, -1, -3, 2, 6, True, False, Fraction(3, 2), Fraction(-4, 1), Fraction(0)):
+        expected = typed_terms(p * Polynomial.constant(scalar))
+        assert typed_terms(p * scalar) == expected, scalar
+        assert typed_terms(scalar * p) == expected, scalar
+    assert typed_terms(p * 6) == {(1, 0, 0, 0): (int, 3), (0, 1, 0, 0): (int, 18), (0, 0, 0, 0): (int, 4)}
+    assert typed_terms(p * True) == typed_terms(p)
+    assert not (p * 0).terms and not (p * False).terms
+    try:
+        p * 0.5
+    except TypeError as exc:
+        assert str(exc) == "cannot treat float as a polynomial"
+    else:
+        raise AssertionError("scaled by a float")
+
+
+def test_differences_match_adding_the_negation():
+    # A difference subtracts in one merge; the reference adds the negation.
+    p = Polynomial({(1, 0, 0, 0): Fraction(1, 2), (0, 1, 0, 0): 3, (0, 0, 0, 0): Fraction(2, 3)})
+    q = Polynomial({(1, 0, 0, 0): Fraction(1, 2), (0, 1, 0, 0): 4, (0, 0, 0, 0): Fraction(-1, 3), (0, 0, 1, 0): 5})
+    assert typed_terms(p - q) == typed_terms(p + (-q)) == {(0, 1, 0, 0): (int, -1), (0, 0, 0, 0): (int, 1),
+                                                           (0, 0, 1, 0): (int, -5)}
+    assert typed_terms(q - p) == typed_terms(q + (-p))
+    assert typed_terms(p - 3) == typed_terms(p + (-3))
+    assert typed_terms(3 - p) == typed_terms(3 + (-p))
+    assert typed_terms(p - Fraction(2, 3)) == typed_terms(p + Fraction(-2, 3))
+    assert typed_terms(Fraction(2, 3) - p) == typed_terms(Fraction(2, 3) + (-p))
+    assert not (p - p).terms
+    rng = random.Random(20261020)
+    for _ in range(200):
+        left, right = random_polynomial(rng), random_polynomial(rng)
+        assert typed_terms(left - right) == typed_terms(left + (-right))
+        scalar = rng.choice([rng.randint(-5, 5), Fraction(rng.randint(-5, 5), rng.randint(1, 4))])
+        assert typed_terms(left - scalar) == typed_terms(left + (-scalar))
+        assert typed_terms(scalar - left) == typed_terms(scalar + (-left))

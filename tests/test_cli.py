@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trigident import identities
+from trigident import cli, identities
 from trigident.algebra import Polynomial
 from trigident.cli import CliError, build_parser, run
 from trigident.dsl import load_statement
@@ -202,6 +202,19 @@ def test_verify_plain_falsifies_without_expanding(capsys, tmp_path, monkeypatch,
     path.write_text(PLUS + "\n", encoding="utf-8")
     code, out, err = invoke(capsys, "verify", str(path), *route)
     assert (code, out, err) == (1, "FALSIFIED plus witness=(3/7,-8/5,7/8,-49/15)\n", "")
+
+
+@pytest.mark.parametrize("route", [[], ["--numeric"]], ids=["symbolic", "numeric"])
+def test_running_out_of_memory_exits_two_naming_the_target(capsys, monkeypatch, route):
+    # Exit 1 means FALSIFIED, so a MemoryError on either route is an error
+    # line, with no traceback.
+    def out_of_memory(statement, **options):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "verify", out_of_memory)
+    monkeypatch.setattr(cli, "spot_check", out_of_memory)
+    code, out, err = invoke(capsys, "verify", "ramanujan-6-10-8", *route)
+    assert (code, out, err) == (2, "", "trigident: ramanujan-6-10-8: out of memory\n")
 
 
 @pytest.mark.parametrize("route", [[], ["--numeric"]], ids=["symbolic", "numeric"])

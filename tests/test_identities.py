@@ -427,6 +427,142 @@ def test_a_huge_power_is_over_budget_before_any_degree_set_is_built(monkeypatch)
     assert str(excinfo.value) == "degree at least 1000000000000 is over the budget of 10000"
 
 
+# ----------------------------------------------------------------------
+# The degree pass that the bitmask one replaced, frozen as its reference:
+# J as a frozenset, with a sumset built pair by pair.
+
+_REFERENCE_CONSTANT = frozenset({0})
+
+
+def reference_degrees(expr, free):
+    nodes, bracket_only = [], True
+    for node in identities._postorder(expr):
+        kind = type(node)
+        if kind is Num:
+            degrees, bounds = (frozenset() if node.value == 0 else _REFERENCE_CONSTANT), (0,) * len(free)
+        elif kind is Var:
+            names = "bc" if node.name == "d" and "d" not in free else node.name
+            degrees, bounds = frozenset({1}), tuple(int(name in names) for name in free)
+            bracket_only = False
+        elif kind is Bracket:
+            degrees, bounds = frozenset({node.power}), (node.power,) * len(free)
+        elif kind is Pow:
+            base, base_degrees, base_bounds = nodes.pop()
+            if node.exponent > REFERENCE_BUDGET and not any(base_degrees):
+                raise reference_over_budget(f"exponent {node.exponent}")
+            degrees = reference_multiple(base_degrees, node.exponent)
+            bounds = tuple(node.exponent * bound for bound in base_bounds)
+            if node.exponent == 0:
+                node = Num(Fraction(1))
+            elif base is not node.base:
+                node = Pow(base, node.exponent)
+        else:
+            right, right_degrees, right_bounds = nodes.pop()
+            left, left_degrees, left_bounds = nodes.pop()
+            if kind is Mul:
+                degrees = reference_sumset(left_degrees, right_degrees)
+                bounds = tuple(map(lambda x, y: x + y, left_bounds, right_bounds))
+            else:
+                degrees, bounds = left_degrees | right_degrees, tuple(map(max, left_bounds, right_bounds))
+                reference_within_budget(len(degrees))
+            if left is not node.left or right is not node.right:
+                node = kind(left, right)
+        top = max(degrees, default=0)
+        if top > REFERENCE_BUDGET:
+            raise reference_over_budget(f"degree {top}")
+        nodes.append((node if degrees or kind is Num else Num(Fraction(0)), degrees, bounds))
+    return (*nodes.pop(), bracket_only)
+
+
+REFERENCE_BUDGET = 10_000
+
+
+def reference_within_budget(size):
+    if size > REFERENCE_BUDGET:
+        raise reference_over_budget(f"degree at least {size - 1}")
+
+
+def reference_over_budget(what):
+    return ValueError(f"{what} is over the budget of {REFERENCE_BUDGET}")
+
+
+def reference_sumset(left, right):
+    if left and right:
+        reference_within_budget(len(left) + len(right) - 1)
+    result = frozenset(i + j for i in left for j in right)
+    reference_within_budget(len(result))
+    return result
+
+
+def reference_multiple(degrees, exponent):
+    if len(degrees) > 1:
+        reference_within_budget(exponent * (len(degrees) - 1) + 1)
+    result = _REFERENCE_CONSTANT
+    while exponent:
+        if exponent & 1:
+            result = reference_sumset(result, degrees)
+        exponent >>= 1
+        if exponent:
+            degrees = reference_sumset(degrees, degrees)
+    return result
+
+
+def degree_outcome(degrees, expr, free):
+    """What a degree pass gives: the pruned tree, whether it is ``expr`` itself, J, the bounds and the flag, or the error."""
+    try:
+        pruned, found, bounds, bracket_only = degrees(expr, free)
+    except ValueError as exc:
+        return str(exc)
+    assert type(found) is frozenset
+    return pruned, pruned is expr, found, bounds, bracket_only
+
+
+# Zero factors, zeroth powers, exponents of 10**12 and brackets over the
+# budget; the small exponents keep the reference's pairwise sumsets cheap.
+degree_trees = st.recursive(
+    st.one_of(
+        st.sampled_from([Fraction(0), Fraction(1), Fraction(-3, 2)]).map(Num),
+        st.sampled_from("abcd").map(Var),
+        st.builds(Bracket, st.sampled_from(list(BracketKind)),
+                  st.sampled_from([0, 1, 2, 3, 5, 12, 5000, 10_000, 10_001, 10**12])),
+    ),
+    lambda children: st.one_of(
+        st.builds(Add, children, children),
+        st.builds(Sub, children, children),
+        st.builds(Mul, children, children),
+        st.builds(Pow, children, st.sampled_from([0, 1, 2, 3, 10_000, 10_001, 10**12])),
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(degree_trees, st.sampled_from(["bcd", "bc"]))
+@example(Pow(Add(Var("a"), Num(Fraction(1))), 10**12), "bcd")
+@example(Mul(Num(Fraction(0)), Pow(Var("b"), 10**12)), "bc")
+@example(Pow(Mul(Num(Fraction(0)), Bracket(BracketKind.D, 10**12)), 0), "bcd")
+@example(Pow(Add(Num(Fraction(1)), Pow(Var("a"), 5000)), 3), "bcd")
+@example(Pow(Add(Add(Num(Fraction(1)), Var("a")), Bracket(BracketKind.A, 9000)), 2), "bcd")
+@example(Mul(Pow(Add(Var("a"), Num(Fraction(1))), 99), Pow(Add(Var("b"), Pow(Var("c"), 3)), 100)), "bc")
+# Refused by a sumset's lower bound on its size, before it is built.
+@example(Pow(Add(Add(Num(Fraction(1)), Var("a")), Bracket(BracketKind.A, 10_000)), 4999), "bcd")
+# Degrees with a common step and a least one over 0: {2, 4}^3, and {5000, 10000}^2.
+@example(Pow(Add(Pow(Var("a"), 2), Bracket(BracketKind.D, 4)), 3), "bcd")
+@example(Pow(Sub(Bracket(BracketKind.A, 5000), Bracket(BracketKind.B, 10_000)), 2), "bc")
+def test_degree_pass_matches_the_frozenset_reference(expr, free):
+    assert degree_outcome(_degrees, expr, free) == degree_outcome(reference_degrees, expr, free)
+
+
+def test_a_wide_power_product_has_every_degree_below_the_budget():
+    # J of (1 + a)^4999*(1 + a)^5000 is 0..9,999: one shift-or per member of
+    # the smaller side, where pairwise sums took seconds.
+    statement = parse("(1 + a)^4999*(1 + a)^5000 == 0", "wide")
+    assert _Decision(statement).degrees == frozenset(range(10_000))
+    over = parse("(1 + a)^5000*(1 + a)^5001 == 0", "over")
+    with pytest.raises(ValueError, match="^over: degree at least 10001 is over the budget of 10000$"):
+        _Decision(over)
+
+
 def test_a_certificate_over_the_point_budget_has_no_points():
     # (100 + 1)^2 points on the (b, c) grid, for the single degree 100.
     statement = IdentityStatement("over", Bracket(BracketKind.D, 100), Bracket(BracketKind.D, 100), constrained=True)
@@ -821,6 +957,41 @@ def test_power_sums_follow_newtons_recurrence():
                 expected.append(-e2 * expected[-2] + e3 * expected[-3])
             for power, p in enumerate(expected):
                 assert sums.of(triple, power) == p, (constrained, triple, power)
+
+
+def test_power_sums_are_the_girard_waring_terms_built_once(monkeypatch):
+    # Each (triple, power) is one Polynomial per table, with the canonical
+    # int terms that the validating constructor makes of Girard-Waring.
+    for constrained in (False, True):
+        sums = _PowerSums(constrained)
+        for triple, (two, three) in enumerate([(0, 1), (0 if constrained else 2, 3)]):
+            for power in range(1, 60):
+                terms = {}
+                for k in range(power // 3 + 1):
+                    j = (power - 3 * k) // 2
+                    if 2 * j + 3 * k == power:
+                        monomial = [0, 0, 0, 0]
+                        monomial[two], monomial[three] = j, k
+                        terms[tuple(monomial)] = Fraction((-1) ** j * power * comb(j + k, k), j + k)
+                p = sums.of(triple, power)
+                assert sums.of(triple, power) is p
+                expected = Polynomial(terms)
+                assert dict(p.terms) == dict(expected.terms), (constrained, triple, power)
+                assert all(type(coefficient) is int for coefficient in p.terms.values())
+    # A bracket on both sides is built once per statement: p_4 of triple 0
+    # is the one table entry 2*e2^2.
+    built = []
+
+    def counted(terms):
+        built.append(dict(terms))
+        return wrap(terms)
+
+    wrap = identities._wrap
+    monkeypatch.setattr(identities, "_wrap", counted)
+    statement = parse("constraint: a*d - b*c = 0; A(4)*(4*A(2)*D(6)) == A(4)*(3*D(8))", "shared-a4")
+    assert verify(statement).verdict is Verdict.PROVED
+    assert built.count({(2, 0, 0, 0): 2}) == 1
+    assert len(built) == 6  # p_2, p_4 and p_6 of triple 0, p_6 of triple 1, and p_8 of both
 
 
 def test_power_sum_table_shares_e2_under_the_constraint():

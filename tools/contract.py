@@ -180,6 +180,10 @@ CASES = (
     # Over the budget verify draws first, and the first draw falsifies it.
     Case("draw", VERIFY, 1, b"FALSIFIED draw witness=(3/7,-8/5,7/8,3/5)\n",
          text=b"((((D(10) - 3) - (A(1) - A(207))))^35 - (((A(3))^2)^1)^1) == -3/4\n", routes=BOTH, limit=10),
+    # J is every degree 0..9,999, over the point budget, and the first draw falsifies it: the
+    # degree pass takes one shift-or per member of the smaller side, where pairwise sums took 4.6 s.
+    Case("wide", VERIFY, 1, b"FALSIFIED wide witness=(3/7,-8/5,7/8,3/5)\n",
+         text=b"(1 + a)^4999*(1 + b)^5000 + (1 + c)^4999*(1 + d)^5000 == 0\n", routes=BOTH, limit=2),
 )
 
 
