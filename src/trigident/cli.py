@@ -136,10 +136,8 @@ def _run_linearize(args: argparse.Namespace) -> int:
 
 
 def _resolve_statement(target: str) -> IdentityStatement:
-    try:
+    if target in CATALOG:
         return catalog_entry(target)
-    except KeyError:
-        pass
     try:
         return load_statement(target)
     except (DslError, UnicodeDecodeError) as exc:

@@ -39,11 +39,11 @@ only where precedence or associativity requires them.
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from enum import Enum
 from fractions import Fraction
-from pathlib import Path
 
 from .algebra import VARIABLES
 from .identities import (
@@ -249,10 +249,23 @@ def parse(source: str, name: str = "") -> IdentityStatement:
     raise error(message, source.count("\n", 0, offset) + 1, offset - line_start + 1, offset, *expected)
 
 
-def load_statement(path: str | Path) -> IdentityStatement:
-    """Parse a statement file, naming the statement after the file stem."""
-    path = Path(path)
-    return parse(path.read_text(encoding="utf-8"), name=path.stem)
+def load_statement(path: str | os.PathLike[str]) -> IdentityStatement:
+    """Parse a statement file, naming the statement after the file stem.
+
+    The file is decoded as UTF-8 and parsed exactly as read: nothing
+    translates its line ends, so a carriage return is whitespace here as it
+    is to ``parse``.  It is read in one unbuffered binary read, and the stem
+    is ``PurePath.stem`` of the path, taken without building a path object.
+    """
+    name = os.path.basename(os.fspath(path))
+    # pathlib's suffix rule: the last dot, strictly inside the name.  A bytes
+    # path fails here with TypeError, as PurePath refuses one.
+    dot = name.rfind(".")
+    if 0 < dot < len(name) - 1:
+        name = name[:dot]
+    with open(path, "rb", buffering=0) as file:
+        source = file.readall().decode("utf-8")
+    return parse(source, name)
 
 
 # ----------------------------------------------------------------------

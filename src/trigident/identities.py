@@ -478,7 +478,7 @@ class _Decision:
     ``bracket_only``, with the pass's ``ValueError`` prefixed by the name.
     """
 
-    __slots__ = ("statement", "degrees", "bounds", "bracket_only", "grid_count", "invariant_count", "count", "outcome", "difference")
+    __slots__ = ("statement", "degrees", "bounds", "bracket_only", "_grid_count", "invariant_count", "count", "outcome", "difference")
 
     def __init__(self, statement: IdentityStatement):
         difference = Sub(statement.lhs, statement.rhs)
@@ -491,7 +491,7 @@ class _Decision:
             lhs, rhs = (_ZERO, _ZERO) if pruned is _ZERO else (pruned.left, pruned.right)
             statement = replace(statement, lhs=lhs, rhs=rhs)
         self.statement = statement
-        self.grid_count = len(self.degrees) * self._lattice()[0]
+        self._grid_count = None
         # How many weighted monomials lhs - rhs of a statement of brackets and
         # numbers can have in the invariants.  With e2 of weight 2 and e3 of
         # weight 3 a bracket of power n has weight n, so the difference splits
@@ -508,6 +508,13 @@ class _Decision:
         # The one of the two counts that ``_POINT_BUDGET`` holds.
         self.count = self.invariant_count if self.bracket_only else self.grid_count
         self.outcome = self.difference = None
+
+    @property
+    def grid_count(self) -> int:
+        """How many points ``blocks`` has: |J| per point of ``_lattice``; computed when first read."""
+        if self._grid_count is None:
+            self._grid_count = len(self.degrees) * self._lattice()[0]
+        return self._grid_count
 
     def _lattice(self) -> tuple[int, Iterator[tuple]]:
         """The size of the smaller of the tensor grid and the simplex lattice of (b, c[, d]), and its points."""

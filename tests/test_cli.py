@@ -389,6 +389,15 @@ def test_verify_non_ascii_digit_exits_two_with_its_position(capsys, tmp_path):
     assert f"{path}: 1:3: unexpected character" in err
 
 
+@pytest.mark.parametrize("text, position", [(b"a ==\r b c\n", "1:9"), (b"a ==\r\n b c\n", "2:4")], ids=["cr", "crlf"])
+def test_verify_reads_a_carriage_return_in_a_file_as_whitespace(capsys, tmp_path, text, position):
+    # The file is parsed exactly as read, so only its newline ends a line.
+    path = tmp_path / "cr.rid"
+    path.write_bytes(text)
+    message = f"trigident: {path}: {position}: expected end of input, got 'c'\n"
+    assert invoke(capsys, "verify", str(path)) == (2, "", message)
+
+
 def test_verify_numeric_point_budget(capsys, tmp_path):
     # b^n*c^n under the constraint needs the (n + 1)^2 grid points of (b, c):
     # 10,000 for n = 99, exactly the budget, and 10,201 for n = 100.

@@ -5,6 +5,7 @@ import sys
 import time
 from enum import Enum
 from fractions import Fraction
+from pathlib import Path, PurePath
 from typing import NamedTuple
 
 import pytest
@@ -36,6 +37,10 @@ from trigident.identities import (
     catalog,
     catalog_entry,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import statements as bench_statements  # noqa: E402
 
 CANONICAL = {
     "ramanujan-6-10-8": "constraint: a*d - b*c = 0; 64*D(6)*D(10) == 45*D(8)^2",
@@ -761,3 +766,57 @@ def test_load_statement_names_after_file_stem(tmp_path):
     assert statement.name == "my-identity"
     assert statement.lhs == statement.rhs == Bracket(BracketKind.D, 2)
     assert not statement.constrained
+
+
+# (name, bytes): line ends, other whitespace and a byte order mark, each in a
+# file that parses and in one that fails after it.
+UNUSUAL_FILES = [
+    ("crlf", b"constraint: a*d - b*c = 0;\r\n64*D(6)*D(10) == 45*D(8)^2\r\n"),
+    ("crlf-error", b"a ==\r\n b c\n"),
+    ("cr", b"constraint: a*d - b*c = 0;\r64*D(6)*D(10) == 45*D(8)^2\r"),
+    ("cr-error", b"a ==\r b c\n"),
+    ("cr-at-end", b"a ==\r"),
+    ("nel", "a ==\x85b\x85".encode()),
+    ("nel-error", "a ==\x85 b c\n".encode()),
+    ("form-feed", b"a ==\x0cb\n"),
+    ("form-feed-error", b"a ==\x0c\n b c"),
+    ("bom", b"\xef\xbb\xbfa == a\n"),
+    ("bom-inside", b"a == \xef\xbb\xbfa\n"),
+]
+
+
+def test_load_statement_parses_a_file_exactly_as_read(tmp_path):
+    # Every benchmark statement text, and files with unusual whitespace.
+    files = [
+        (f"{statement.name}-{seed}", statement.source().encode())
+        for seed in range(3)
+        for statement in [*bench_statements.generate(seed), *bench_statements.true_versions(seed)]
+    ]
+    for name, data in [*files, *UNUSUAL_FILES]:
+        path = tmp_path / f"{name}.rid"
+        path.write_bytes(data)
+        reference = outcome(lambda source: parse(source, path.stem), path.read_bytes().decode("utf-8"))
+        assert outcome(load_statement, path) == outcome(load_statement, str(path)) == reference, name
+
+
+@pytest.mark.parametrize("name, stem", [
+    ("x.rid", "x"),
+    ("a.b.rid", "a.b"),
+    (".rid", ".rid"),
+    ("..rid", "."),
+    ("x.", "x."),
+    ("dir/x.rid", "x"),
+])
+def test_load_statement_names_the_statement_as_pathlib_names_the_stem(tmp_path, name, stem):
+    path = tmp_path / name
+    path.parent.mkdir(exist_ok=True)
+    path.write_text("a == a\n", encoding="utf-8")
+    assert PurePath(name).stem == stem
+    assert load_statement(path).name == load_statement(str(path)).name == stem
+
+
+def test_load_statement_refuses_a_bytes_path(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("x.rid").write_text("a == a\n", encoding="utf-8")
+    with pytest.raises(TypeError):
+        load_statement(b"x.rid")

@@ -1207,6 +1207,26 @@ def test_invariant_certificate_point_counts(name, points):
     assert decision.invariant_count == decision.count == points
 
 
+@pytest.mark.parametrize("source", [
+    pytest.param("constraint: a*d - b*c = 0; 64*D(6)*D(10) == 45*D(8)^2", id="holds"),
+    pytest.param("64*D(6)*D(10) == 45*D(8)^2", id="fails-unconstrained"),
+    pytest.param("25*A(3)*A(7) == 21*A(5)^2 + 1/2", id="fails"),
+    pytest.param("constraint: a*d - b*c = 0; D(210)*D(210) == D(210)^2", id="over-budget"),
+])
+def test_a_statement_of_brackets_and_numbers_is_decided_without_its_grid(source, monkeypatch):
+    # Its count is the invariants' count, so the grid's is never needed.
+    statement = parse(source, "brackets")
+    expected = identities._decide(statement)
+
+    def refuse(self):
+        raise AssertionError("_lattice called")
+
+    monkeypatch.setattr(_Decision, "_lattice", refuse)
+    decision = identities._decide(statement)
+    assert decision.bracket_only
+    assert (decision.outcome, decision.count) == (expected.outcome, expected.count)
+
+
 def grid_verdict(statement):
     """Whether today's (a, b, c, d) certificate proves the statement."""
     decision = _Decision(statement)

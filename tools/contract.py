@@ -143,6 +143,9 @@ CASES = (
               b"64*D(6)*D(10) == 45*D(8)^2\r\n"),
     Case("line3", VERIFY, 2, b"", re.compile(rb"trigident: .*line3\.rid: 3:5: expected end of input, got 'c'\n"),
          text=b"a == # x\n# y\n  b c\n"),
+    # A file is parsed exactly as read: a lone carriage return is whitespace, not a line end.
+    Case("cr", VERIFY, 2, b"", re.compile(rb"trigident: .*cr\.rid: 1:9: expected end of input, got 'c'\n"),
+         text=b"a ==\r b c\n", routes=BOTH),
     # A file that is not UTF-8 is named, as every other unreadable file is.
     Case("undecodable", VERIFY, 2, b"",
          re.compile(rb"trigident: .*undecodable\.rid: 'utf-8' codec can't decode byte 0xff in position 0:"
