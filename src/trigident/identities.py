@@ -62,7 +62,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import islice, product, repeat
 from math import comb, gcd, prod
-from operator import add, mul, ne, neg, sub
+from operator import add, mul, ne, sub
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from ._record import Record, replace, setfield
@@ -214,16 +214,18 @@ def _postorder(expr: Expr) -> list[Expr]:
     return order[::-1]
 
 
-def _value(expr: Expr, point: Union[_PowerSums, _Block]) -> Union[int, Fraction, Polynomial, _Column]:
+def _value(expr: Expr, point: Union[_PowerSums, _Block]) -> Union[int, Fraction, Polynomial, list]:
     """Value at the point, one exact value per node of ``_postorder`` on a value stack.
 
     The point gives each bracket through its ``of``.  A ``_PowerSums`` gives
     it as a polynomial in the triples' invariants, and a variable no value.
     At a ``_Block`` a bracket is the power sum of ``_triple`` and every node
-    is a ``_Column`` of its values, or one number for a constant subtree.
-    Each value is an ``int`` wherever the point and the constants are
-    integral, as at every certificate point, a ``Fraction`` elsewhere, and
-    a ``Polynomial`` at ``_VARIABLE_POINT``, which mixes exactly with both.
+    is a list of its values, one per point, or one number for a constant
+    subtree; ``_apply`` combines them, and no list is changed in place,
+    since a variable's and a bracket's are the block's own.  Each value is
+    an ``int`` wherever the point and the constants are integral, as at
+    every certificate point, a ``Fraction`` elsewhere, and a ``Polynomial``
+    at ``_VARIABLE_POINT``, which mixes exactly with both.
     """
     of, values = point.of, []
     for node in _postorder(expr):
@@ -232,17 +234,27 @@ def _value(expr: Expr, point: Union[_PowerSums, _Block]) -> Union[int, Fraction,
             values.append(node.value.numerator if node.value.denominator == 1 else node.value)
         elif kind is Bracket:
             if node.kind is BracketKind.D:
-                values.append(of(0, node.power) - of(1, node.power))
+                values.append(_apply(sub, of(0, node.power), of(1, node.power)))
             else:
                 values.append(of(0 if node.kind is BracketKind.A else 1, node.power))
         elif kind is Var:
             values.append(point[VARIABLES.index(node.name)])
         elif kind is Pow:
-            values[-1] = values[-1] ** node.exponent
+            base = values[-1]
+            values[-1] = [value ** node.exponent for value in base] if type(base) is list else base ** node.exponent
         else:
             right = values.pop()
-            values[-1] = _OPERATORS[kind](values[-1], right)
+            values[-1] = _apply(_OPERATORS[kind], values[-1], right)
     return values.pop()
+
+
+def _apply(op: Callable, left, right):
+    """``op`` of two values: pointwise where either is a block's list, a number standing for itself at each point."""
+    if type(left) is list:
+        return list(map(op, left, right if type(right) is list else repeat(right)))
+    if type(right) is list:
+        return list(map(op, repeat(left), right))
+    return op(left, right)
 
 
 def _triple(which: int, a, b, c, d):
@@ -549,74 +561,38 @@ class _Decision:
 # ----------------------------------------------------------------------
 # blocks of certificate points
 #
-# A ``_Block`` holds points (a, b, c, d) as tuples, in order, and the column
-# of each coordinate: up to ``_BLOCK_SIZE`` consecutive certificate points,
-# or the one point of a seeded draw, of ``expr_value`` or of an expansion.
-# At a block a node's value is a ``_Column``, or one number for a constant
-# subtree.  A column's entry at a point does not depend on the other points
-# of its block, so it is an ``int`` at every integral point with integral
-# constants.
+# A ``_Block`` holds points (a, b, c, d) as tuples, in order, and one list
+# per coordinate: up to ``_BLOCK_SIZE`` consecutive certificate points, or
+# the one point of a seeded draw, of ``expr_value`` or of an expansion.  At
+# a block a node's value is a list of exact numbers, one per point, or one
+# number for a constant subtree.  A list's entry at a point does not depend
+# on the other points of its block, so it is an ``int`` at every integral
+# point with integral constants.
 
 # Points per block.  A larger block saves little more time, and holding the
-# whole certificate as columns costs memory that grows with its size.
+# whole certificate as lists costs memory that grows with its size.
 _BLOCK_SIZE = 128
 
 
-class _Column:
-    """Exact values at the points of a ``_Block``, with pointwise + - * ** and negation.
-
-    The other operand is a column of the same block or one exact number.
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: list):
-        self.values = values
-
-    def _pointwise(self, op, other) -> _Column:
-        right = other.values if isinstance(other, _Column) else repeat(other)
-        return _Column(list(map(op, self.values, right)))
-
-    def __add__(self, other) -> _Column:
-        return self._pointwise(add, other)
-
-    def __sub__(self, other) -> _Column:
-        return self._pointwise(sub, other)
-
-    def __mul__(self, other) -> _Column:
-        return self._pointwise(mul, other)
-
-    def __pow__(self, exponent: int) -> _Column:
-        return self._pointwise(pow, exponent)
-
-    def __neg__(self) -> _Column:
-        return _Column(list(map(neg, self.values)))
-
-    # Exact addition and multiplication commute, with the same result type.
-    __radd__, __rmul__ = __add__, __mul__
-
-    def __rsub__(self, other) -> _Column:
-        return _Column([other - value for value in self.values])
-
-
 class _Block:
-    """Points (a, b, c, d), evaluated together: a variable is the column of its coordinates.
+    """Points (a, b, c, d), evaluated together: a variable is the list of its coordinates.
 
-    The points are tuples, in order, transposed once into the columns.  Like
+    The points are tuples, in order, transposed once into one list per
+    coordinate; each point's linear forms come from its tuple.  Like
     ``_PowerSums``, a block gives each bracket through ``of``, and it
     computes each power sum once, however often the sides use it.
     """
 
     def __init__(self, points: list[tuple]):
         self._points = points
-        self._coordinates = tuple(_Column(list(values)) for values in zip(*points))
+        self._coordinates = tuple(map(list, zip(*points)))
         # Each (triple, power) once, since both sides often share brackets.
-        self._sums: dict[tuple[int, int], _Column] = {}
+        self._sums: dict[tuple[int, int], list] = {}
 
     def __len__(self) -> int:
         return len(self._points)
 
-    def __getitem__(self, index: int) -> _Column:
+    def __getitem__(self, index: int) -> list:
         return self._coordinates[index]
 
     def point(self, index: int) -> tuple:
@@ -626,20 +602,20 @@ class _Block:
     @cached_property
     def _forms(self) -> list[list[tuple]]:
         # Per triple, the three linear forms at each point.
-        return [list(zip(*(form.values for form in _triple(which, *self._coordinates)))) for which in (0, 1)]
+        return [[_triple(which, *point) for point in self._points] for which in (0, 1)]
 
-    def of(self, triple: int, power: int) -> _Column:
+    def of(self, triple: int, power: int) -> list:
         """p_power of triple 0 (the A brackets) or triple 1 (the B brackets) at each point."""
         sums = self._sums.get((triple, power))
         if sums is None:
-            sums = _Column([x ** power + y ** power + z ** power for x, y, z in self._forms[triple]])
+            sums = [x ** power + y ** power + z ** power for x, y, z in self._forms[triple]]
             self._sums[triple, power] = sums
         return sums
 
     def values(self, expr: Expr) -> list:
         """The value of ``expr`` at each point, in order."""
         value = _value(expr, self)
-        return value.values if isinstance(value, _Column) else [value] * len(self)
+        return value if type(value) is list else [value] * len(self)
 
     def disagreement(self, statement: IdentityStatement) -> Optional[tuple]:
         """The first point of the block where the sides differ, else None."""

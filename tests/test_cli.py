@@ -17,7 +17,7 @@ from trigident.algebra import Polynomial
 from trigident.cli import CliError, build_parser, run
 from trigident.dsl import load_statement
 from trigident.fourier import POWER_BUDGET
-from trigident.identities import CATALOG, _Decision, expr_value
+from trigident.identities import CATALOG, Pow, _Decision, expr_value
 
 
 def invoke(capsys, *argv):
@@ -506,12 +506,19 @@ def test_verify_never_builds_what_a_zero_factor_or_zeroth_power_hides(capsys, tm
 
 
 def no_hidden_powers(monkeypatch):
-    """Make building any power fail, expanded or at certificate points."""
+    """Make building any power fail when expanded, and evaluating a power of 60 or more at any point."""
+    value = identities._value
+
     def no_power(self, exponent):
         raise AssertionError("built a power that a zero factor or zeroth power hides")
 
+    def no_large_power(expr, point):
+        if any(type(node) is Pow and node.exponent >= 60 for node in identities._postorder(expr)):
+            raise AssertionError("evaluated a power that a zero factor or zeroth power hides")
+        return value(expr, point)
+
     monkeypatch.setattr(Polynomial, "__pow__", no_power)
-    monkeypatch.setattr(identities._Column, "__pow__", no_power)
+    monkeypatch.setattr(identities, "_value", no_large_power)
 
 
 @pytest.mark.parametrize(

@@ -736,8 +736,13 @@ def test_spot_check_and_verify_match_the_fraction_reference(statement, seed):
     assert (report.verdict, report.witness, report.reduced_terms) == reference_verify
 
 
+# A number on the left of + - * against a variable, a power of one, a
+# constant subtree beside a list, and a D bracket: every way a block
+# combines a list and a number, and a power of a list.
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(statement_strategy())
+@example(parse("3 - a*b == 2*(1 - b)^2 + (1 + c)*D(3) + 2*3"))
+@example(parse("constraint: a*d - b*c = 0; 3 - a*b == 2*(1 - b)^2 + (1 + c)*D(3) + 2*3"))
 def test_block_values_are_the_values_at_each_certificate_point(statement):
     values_by_block(statement)
 

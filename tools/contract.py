@@ -26,6 +26,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple, Optional, Union
 
@@ -65,6 +66,14 @@ def falsified_json(name: str, terms: int, witness: bytes) -> re.Pattern:
 
 
 FIRST_DRAW = b'["3/7","-8/5","7/8","3/5"]'
+# The product of (a - r) over the 110 rationals n/d, 1 <= |n|, d <= 9, that every seeded draw
+# takes each coordinate from, times (a - k) for k = 10..140: every draw is a root.
+SAMPLED = sorted({Fraction(n, d) for n in range(-9, 10) if n for d in range(1, 10)})
+ROOTS_MORE = (
+    "*".join(f"(a - {r})" if r > 0 else f"(a + {-r})" for r in SAMPLED)
+    + "".join(f"*(a - {k})" for k in range(10, 141))
+    + " == 0\n"
+).encode()
 CATALOG = b"""\
 ramanujan-6-10-8: 64*D(6)*D(10) == 45*D(8)^2 assuming a*d = b*c
 gen-3-7-5-six: 25*D(3)*D(7) == 21*D(5)^2 assuming a*d = b*c
@@ -183,6 +192,10 @@ CASES = (
     # Over the budget verify draws first, and the first draw falsifies it.
     Case("draw", VERIFY, 1, b"FALSIFIED draw witness=(3/7,-8/5,7/8,3/5)\n",
          text=b"((((D(10) - 3) - (A(1) - A(207))))^35 - (((A(3))^2)^1)^1) == -3/4\n", routes=BOTH, limit=10),
+    # Every seeded draw agrees, so --numeric reports the first grid point where the sides differ,
+    # a = 141, which lies past the grid's first block.
+    Case("roots-more", VERIFY, 1, b"FALSIFIED roots-more witness=(141,0,0,0)\n", text=ROOTS_MORE, routes=NUMERIC,
+         limit=10),
     # J is every degree 0..9,999, over the point budget, and the first draw falsifies it: the
     # degree pass takes one shift-or per member of the smaller side, where pairwise sums took 4.6 s.
     Case("wide", VERIFY, 1, b"FALSIFIED wide witness=(3/7,-8/5,7/8,3/5)\n",
