@@ -17,39 +17,39 @@ a*d = b*c.
 
 An IdentityStatement asserts lhs == rhs for expressions built from
 rationals, the variables, brackets, +, -, *, and integer powers, optionally
-assuming a*d - b*c = 0.  One evaluator, ``_value``, gives a statement its
-meaning at a point in plain exact arithmetic: ints where the point and the
+assuming a*d - b*c = 0.  It holds when one difference, P = lhs - rhs, is
+zero: P(a, a*b, a*c, a*b*c) under the constraint, whose surface a*d = b*c
+is read as the image of ``_on_surface``, and P itself otherwise.  One
+evaluator, ``_value``, runs a program, a tree's ``_postorder`` compiled
+once, at a point in plain exact arithmetic: ints where the point and the
 constants are integral, Fractions elsewhere, and Polynomials at the point
-(a, b, c, d) itself, which expands the statement.  Its points (a, b, c, d)
-come in a ``_Block``, which computes each bracket once: a block of one
-point for a seeded draw, for ``expr_value`` and for an expansion, and of
-up to ``_BLOCK_SIZE`` points on the grid below.  Under the constraint
-the surface a*d = b*c is read as the image of ``_on_surface``, (a, b, c) ->
-(a, a*b, a*c, a*b*c), so a statement holds when P(a, a*b, a*c, a*b*c) is
-the zero polynomial for P = lhs - rhs, and otherwise when P itself is.  A
-statement of brackets and numbers alone is a polynomial in the two
-triples' invariants (e2, e3, e2', e3'), with e2' = e2 under the constraint,
-by Newton's identities (``_PowerSums``).  The invariants are algebraically
-independent, so it holds exactly when that polynomial is zero.  Any other
-statement holds exactly when its sides agree at every integer point
-(a, b, c, d) of ``_Decision.blocks``, evaluated ``_BLOCK_SIZE`` points at
-a time.  Within that grid's budget, a statement whose sides are products
-sharing a factor F is decided by cancelling it (``_cancelled``): both
-routes decide in an integral domain, Q[a, b, c, d] or, under the
-constraint, Q[a, b, c] through ``_on_surface``, where F*(L - R) = 0
-exactly when F = 0 or L = R.  So L == R is decided first, then F == 0 for
-each distinct F; the report, its witness and its counts are still those
-of the whole statement.  ``_decide`` is the one home of that decision,
-and ``verify`` and ``spot_check`` both make it.  Seeded random draws pick
-a false statement's witness; over ``_POINT_BUDGET`` both routes take the
-first draw before anything else, then ``verify`` compares the power sums
-or expands, and ``spot_check`` refuses once its draws agree.  A falsified
+(a, b, c, d) itself, which expands it.  The points come in a ``_Block``,
+which computes each bracket once: of one point for a seeded draw, for
+``expr_value`` and for an expansion, and of up to ``_BLOCK_SIZE`` points
+on the grid below.  A statement of brackets and numbers alone makes P a
+polynomial in the two triples' invariants (e2, e3, e2', e3'), with e2' =
+e2 under the constraint, by Newton's identities (``_PowerSums``); they are
+algebraically independent, so it holds exactly when that polynomial is
+zero.  Any other statement holds exactly when P is zero at every integer
+point (a, b, c, d) of ``_Decision.blocks``.  Within that grid's budget, a
+statement whose sides are products sharing a factor F is decided by
+cancelling it (``_cancelled``): both routes decide in an integral domain,
+Q[a, b, c, d] or, under the constraint, Q[a, b, c] through
+``_on_surface``, where F*(L - R) = 0 exactly when F = 0 or L = R.  So
+L == R is decided first, then F == 0 for each distinct F; the report, its
+witness and its counts are still those of the whole statement.
+``_decide`` is the one home of that decision, and ``verify`` and
+``spot_check`` both make it.  Seeded random draws pick a false
+statement's witness; over ``_POINT_BUDGET`` both routes take the first
+draw before anything else, then ``verify`` decides in the power sums or
+expands, and ``spot_check`` refuses once its draws agree.  A falsified
 report counts the terms of the expanded difference only when its
 ``reduced_terms`` is read.  ``_decide`` first builds a ``_Decision`` by
 one degree pass, which refuses a statement with a node of degree over
 ``_POINT_BUDGET``, or a power of a constant with exponent over it, and
 prunes it: a subtree that is zero by construction becomes 0 and a zeroth
-power 1.  Every route then evaluates the pruned statement.
+power 1.  Every route then evaluates the decision's ``program``, the
+pruned P, and asks only whether its value is zero.
 """
 
 from __future__ import annotations
@@ -60,9 +60,9 @@ import time
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from itertools import islice, product, repeat
+from itertools import chain, compress, islice, product, repeat
 from math import comb, gcd, prod
-from operator import add, mul, ne, sub
+from operator import add, mul, sub
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from ._record import Record, replace, setfield
@@ -186,8 +186,8 @@ def expr_value(expr: Expr, point: Point) -> Fraction:
 
 
 def _at(expr: Expr, point: tuple) -> Union[int, Fraction, Polynomial]:
-    """The value at one point (a, b, c, d): ``_value`` at the ``_Block`` of that point alone."""
-    return _Block([point]).values(expr)[0]
+    """The value at one point (a, b, c, d): ``_value`` of the compiled tree at the ``_Block`` of that point alone."""
+    return _Block([point]).values(_postorder(expr))[0]
 
 
 def _postorder(expr: Expr) -> list[Expr]:
@@ -214,21 +214,22 @@ def _postorder(expr: Expr) -> list[Expr]:
     return order[::-1]
 
 
-def _value(expr: Expr, point: Union[_PowerSums, _Block]) -> Union[int, Fraction, Polynomial, list]:
-    """Value at the point, one exact value per node of ``_postorder`` on a value stack.
+def _value(program: list[Expr], point: Union[_PowerSums, _Block]) -> Union[int, Fraction, Polynomial, list]:
+    """Value at the point of a program, a tree's ``_postorder`` compiled once: one exact value per node on a stack.
 
-    The point gives each bracket through its ``of``.  A ``_PowerSums`` gives
-    it as a polynomial in the triples' invariants, and a variable no value.
-    At a ``_Block`` a bracket is the power sum of ``_triple`` and every node
-    is a list of its values, one per point, or one number for a constant
-    subtree; ``_apply`` combines them, and no list is changed in place,
-    since a variable's and a bracket's are the block's own.  Each value is
-    an ``int`` wherever the point and the constants are integral, as at
-    every certificate point, a ``Fraction`` elsewhere, and a ``Polynomial``
-    at ``_VARIABLE_POINT``, which mixes exactly with both.
+    It walks no tree.  The point gives each bracket through its ``of``.  A
+    ``_PowerSums`` gives it as a polynomial in the triples' invariants, and
+    a variable no value.  At a ``_Block`` a bracket is the power sum of
+    ``_triple`` and every node is a list of its values, one per point, or
+    one number for a constant subtree; ``_apply`` combines them, and no
+    list is changed in place, since a variable's and a bracket's are the
+    block's own.  Each value is an ``int`` wherever the point and the
+    constants are integral, as at every certificate point, a ``Fraction``
+    elsewhere, and a ``Polynomial`` at ``_VARIABLE_POINT``, which mixes
+    exactly with both.
     """
     of, values = point.of, []
-    for node in _postorder(expr):
+    for node in program:
         kind = type(node)
         if kind is Num:
             values.append(node.value.numerator if node.value.denominator == 1 else node.value)
@@ -322,10 +323,9 @@ class _PowerSums:
         return sums
 
 
-def _power_sums_agree(statement: IdentityStatement) -> bool:
-    """Whether a statement of brackets and numbers holds: its sides are equal in ``_PowerSums``."""
-    sums = _PowerSums(statement.constrained)
-    return _value(statement.lhs, sums) == _value(statement.rhs, sums)
+def _power_sums_agree(decision: _Decision) -> bool:
+    """Whether a statement of brackets and numbers holds: its program, lhs - rhs, is zero in ``_PowerSums``."""
+    return not _value(decision.program, _PowerSums(decision.statement.constrained))
 
 
 # ----------------------------------------------------------------------
@@ -487,10 +487,12 @@ class _Decision:
     """What ``_decide`` knows of a statement, built by its one degree pass and completed by ``_compared``.
 
     The statement as ``_degrees`` of lhs - rhs prunes it, J, the bounds and
-    ``bracket_only``, with the pass's ``ValueError`` prefixed by the name.
+    ``bracket_only``, with the pass's ``ValueError`` prefixed by the name;
+    and ``program``, the ``_postorder`` of the pruned lhs - rhs, compiled
+    once, which every route evaluates.
     """
 
-    __slots__ = ("statement", "degrees", "bounds", "bracket_only", "_grid_count", "invariant_count", "count", "outcome", "difference")
+    __slots__ = ("statement", "program", "degrees", "bounds", "bracket_only", "_grid_count", "invariant_count", "count", "outcome", "difference")
 
     def __init__(self, statement: IdentityStatement):
         difference = Sub(statement.lhs, statement.rhs)
@@ -503,6 +505,7 @@ class _Decision:
             lhs, rhs = (_ZERO, _ZERO) if pruned is _ZERO else (pruned.left, pruned.right)
             statement = replace(statement, lhs=lhs, rhs=rhs)
         self.statement = statement
+        self.program = _postorder(pruned)
         self._grid_count = None
         # How many weighted monomials lhs - rhs of a statement of brackets and
         # numbers can have in the invariants.  With e2 of weight 2 and e3 of
@@ -554,8 +557,8 @@ class _Decision:
         return _blocks((t, t * b, t * c, t * d) for b, c, d in grid for t in scales)
 
     def first_difference(self) -> Optional[tuple]:
-        """The first point of ``blocks`` where the sides differ; None where they agree, or over the budget."""
-        return _first_difference(self.statement, self.blocks() or ())
+        """The first point of ``blocks`` where lhs - rhs is nonzero; None where it is zero, or over the budget."""
+        return _first_difference(self.program, self.blocks() or ())
 
 
 # ----------------------------------------------------------------------
@@ -577,32 +580,28 @@ _BLOCK_SIZE = 128
 class _Block:
     """Points (a, b, c, d), evaluated together: a variable is the list of its coordinates.
 
-    The points are tuples, in order, transposed once into one list per
+    Its ``points`` are tuples, in order, transposed once into one list per
     coordinate; each point's linear forms come from its tuple.  Like
     ``_PowerSums``, a block gives each bracket through ``of``, and it
-    computes each power sum once, however often the sides use it.
+    computes each power sum once, however often a program uses it.
     """
 
     def __init__(self, points: list[tuple]):
-        self._points = points
+        self.points = points
         self._coordinates = tuple(map(list, zip(*points)))
         # Each (triple, power) once, since both sides often share brackets.
         self._sums: dict[tuple[int, int], list] = {}
 
     def __len__(self) -> int:
-        return len(self._points)
+        return len(self.points)
 
     def __getitem__(self, index: int) -> list:
         return self._coordinates[index]
 
-    def point(self, index: int) -> tuple:
-        """The coordinates (a, b, c, d) of one point of the block."""
-        return self._points[index]
-
     @cached_property
     def _forms(self) -> list[list[tuple]]:
         # Per triple, the three linear forms at each point.
-        return [[_triple(which, *point) for point in self._points] for which in (0, 1)]
+        return [[_triple(which, *point) for point in self.points] for which in (0, 1)]
 
     def of(self, triple: int, power: int) -> list:
         """p_power of triple 0 (the A brackets) or triple 1 (the B brackets) at each point."""
@@ -612,15 +611,10 @@ class _Block:
             self._sums[triple, power] = sums
         return sums
 
-    def values(self, expr: Expr) -> list:
-        """The value of ``expr`` at each point, in order."""
-        value = _value(expr, self)
+    def values(self, program: list[Expr]) -> list:
+        """The value of ``program`` at each point, in order."""
+        value = _value(program, self)
         return value if type(value) is list else [value] * len(self)
-
-    def disagreement(self, statement: IdentityStatement) -> Optional[tuple]:
-        """The first point of the block where the sides differ, else None."""
-        differs = list(map(ne, self.values(statement.lhs), self.values(statement.rhs)))
-        return self.point(differs.index(True)) if True in differs else None
 
 
 def _blocks(points: Iterator[tuple]) -> Iterator[_Block]:
@@ -629,9 +623,10 @@ def _blocks(points: Iterator[tuple]) -> Iterator[_Block]:
         yield _Block(block)
 
 
-def _first_difference(statement: IdentityStatement, blocks: Iterable[_Block]) -> Optional[tuple]:
-    """The first point where the sides differ, taking the blocks in order and none past its own; None where they agree."""
-    return next(filter(None, (block.disagreement(statement) for block in blocks)), None)
+def _first_difference(program: list[Expr], blocks: Iterable[_Block]) -> Optional[tuple]:
+    """The first point where ``program``, a lhs - rhs, is nonzero, taking the blocks in order and none past its own; else None."""
+    nonzero = (compress(block.points, block.values(program)) for block in blocks)
+    return next(chain.from_iterable(nonzero), None)
 
 
 _HOLDS, _FAILS, _OVER_BUDGET = "holds", "fails", "over budget"
@@ -641,15 +636,15 @@ def _decide(statement: IdentityStatement) -> _Decision:
     """The one decision of both routes: the statement's ``_Decision``, with its outcome set.
 
     A statement of brackets and numbers holds exactly when
-    ``_power_sums_agree``.  Any other holds exactly when its sides agree at
-    every point of its ``blocks``; within their budget, a statement whose
-    sides' products share factors is decided instead by ``_cancelled``,
-    since F*L == F*R holds exactly when L == R or F == 0.  The outcome is
-    ``_HOLDS``, ``_FAILS``, or ``_OVER_BUDGET`` when ``count`` is over the
-    budget and nothing was compared; ``difference`` is the first grid point
-    where the sides differ, which ``spot_check`` reports, else None, as
-    after a cancellation.  All of it is of the statement as given, never
-    of a cancelled part.
+    ``_power_sums_agree``.  Any other holds exactly when its lhs - rhs is
+    zero at every point of its ``blocks``; within their budget, a statement
+    whose sides' products share factors is decided instead by
+    ``_cancelled``, since F*L == F*R holds exactly when L == R or F == 0.
+    The outcome is ``_HOLDS``, ``_FAILS``, or ``_OVER_BUDGET`` when
+    ``count`` is over the budget and nothing was evaluated; ``difference``
+    is the first grid point where lhs - rhs is nonzero, which
+    ``spot_check`` reports, else None, as after a cancellation.  All of it
+    is of the statement as given, never of a cancelled part.
     """
     decision = _Decision(statement)
     if decision.count <= _POINT_BUDGET and not decision.bracket_only:
@@ -661,11 +656,11 @@ def _decide(statement: IdentityStatement) -> _Decision:
 
 
 def _compared(decision: _Decision) -> _Decision:
-    """``decision`` with its outcome set by comparing the sides, by their power sums or on the grid, with no cancelling."""
+    """``decision`` with its outcome set by its program, in the power sums or on the grid, with no cancelling."""
     decision.outcome = _OVER_BUDGET
     if decision.count <= _POINT_BUDGET:
         if decision.bracket_only:
-            holds = _power_sums_agree(decision.statement)
+            holds = _power_sums_agree(decision)
         else:
             decision.difference = decision.first_difference()
             holds = decision.difference is None
@@ -823,17 +818,17 @@ def verify(statement: IdentityStatement, seed: int = 0) -> VerificationReport:
     # rare statement whose zero set covers the sampling box.  Over the budget
     # it comes before the power sums or expansion, whose work is unbounded.
     rng = random.Random(seed)
-    witness, reduced = _first_disagreement(statement, 1, rng), None
+    witness, reduced = _first_disagreement(decision, 1, rng), None
     if witness is None and outcome is _OVER_BUDGET:
         if decision.bracket_only:
-            holds = _power_sums_agree(statement)
+            holds = _power_sums_agree(decision)
         else:
             reduced = reduce_difference(statement)
             holds = not reduced
         if holds:
             return _report(statement, start)
     if witness is None:
-        witness = _first_disagreement(statement, _WITNESS_DRAWS - 1, rng)
+        witness = _first_disagreement(decision, _WITNESS_DRAWS - 1, rng)
     if witness is None:
         reduced = reduce_difference(statement) if reduced is None else reduced
         witness = _integer_witness(reduced, statement.constrained)
@@ -867,7 +862,7 @@ def spot_check(statement: IdentityStatement, trials: int = _WITNESS_DRAWS, seed:
     statement = decision.statement
     if decision.outcome is _HOLDS:
         return _report(statement, start)
-    witness = _first_disagreement(statement, trials, random.Random(seed))
+    witness = _first_disagreement(decision, trials, random.Random(seed))
     if witness is not None:
         return _report(statement, start, witness)
     if decision.outcome is _OVER_BUDGET:
@@ -905,15 +900,14 @@ def _report(
     return VerificationReport(statement.name, verdict, witness, elapsed, count)
 
 
-def _first_disagreement(
-    statement: IdentityStatement, draws: int, rng: random.Random
-) -> Optional[Point]:
-    """The first of ``draws`` sample points where the sides differ, else None.
+def _first_disagreement(decision: _Decision, draws: int, rng: random.Random) -> Optional[Point]:
+    """The first of ``draws`` sample points where the decision's program is nonzero, else None.
 
     Each is a block of one point, drawn only once the draws before it agree.
     """
-    blocks = (_Block([_sample_point(statement.constrained, rng)]) for _ in range(draws))
-    return _first_difference(statement, blocks)
+    constrained = decision.statement.constrained
+    blocks = (_Block([_sample_point(constrained, rng)]) for _ in range(draws))
+    return _first_difference(decision.program, blocks)
 
 
 def _sample_point(constrained: bool, rng: random.Random) -> Point:

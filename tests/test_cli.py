@@ -344,7 +344,7 @@ def test_verify_numeric_reports_the_first_disagreement_past_the_first_block(caps
     assert out == "FALSIFIED roots witness=(141,0,0,0)\n"
     assert built == [identities._BLOCK_SIZE, 242 - identities._BLOCK_SIZE]
     decision = _Decision(load_statement(path))
-    points = [block.point(index) for block in decision.blocks() for index in range(len(block))]
+    points = [point for block in decision.blocks() for point in block.points]
     assert decision.grid_count == len(points) == 242
     assert identities._BLOCK_SIZE < points.index((141, 0, 0, 0)) < 2 * identities._BLOCK_SIZE
 
@@ -506,16 +506,16 @@ def test_verify_never_builds_what_a_zero_factor_or_zeroth_power_hides(capsys, tm
 
 
 def no_hidden_powers(monkeypatch):
-    """Make building any power fail when expanded, and evaluating a power of 60 or more at any point."""
+    """Make building any power fail when expanded, and evaluating a program with a power of 60 or more at any point."""
     value = identities._value
 
     def no_power(self, exponent):
         raise AssertionError("built a power that a zero factor or zeroth power hides")
 
-    def no_large_power(expr, point):
-        if any(type(node) is Pow and node.exponent >= 60 for node in identities._postorder(expr)):
+    def no_large_power(program, point):
+        if any(type(node) is Pow and node.exponent >= 60 for node in program):
             raise AssertionError("evaluated a power that a zero factor or zeroth power hides")
-        return value(expr, point)
+        return value(program, point)
 
     monkeypatch.setattr(Polynomial, "__pow__", no_power)
     monkeypatch.setattr(identities, "_value", no_large_power)

@@ -44,6 +44,7 @@ from trigident.identities import (
     _degrees,
     _integer_witness,
     _on_surface,
+    _postorder,
     _power_sums_agree,
     _sample_point,
     _triple,
@@ -341,7 +342,7 @@ def test_certificate_point_counts(text, points):
 
 def block_points(blocks):
     """Every point of the blocks in order, one tuple each."""
-    return [block.point(index) for block in blocks for index in range(len(block))]
+    return [point for block in blocks for point in block.points]
 
 
 def certificate_points(statement):
@@ -365,28 +366,31 @@ def certificate_points(statement):
 
 
 def values_by_block(statement):
-    """(point, lhs, rhs) at each certificate point, from the blocks ``spot_check`` evaluates.
+    """(point, lhs, rhs, difference) at each certificate point, from the blocks ``spot_check`` evaluates.
 
-    They must be what ``reference_value`` gives, and what a block of that
-    point alone gives, of the same types.
+    Each side is compiled alone, and the difference is the decision's
+    program, lhs - rhs as the degree pass prunes it.  They must be what
+    ``reference_value`` gives, and what a block of that point alone gives,
+    of the same types.
     """
-    blocks = _Decision(statement).blocks()
+    decision = _Decision(statement)
+    blocks = decision.blocks()
     if blocks is None:
         return []
+    programs = (_postorder(statement.lhs), _postorder(statement.rhs), decision.program)
     by_block = [
-        (block.point(index), lhs, rhs)
+        (point, *values)
         for block in blocks
-        for index, (lhs, rhs) in enumerate(zip(block.values(statement.lhs), block.values(statement.rhs)))
+        for point, *values in zip(block.points, *(block.values(program) for program in programs))
     ]
     by_point = [
-        (point, *(_Block([point]).values(side)[0] for side in (statement.lhs, statement.rhs)))
+        (point, *(_Block([point]).values(program)[0] for program in programs))
         for point in certificate_points(statement)
     ]
     assert by_block == by_point
-    assert all(
-        (lhs, rhs) == (reference_value(statement.lhs, point), reference_value(statement.rhs, point))
-        for point, lhs, rhs in by_block
-    )
+    for point, lhs, rhs, difference in by_block:
+        expected = reference_value(statement.lhs, point), reference_value(statement.rhs, point)
+        assert (lhs, rhs, difference) == (*expected, expected[0] - expected[1])
     assert [tuple(map(type, values)) for values in by_block] == [tuple(map(type, values)) for values in by_point]
     return by_block
 
@@ -399,9 +403,10 @@ def test_values_at_certificate_points_are_ints():
     for statement in catalog():
         values = values_by_block(statement)
         sizes.append(len(values))
-        for _, lhs, rhs in values:
+        for _, lhs, rhs, difference in values:
             assert type(lhs) is int
             assert type(rhs) is int
+            assert type(difference) is int
     assert sum(size > identities._BLOCK_SIZE for size in sizes) == 2
 
 
@@ -949,7 +954,7 @@ def test_power_sum_table_composes_to_the_expansion():
     sums = _PowerSums(constrained=False)
     for power in range(31):
         for kind in BracketKind:
-            assert compose(_value(Bracket(kind, power), sums)) == bracket_poly(kind, power), (kind, power)
+            assert compose(_value([Bracket(kind, power)], sums)) == bracket_poly(kind, power), (kind, power)
 
 
 def test_power_sums_follow_newtons_recurrence():
@@ -1035,7 +1040,7 @@ def test_power_sums_are_the_papers_polar_reading():
                 if t:
                     assert (power - 3 * k) % 2 == 0 and 3 * k <= power
                     polar = polar + amplitude * t * (4 * e3) ** k * rho_squared ** ((power - 3 * k) // 2)
-        assert polar == _value(Bracket(BracketKind.A, power), sums), power
+        assert polar == _value([Bracket(BracketKind.A, power)], sums), power
 
 
 
@@ -1082,7 +1087,7 @@ class GridDecision(_Decision):
 def test_power_sum_route_agrees_with_the_full_route(statement, seed):
     # The invariants are algebraically independent, so the power-sum route
     # decides the statement both ways.
-    assert _power_sums_agree(statement) is (not reduce_difference(statement))
+    assert _power_sums_agree(_Decision(statement)) is (not reduce_difference(statement))
     report = verify(statement, seed=seed)
     # The full route is the one a statement with a variable takes.
     with mock.patch.object(identities, "_Decision", GridDecision):
@@ -1094,7 +1099,7 @@ def test_only_bracket_statements_take_the_power_sum_route(monkeypatch):
     for statement in catalog():
         bracket_only = statement.name != "asym-6-8-factored"
         assert _Decision(statement).bracket_only is bracket_only, statement.name
-        assert not bracket_only or _power_sums_agree(statement), statement.name
+        assert not bracket_only or _power_sums_agree(_Decision(statement)), statement.name
 
     def no_table(self, constrained):
         raise AssertionError("built a power-sum table for a statement with a variable")
@@ -1242,7 +1247,7 @@ def grid_verdict(statement):
 def test_the_power_sums_decide_the_catalog_as_the_grid_does():
     for statement in [*catalog(), corrupted_ramanujan()]:
         if _Decision(statement).bracket_only:
-            assert _power_sums_agree(statement) is grid_verdict(statement) is (statement.name in CATALOG)
+            assert _power_sums_agree(_Decision(statement)) is grid_verdict(statement) is (statement.name in CATALOG)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -1262,7 +1267,7 @@ def test_the_power_sums_decide_the_catalog_as_the_grid_does():
 @example(IdentityStatement("lattice", Pow(Bracket(BracketKind.B, 2), 2),
                            Mul(Bracket(BracketKind.A, 2), Bracket(BracketKind.B, 2)), constrained=False))
 def test_the_power_sums_decide_what_the_grid_certificate_decides(statement):
-    assert _power_sums_agree(statement) is grid_verdict(statement)
+    assert _power_sums_agree(_Decision(statement)) is grid_verdict(statement)
 
 
 def agreeing_at_the_first_draw(bracket, exponent=1):

@@ -7,10 +7,11 @@ Run from anywhere, after ``pip install -e .``:
 ``CASES`` holds one row per case: the argv, the expected exit code, stdout
 and stderr, the statement file's exact bytes (written to a temporary
 ``NAME.rid``, which ``RID`` in the argv names), the routes to run and a
-wall-time limit in seconds.  An output is exact bytes, or a ``re`` pattern
-that must match all of it where an elapsed time or the temporary path
-appears.  The console script is ``main()`` with no argv, so every run
-parses ``sys.argv``.  A new case is one more row.
+wall-time limit in seconds, 10 unless the row sets a lower one.  An output
+is exact bytes, or a ``re`` pattern that must match all of it where an
+elapsed time or the temporary path appears.  The console script is
+``main()`` with no argv, so every run parses ``sys.argv``.  A new case is
+one more row.
 
 Each run is one ``trigident`` process, found on ``PATH``, one at a time.  A
 run over its limit is killed with its process group (POSIX).  Each failing
@@ -51,7 +52,7 @@ class Case(NamedTuple):
     err: Expected = b""
     text: Optional[bytes] = None
     routes: tuple = PLAIN
-    limit: Optional[float] = None
+    limit: float = 10
 
 
 def proved(name: str) -> re.Pattern:
@@ -95,55 +96,51 @@ CASES = (
     # On the grid certificate: a statement with a variable.
     Case("asym-6-8-factored", ("verify", "asym-6-8-factored"), 0, proved("asym-6-8-factored")),
     # 83,328 grid points, over the 10,000 budget, so it is expanded.
-    Case("over", VERIFY, 0, proved("over"), text=b"(7*a - 3)*(b + c + d)^60 == (7*a - 3)*(b + c + d)^60\n",
-         limit=10),
+    Case("over", VERIFY, 0, proved("over"), text=b"(7*a - 3)*(b + c + d)^60 == (7*a - 3)*(b + c + d)^60\n"),
     # Expanded as well, and limited to pin the expansion route's speed: a certificate the
     # variable puts over the budget, and a power of four terms built by repeated squaring.
-    Case("expand", VERIFY, 0, proved("expand"), text=b"A(200)*A(2) == A(2)*A(200) + a - a\n", limit=10),
-    Case("square", VERIFY, 0, proved("square"), text=b"(a+b+c+d)^40 == (a+b+c+d)^40 + a - a\n", limit=10),
-    # The bound is far past the last power that can qualify; the CI job's own timeout guards its cost.
+    Case("expand", VERIFY, 0, proved("expand"), text=b"A(200)*A(2) == A(2)*A(200) + a - a\n"),
+    Case("square", VERIFY, 0, proved("square"), text=b"(a+b+c+d)^40 == (a+b+c+d)^40 + a - a\n"),
+    # The bound is far past the last power that can qualify.
     Case("five", ("discover", "-N", "5", "--max-n", "1000000", "--emit", "json"), 0, FIVE),
     # A power over the degree budget, with the stderr that tests/test_cli.py pins.
     Case("huge", VERIFY, 2, b"", b"trigident: huge: degree 1000000000000 is over the budget of 10000\n",
          text=b"a^1000000000000 == 0\n"),
-    Case("high", VERIFY, 0, proved("high"), text=b"A(2000) == A(2000)\n", limit=10),
+    Case("high", VERIFY, 0, proved("high"), text=b"A(2000) == A(2000)\n"),
     # Constrained, with a variable: false on the grid, and falsified at the first seeded draw on
     # both routes.  A FALSIFIED line has no elapsed time, so its bytes are pinned.
     Case("plus", VERIFY, 1, b"FALSIFIED plus witness=(3/7,-8/5,7/8,-49/15)\n",
          text=CONSTRAINT + b"64*D(6)*D(10) == 45*D(8)^2 + a^16\n", routes=BOTH),
     # A certificate exactly at the 10,000-point budget.
-    Case("budget", VERIFY, 0, proved("budget"), text=CONSTRAINT + b"b^99*c^99 == b^99*c^99\n", routes=NUMERIC,
-         limit=10),
+    Case("budget", VERIFY, 0, proved("budget"), text=CONSTRAINT + b"b^99*c^99 == b^99*c^99\n", routes=NUMERIC),
     # Brackets and numbers alone: the power sums, held to the budget by their count in the
     # triples' invariants, prove D(100) at 595 and D(150)*D(3) at 1,378, over the budget of the
     # (a, b, c, d) grid, and refuse D(210)*D(210) at 10,011.
-    Case("d100", VERIFY, 0, proved("d100"), text=CONSTRAINT + b"D(100) == D(100)\n", routes=NUMERIC, limit=10),
-    Case("d150", VERIFY, 0, proved("d150"), text=CONSTRAINT + b"D(150)*D(3) == D(3)*D(150)\n", routes=NUMERIC,
-         limit=10),
+    Case("d100", VERIFY, 0, proved("d100"), text=CONSTRAINT + b"D(100) == D(100)\n", routes=NUMERIC),
+    Case("d150", VERIFY, 0, proved("d150"), text=CONSTRAINT + b"D(150)*D(3) == D(3)*D(150)\n", routes=NUMERIC),
     Case("d210", VERIFY, 2, b"",
          b"trigident: d210: deciding it exactly needs at least 10011 integer points, over the budget of 10000,"
          b" and all 100 seeded draws agree; verify it symbolically instead\n",
-         text=CONSTRAINT + b"D(210)*D(210) == D(210)^2\n", routes=NUMERIC, limit=10),
+         text=CONSTRAINT + b"D(210)*D(210) == D(210)^2\n", routes=NUMERIC),
     # Settled by the first seeded draw, before anything is expanded.
-    Case("d200", VERIFY, 1, b"FALSIFIED d200 witness=(3/7,-8/5,7/8,3/5)\n", text=b"D(200) == 0\n", limit=10),
+    Case("d200", VERIFY, 1, b"FALSIFIED d200 witness=(3/7,-8/5,7/8,3/5)\n", text=b"D(200) == 0\n"),
     # The JSON report expands the difference to count its 79,202 terms; powers of at most three
     # terms are written out by the multinomial theorem.
     Case("d200", (*VERIFY, "--format", "json"), 1, falsified_json("d200", 79202, FIRST_DRAW),
-         text=b"D(200) == 0\n", limit=10),
+         text=b"D(200) == 0\n"),
     # The degree pass prunes what a zero factor hides before any route runs, where building the
     # hidden power takes 44 s or more; the false one counts the one term of its pruned difference.
-    Case("hidden", VERIFY, 0, proved("hidden"), text=b"0*(a+b+c+d)^80 == 0\n", limit=10),
+    Case("hidden", VERIFY, 0, proved("hidden"), text=b"0*(a+b+c+d)^80 == 0\n"),
     Case("hidden-false", (*VERIFY, "--format", "json"), 1, falsified_json("hidden-false", 1, FIRST_DRAW),
-         text=b"0*(a+b+c+d)^80 + a == 0\n", limit=10),
+         text=b"0*(a+b+c+d)^80 + a == 0\n"),
     # More relations than the budget: refused before any is built.
     Case("wide", ("discover", "-N", "1000", "--max-n", "1000000000000", "--emit", "json"), 2, b"",
-         b"trigident: the query has 62250 relations, over the budget of 10000\n", limit=10),
+         b"trigident: the query has 62250 relations, over the budget of 10000\n"),
     # Parsing and evaluation use explicit stacks: a 5,000-term flat sum and a bracket under 3,000
     # nested parentheses are proved, and 3,000 unclosed ones refused at the error's position.
-    Case("flat", VERIFY, 0, proved("flat"), text=b" + ".join([b"a"] * 5000) + b" == 5000*a\n", routes=BOTH,
-         limit=10),
+    Case("flat", VERIFY, 0, proved("flat"), text=b" + ".join([b"a"] * 5000) + b" == 5000*a\n", routes=BOTH),
     Case("deep", VERIFY, 0, proved("deep"),
-         text=CONSTRAINT + b"(" * 3000 + b"D(6)" + b"*1 + 0)^1" * 3000 + b" == D(6)\n", routes=BOTH, limit=10),
+         text=CONSTRAINT + b"(" * 3000 + b"D(6)" + b"*1 + 0)^1" * 3000 + b" == D(6)\n", routes=BOTH),
     Case("unclosed", VERIFY, 2, b"", re.compile(rb"trigident: .*unclosed\.rid: 1:3003: expected '\)', got '=='\n"),
          text=b"(" * 3000 + b"a == a\n"),
     # Only a newline ends a line: CRLF line ends and comment lines, and an error on line 3.
@@ -185,17 +182,16 @@ CASES = (
     # product, whose own 3,001-point grid takes about 20 s, by its rest 1 == 1; and under the
     # constraint by D(2) == 0 in the power sums, since a == b fails on the grid.
     Case("shared", VERIFY, 0, proved("shared"), text=b"(b + c)^3*(25*A(3)*A(7)) == (b + c)^3*(21*A(5)^2)\n",
-         routes=BOTH, limit=10),
+         routes=BOTH),
     Case("product", VERIFY, 0, proved("product"),
-         text=b" == ".join([b"*".join([b"(a+b)"] * 3000)] * 2) + b"\n", routes=BOTH, limit=10),
-    Case("surface", VERIFY, 0, proved("surface"), text=CONSTRAINT + b"D(2)*a == D(2)*b\n", routes=BOTH, limit=10),
+         text=b" == ".join([b"*".join([b"(a+b)"] * 3000)] * 2) + b"\n", routes=BOTH),
+    Case("surface", VERIFY, 0, proved("surface"), text=CONSTRAINT + b"D(2)*a == D(2)*b\n", routes=BOTH),
     # Over the budget verify draws first, and the first draw falsifies it.
     Case("draw", VERIFY, 1, b"FALSIFIED draw witness=(3/7,-8/5,7/8,3/5)\n",
-         text=b"((((D(10) - 3) - (A(1) - A(207))))^35 - (((A(3))^2)^1)^1) == -3/4\n", routes=BOTH, limit=10),
+         text=b"((((D(10) - 3) - (A(1) - A(207))))^35 - (((A(3))^2)^1)^1) == -3/4\n", routes=BOTH),
     # Every seeded draw agrees, so --numeric reports the first grid point where the sides differ,
     # a = 141, which lies past the grid's first block.
-    Case("roots-more", VERIFY, 1, b"FALSIFIED roots-more witness=(141,0,0,0)\n", text=ROOTS_MORE, routes=NUMERIC,
-         limit=10),
+    Case("roots-more", VERIFY, 1, b"FALSIFIED roots-more witness=(141,0,0,0)\n", text=ROOTS_MORE, routes=NUMERIC),
     # J is every degree 0..9,999, over the point budget, and the first draw falsifies it: the
     # degree pass takes one shift-or per member of the smaller side, where pairwise sums took 4.6 s.
     Case("wide", VERIFY, 1, b"FALSIFIED wide witness=(3/7,-8/5,7/8,3/5)\n",
