@@ -20,8 +20,8 @@ rationals, the variables, brackets, +, -, *, and integer powers, optionally
 assuming a*d - b*c = 0.  It holds when one difference, P = lhs - rhs, is
 zero: P(a, a*b, a*c, a*b*c) under the constraint, whose surface a*d = b*c
 is read as the image of ``_on_surface``, and P itself otherwise.  One
-evaluator, ``_value``, runs a program, a tree's ``_postorder`` compiled
-once, at a point in plain exact arithmetic: ints where the point and the
+evaluator, ``_value``, runs a program, a tree's nodes in ``_postorder``,
+at a point in plain exact arithmetic: ints where the point and the
 constants are integral, Fractions elsewhere, and Polynomials at the point
 (a, b, c, d) itself, which expands it.  The points come in a ``_Block``,
 which computes each bracket once: of one point for a seeded draw, for
@@ -47,9 +47,9 @@ report counts the terms of the expanded difference only when its
 ``reduced_terms`` is read.  ``_decide`` first builds a ``_Decision`` by
 one degree pass, which refuses a statement with a node of degree over
 ``_POINT_BUDGET``, or a power of a constant with exponent over it, and
-prunes it: a subtree that is zero by construction becomes 0 and a zeroth
-power 1.  Every route then evaluates the decision's ``program``, the
-pruned P, and asks only whether its value is zero.
+compiles P as it walks it, pruned: a subtree that is zero by
+construction becomes 0 and a zeroth power 1.  Every route, expansion too,
+evaluates that ``program`` and asks only whether its value is zero.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ _OPERATORS = {Add: add, Sub: sub, Mul: mul}
 
 def expr_to_poly(expr: Expr) -> Polynomial:
     """Fully expanded polynomial of an expression: its value at (a, b, c, d)."""
-    value = _at(expr, _VARIABLE_POINT)
+    value = _at(_postorder(expr), _VARIABLE_POINT)
     return value if isinstance(value, Polynomial) else Polynomial.constant(value)
 
 
@@ -182,12 +182,12 @@ def expr_value(expr: Expr, point: Point) -> Fraction:
     semantics against a plain Fraction reference.  Negative powers raise
     ``ValueError``.
     """
-    return Fraction(_at(expr, point))
+    return Fraction(_at(_postorder(expr), point))
 
 
-def _at(expr: Expr, point: tuple) -> Union[int, Fraction, Polynomial]:
-    """The value at one point (a, b, c, d): ``_value`` of the compiled tree at the ``_Block`` of that point alone."""
-    return _Block([point]).values(_postorder(expr))[0]
+def _at(program: list[Expr], point: tuple) -> Union[int, Fraction, Polynomial]:
+    """The value of a program at one point (a, b, c, d): ``_value`` at the ``_Block`` of that point alone."""
+    return _Block([point]).values(program)[0]
 
 
 def _postorder(expr: Expr) -> list[Expr]:
@@ -357,25 +357,27 @@ _POINT_BUDGET = 10_000
 _ZERO, _ONE = Num(Fraction(0)), Num(Fraction(1))
 
 
-def _degrees(expr: Expr, free: str) -> tuple[Expr, frozenset[int], tuple[int, ...], bool]:
-    """The pruned expression, its homogeneous degrees J, a degree bound per free variable, and whether it has no variable.
+def _degrees(expr: Expr, free: str) -> tuple[list[Expr], frozenset[int], tuple[int, ...], bool]:
+    """The pruned program, its homogeneous degrees J, a degree bound per free variable, and whether it has no variable.
 
     ``free`` is "bcd", or "bc" under the constraint, where d := b*c; a
     becomes the scale t.  J is empty for a tree that is zero by
-    construction, and this is the one place that prunes: a node with
-    empty J becomes 0 and a zeroth power 1, so the value is the same at
-    every point, and an unchanged tree comes back as itself.  J, the
-    bounds and the flag are those of the tree as given.  Each node's J is
-    held as an int bitmask, bit j set for degree j, and made a frozenset
-    once, at the root: a union is ``|``, a product's J is ``_sumset`` and a
-    power's ``_multiple``.  Raises ``ValueError`` as ``_postorder`` does,
-    for a node of degree or a power of a constant with exponent over the
-    budget, and as soon as J outgrows it, before building J where its size
+    construction, and this is the one place that prunes.  The program is
+    the tree's one ``_postorder``, each node appended as it is: a node with
+    empty J has its span cut and replaced by 0, and a zeroth power by 1,
+    so the value is the same at every point.  J, the bounds and the flag
+    are those of the tree as given.  Each node's J is held as an int
+    bitmask, bit j set for degree j, and made a frozenset once, at the
+    root: a union is ``|``, a product's J is ``_sumset`` and a power's
+    ``_multiple``.  Raises ``ValueError`` as ``_postorder`` does, for a
+    node of degree or a power of a constant with exponent over the budget,
+    and as soon as J outgrows it, before building J where its size
     follows; a degree is checked before its bit is set.
     """
-    nodes, bracket_only = [], True
+    # Per node on the stack: where its span in the program starts, J and the bounds.
+    program, stack, bracket_only = [], [], True
     for node in _postorder(expr):
-        kind = type(node)
+        kind, start = type(node), len(program)
         if kind is Num:
             degrees, bounds = int(node.value != 0), (0,) * len(free)
         elif kind is Var:
@@ -386,33 +388,30 @@ def _degrees(expr: Expr, free: str) -> tuple[Expr, frozenset[int], tuple[int, ..
             _within_degree(node.power)
             degrees, bounds = 1 << node.power, (node.power,) * len(free)
         elif kind is Pow:
-            base, base_degrees, base_bounds = nodes.pop()
+            start, base_degrees, base_bounds = stack.pop()
             if node.exponent > _POINT_BUDGET and base_degrees <= 1:
                 # Degree 0, but the value of the power is still huge.
                 raise _over_budget(f"exponent {node.exponent}")
             degrees = _multiple(base_degrees, node.exponent)
             bounds = tuple(node.exponent * bound for bound in base_bounds)
-            if node.exponent == 0:
-                node = _ONE
-            elif base is not node.base:
-                node = Pow(base, node.exponent)
         else:
-            right, right_degrees, right_bounds = nodes.pop()
-            left, left_degrees, left_bounds = nodes.pop()
+            _, right_degrees, right_bounds = stack.pop()
+            start, left_degrees, left_bounds = stack.pop()
             if kind is Mul:
                 degrees, bounds = _sumset(left_degrees, right_degrees), tuple(map(add, left_bounds, right_bounds))
             else:
                 degrees, bounds = left_degrees | right_degrees, tuple(map(max, left_bounds, right_bounds))
                 _within_budget(degrees.bit_count())
-            if left is not node.left or right is not node.right:
-                node = kind(left, right)
         # Bound every node, not only the difference, and before it is pruned: a
         # zero factor or a zeroth power hides a huge one from the whole.
         _within_degree(degrees.bit_length() - 1)
-        # A zero constant is 0 already.
-        nodes.append((node if degrees or kind is Num else _ZERO, degrees, bounds))
-    pruned, degrees, bounds = nodes.pop()
-    return pruned, frozenset(_members(degrees)), bounds, bracket_only
+        # A zero constant is 0 already, and a zeroth power, of J {0}, is 1.
+        if not degrees and kind is not Num or kind is Pow and not node.exponent:
+            del program[start:]
+            node = _ONE if degrees else _ZERO
+        program.append(node)
+        stack.append((start, degrees, bounds))
+    return program, frozenset(_members(degrees)), bounds, bracket_only
 
 
 def _within_budget(size: int) -> None:
@@ -486,26 +485,20 @@ def _multiple(degrees: int, exponent: int) -> int:
 class _Decision:
     """What ``_decide`` knows of a statement, built by its one degree pass and completed by ``_compared``.
 
-    The statement as ``_degrees`` of lhs - rhs prunes it, J, the bounds and
-    ``bracket_only``, with the pass's ``ValueError`` prefixed by the name;
-    and ``program``, the ``_postorder`` of the pruned lhs - rhs, compiled
-    once, which every route evaluates.
+    The statement as given; and what ``_degrees`` gives of its lhs - rhs,
+    with the pass's ``ValueError`` prefixed by the name: ``program``, the
+    pruned lhs - rhs compiled once, which every route evaluates, J, the
+    bounds and ``bracket_only``.
     """
 
     __slots__ = ("statement", "program", "degrees", "bounds", "bracket_only", "_grid_count", "invariant_count", "count", "outcome", "difference")
 
     def __init__(self, statement: IdentityStatement):
-        difference = Sub(statement.lhs, statement.rhs)
+        self.statement, difference = statement, Sub(statement.lhs, statement.rhs)
         try:
-            pruned, self.degrees, self.bounds, self.bracket_only = _degrees(difference, "bc" if statement.constrained else "bcd")
+            self.program, self.degrees, self.bounds, self.bracket_only = _degrees(difference, "bc" if statement.constrained else "bcd")
         except ValueError as exc:
             raise ValueError(f"{statement.name}: {exc}") from None
-        if pruned is not difference:
-            # Only a difference of two zeros is pruned whole.
-            lhs, rhs = (_ZERO, _ZERO) if pruned is _ZERO else (pruned.left, pruned.right)
-            statement = replace(statement, lhs=lhs, rhs=rhs)
-        self.statement = statement
-        self.program = _postorder(pruned)
         self._grid_count = None
         # How many weighted monomials lhs - rhs of a statement of brackets and
         # numbers can have in the invariants.  With e2 of weight 2 and e3 of
@@ -515,9 +508,8 @@ class _Decision:
         # <= j/2; under the constraint, where e2' = e2, it follows from (k, m),
         # with k + m <= j/3.  So |J|*C(floor(max J/2) + 3, 3), or
         # |J|*C(floor(max J/3) + 2, 2) under the constraint, bounds the terms
-        # of the power sums' difference, and of each node of the sides that
-        # ``_degrees`` prunes, whose degrees are never more, nor larger, than
-        # J's.
+        # of the power sums' difference, and of each node of ``program``, whose
+        # degrees are never more, nor larger, than J's.
         dimension, weight = (2, 3) if statement.constrained else (3, 2)
         self.invariant_count = len(self.degrees) * comb(max(self.degrees, default=0) // weight + dimension, dimension)
         # The one of the two counts that ``_POINT_BUDGET`` holds.
@@ -639,7 +631,8 @@ def _decide(statement: IdentityStatement) -> _Decision:
     ``_power_sums_agree``.  Any other holds exactly when its lhs - rhs is
     zero at every point of its ``blocks``; within their budget, a statement
     whose sides' products share factors is decided instead by
-    ``_cancelled``, since F*L == F*R holds exactly when L == R or F == 0.
+    ``_cancelled``, since F*L == F*R holds exactly when L == R or F == 0,
+    unless its count is 0: J is empty, and it is zero by construction.
     The outcome is ``_HOLDS``, ``_FAILS``, or ``_OVER_BUDGET`` when
     ``count`` is over the budget and nothing was evaluated; ``difference``
     is the first grid point where lhs - rhs is nonzero, which
@@ -647,8 +640,8 @@ def _decide(statement: IdentityStatement) -> _Decision:
     is of the statement as given, never of a cancelled part.
     """
     decision = _Decision(statement)
-    if decision.count <= _POINT_BUDGET and not decision.bracket_only:
-        holds = _cancelled(decision.statement)
+    if 0 < decision.count <= _POINT_BUDGET and not decision.bracket_only:
+        holds = _cancelled(statement)
         if holds is not None:
             decision.outcome = _HOLDS if holds else _FAILS
             return decision
@@ -671,18 +664,24 @@ def _compared(decision: _Decision) -> _Decision:
 def _cancelled(statement: IdentityStatement) -> Optional[bool]:
     """Whether F*L == F*R holds, decided as L == R or else F == 0 for each shared F; None if no F or a part is over budget.
 
-    The factors are those of each side's top-level product, matched across
-    the sides as a multiset by ``_key``; numbers are not matched, and a side
-    with no factor left is 1.  Both routes decide in an integral domain:
+    The factors are those of each side's top-level product as given,
+    matched across the sides as a multiset by ``_key``, and each part's own
+    ``_Decision`` prunes it; numbers are not matched, and a side with no
+    factor left is 1.  Both routes decide in an integral domain:
     Q[a, b, c, d], or under the constraint Q[a, b, c] through
     ``_on_surface``, which is also what the power sums decide.  There
     F*(L - R) is zero exactly when F or L - R is.  Each part is decided by
     ``_compared``, under the statement's constraint, with no second attempt
     to cancel, since it shares no factor itself: the rests have none in
     common, and F == 0 has 0 on the right.
-    The parts' degrees and counts are never over the statement's, so None
-    for a part over budget, which falls back to the statement's own grid,
-    is only a guard.
+    A part's count is never over the statement's, whose J ``_decide`` found
+    nonempty, so every F, and L or R, has a nonempty J.  A product's J
+    holds each factor's shifted by the others' least degree, and its bounds
+    add, so a part's J is a shifted subset of the statement's, with no
+    larger top degree, bounds or grid; of brackets and numbers, whose
+    bounds are at least their top degree, its invariant count is at most
+    that grid's size.  None for a part over budget, which falls back to
+    the statement's own grid, is only a guard.
     """
     lhs, rhs = _factors(statement.lhs), _factors(statement.rhs)
     unmatched: dict[tuple, list[int]] = {}
@@ -785,12 +784,14 @@ class VerificationReport(Record, hidden=("_count_terms",)):
 def reduce_difference(statement: IdentityStatement) -> Polynomial:
     """lhs - rhs expanded at (a, b, c, d), or at ``_on_surface(a, b, c)`` when constrained.
 
+    It expands ``_Decision(statement).program``, so it prunes and refuses
+    as ``_Decision`` does, with its ``ValueError``, naming the statement.
     Under the constraint the result is P(a, a*b, a*c, a*b*c) for P = lhs -
     rhs, the polynomial ``_decide`` evaluates at its certificate; it is
     zero exactly when the statement holds on the a != 0 chart of a*d = b*c.
     """
     point = _on_surface(*_VARIABLE_POINT[:3]) if statement.constrained else _VARIABLE_POINT
-    return Polynomial.zero() + _at(Sub(statement.lhs, statement.rhs), point)
+    return Polynomial.zero() + _at(_Decision(statement).program, point)
 
 
 def verify(statement: IdentityStatement, seed: int = 0) -> VerificationReport:
@@ -809,8 +810,7 @@ def verify(statement: IdentityStatement, seed: int = 0) -> VerificationReport:
     """
     start = time.perf_counter()
     decision = _decide(statement)
-    statement, outcome = decision.statement, decision.outcome
-    if outcome is _HOLDS:
+    if decision.outcome is _HOLDS:
         return _report(statement, start)
     # A false statement's difference is a nonzero polynomial, so random
     # rational points miss its zero set with overwhelming probability and
@@ -819,7 +819,7 @@ def verify(statement: IdentityStatement, seed: int = 0) -> VerificationReport:
     # it comes before the power sums or expansion, whose work is unbounded.
     rng = random.Random(seed)
     witness, reduced = _first_disagreement(decision, 1, rng), None
-    if witness is None and outcome is _OVER_BUDGET:
+    if witness is None and decision.outcome is _OVER_BUDGET:
         if decision.bracket_only:
             holds = _power_sums_agree(decision)
         else:
@@ -844,7 +844,7 @@ def spot_check(statement: IdentityStatement, trials: int = _WITNESS_DRAWS, seed:
     ``trials`` seeded draws where the sides differ: free coordinates are
     nonzero rationals with numerator and denominator bounded by 9, and d =
     b*c/a under the constraint, so a*d = b*c exactly.  The draws, like the
-    rest of the report, are of the whole pruned statement, never of a
+    rest of the report, are of the statement's own program, never of a
     cancelled part.  If every draw agrees, it is the first point of the
     whole statement's ``blocks`` where they differ, or, over their
     budget, which only brackets and numbers reach here,
@@ -859,7 +859,6 @@ def spot_check(statement: IdentityStatement, trials: int = _WITNESS_DRAWS, seed:
         raise ValueError(f"trials must be positive, got {trials}")
     start = time.perf_counter()
     decision = _decide(statement)
-    statement = decision.statement
     if decision.outcome is _HOLDS:
         return _report(statement, start)
     witness = _first_disagreement(decision, trials, random.Random(seed))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from trigident import cli, identities
 from trigident.algebra import Polynomial
 from trigident.cli import CliError, build_parser, run
-from trigident.dsl import load_statement
+from trigident.dsl import load_statement, parse
 from trigident.fourier import POWER_BUDGET
 from trigident.identities import CATALOG, Pow, _Decision, expr_value
 
@@ -560,6 +560,24 @@ def test_a_false_statement_with_a_hidden_subtree_counts_the_pruned_difference(ca
     assert (report["verdict"], report["reduced_terms"], report["witness"]) == (
         "FALSIFIED", 1, ["3/7", "-8/5", "7/8", "3/5"]
     )
+
+
+def test_reduce_difference_expands_the_pruned_difference(monkeypatch):
+    # The public expansion evaluates the decision's program, so the power that
+    # the zero factor hides, of 91,881 terms expanded, is never built.
+    no_hidden_powers(monkeypatch)
+    statement = parse("0*(a+b+c+d)^80 + a*b == a*b", "hidden")
+    start = time.perf_counter()
+    assert identities.reduce_difference(statement) == Polynomial.zero()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_reduce_difference_refuses_what_the_decision_refuses():
+    # The zero factor hides a power of degree 10**12 from the difference, but
+    # not from the decision, whose error names the statement.
+    statement = parse("0*(2*a)^1000000000000 == 0", "huge")
+    with pytest.raises(ValueError, match="^huge: degree 1000000000000 is over the budget of 10000$"):
+        identities.reduce_difference(statement)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 from functools import cache
@@ -411,15 +412,31 @@ def test_values_at_certificate_points_are_ints():
 
 
 def test_degree_sets_are_sumsets():
-    # The first member is the pruned tree, the last says whether the tree
-    # has no variable.
+    # The first member is the pruned program, the last says whether the
+    # tree has no variable.
     sum_of_two = Add(Mul(Var("a"), Var("b")), Pow(Add(Var("a"), Bracket(BracketKind.D, 5)), 2))
-    assert _degrees(sum_of_two, "bcd") == (sum_of_two, frozenset({2, 10, 6}), (10, 10, 10), False)
+    assert _degrees(sum_of_two, "bcd") == (_postorder(sum_of_two), frozenset({2, 10, 6}), (10, 10, 10), False)
     zero, one = Num(Fraction(0)), Num(Fraction(1))
-    assert _degrees(Mul(zero, Var("d")), "bc") == (zero, frozenset(), (1, 1), False)
-    assert _degrees(Pow(zero, 0), "bc") == (one, frozenset({0}), (0, 0), True)
+    assert _degrees(Mul(zero, Var("d")), "bc") == (_postorder(zero), frozenset(), (1, 1), False)
+    assert _degrees(Pow(zero, 0), "bc") == (_postorder(one), frozenset({0}), (0, 0), True)
     three_a2 = Mul(Bracket(BracketKind.A, 2), Num(Fraction(3)))
-    assert _degrees(three_a2, "bc") == (three_a2, frozenset({2}), (2, 2), True)
+    assert _degrees(three_a2, "bc") == (_postorder(three_a2), frozenset({2}), (2, 2), True)
+
+
+def program_key(program):
+    """A program as ``identities._key`` flattens a tree: each node's type and own fields, its children left out.
+
+    Two programs have equal keys exactly when they are the ``_postorder``
+    of equal trees, even where a node kept its children as given.
+    """
+    fields = {Num: ("value",), Var: ("name",), Bracket: ("kind", "power"), Pow: ("exponent",)}
+    return tuple(item for node in program for item in (type(node), *(getattr(node, name) for name in fields.get(type(node), ()))))
+
+
+def same_nodes(program, expr):
+    """Whether ``program`` is ``_postorder(expr)`` node for node, each the very same object."""
+    nodes = _postorder(expr)
+    return len(program) == len(nodes) and all(map(operator.is_, program, nodes))
 
 
 def test_a_huge_power_is_over_budget_before_any_degree_set_is_built(monkeypatch):
@@ -513,13 +530,19 @@ def reference_multiple(degrees, exponent):
 
 
 def degree_outcome(degrees, expr, free):
-    """What a degree pass gives: the pruned tree, whether it is ``expr`` itself, J, the bounds and the flag, or the error."""
+    """What a degree pass gives: its program's key, whether it is ``expr``'s own postorder, J, the bounds and the flag, or the error."""
     try:
-        pruned, found, bounds, bracket_only = degrees(expr, free)
+        program, found, bounds, bracket_only = degrees(expr, free)
     except ValueError as exc:
         return str(exc)
     assert type(found) is frozenset
-    return pruned, pruned is expr, found, bounds, bracket_only
+    return program_key(program), same_nodes(program, expr), found, bounds, bracket_only
+
+
+def reference_program(expr, free):
+    """``reference_degrees`` with its pruned tree compiled by ``_postorder``."""
+    pruned, *rest = reference_degrees(expr, free)
+    return (_postorder(pruned), *rest)
 
 
 # Zero factors, zeroth powers, exponents of 10**12 and brackets over the
@@ -555,7 +578,7 @@ degree_trees = st.recursive(
 @example(Pow(Add(Pow(Var("a"), 2), Bracket(BracketKind.D, 4)), 3), "bcd")
 @example(Pow(Sub(Bracket(BracketKind.A, 5000), Bracket(BracketKind.B, 10_000)), 2), "bc")
 def test_degree_pass_matches_the_frozenset_reference(expr, free):
-    assert degree_outcome(_degrees, expr, free) == degree_outcome(reference_degrees, expr, free)
+    assert degree_outcome(_degrees, expr, free) == degree_outcome(reference_program, expr, free)
 
 
 def test_a_wide_power_product_has_every_degree_below_the_budget():
@@ -850,6 +873,17 @@ def test_a_part_left_by_cancelling_is_not_cancelled_again(check, monkeypatch):
     assert check(parse("(a + b)*(c + d) == (a + b)*(d + c)", "swapped")).verdict is Verdict.PROVED
 
 
+@pytest.mark.parametrize("check", [verify, spot_check], ids=["symbolic", "numeric"])
+def test_a_statement_zero_by_construction_is_not_cancelled(check, monkeypatch):
+    # The shared factor (0*a)^2 has an empty J, and so has the difference,
+    # whose grid has no point; the part (a+b+c+d)^40 == b would need more.
+    def refuse(statement):
+        raise AssertionError("cancelled a statement that is zero by construction")
+
+    monkeypatch.setattr(identities, "_cancelled", refuse)
+    assert check(parse("(0*a)^2*(a+b+c+d)^40 == (0*a)^2*b", "zero")).verdict is Verdict.PROVED
+
+
 # ----------------------------------------------------------------------
 # the constraint surface
 
@@ -1125,10 +1159,13 @@ def test_verify_draws_before_the_power_sums_over_the_budget(monkeypatch):
 
 def test_pruning_drops_only_what_no_degree_shows():
     zero, one, hidden = Num(Fraction(0)), Num(Fraction(1)), Pow(Add(Bracket(BracketKind.A, 2), Var("a")), 80)
-    # The degree pass prunes as it goes; what it leaves is returned as itself.
+    # The degree pass prunes as it goes; what it leaves is compiled node for
+    # node, and the statement is kept as given.
     ramanujan = catalog_entry("ramanujan-6-10-8")
-    assert _degrees(ramanujan.lhs, "bc")[0] is ramanujan.lhs
-    assert _Decision(ramanujan).statement is ramanujan
+    decision = _Decision(ramanujan)
+    assert decision.statement is ramanujan
+    assert decision.program[-1] == Sub(ramanujan.lhs, ramanujan.rhs)
+    assert same_nodes(decision.program, decision.program[-1])
     cases = [
         (Mul(hidden, zero), zero),
         (Pow(hidden, 0), one),
@@ -1139,7 +1176,7 @@ def test_pruning_drops_only_what_no_degree_shows():
     ]
     point = _sample_point(False, random.Random(0))
     for expr, expected in cases:
-        assert _degrees(expr, "bcd")[0] == expected
+        assert program_key(_degrees(expr, "bcd")[0]) == program_key(_postorder(expected))
         assert expr_value(expr, point) == expr_value(expected, point)
 
 

@@ -5,7 +5,7 @@ Run from anywhere, once per tree to compare:
     python3 tools/sameout.py --out FILE
 
 It calls ``trigident.cli.run`` in-process, with this checkout's ``src``
-first on the path, on 3,900 invocations:
+first on the path, on 3,916 invocations:
 
 * the 3,560 invocations of the gate: the 5 catalog entries and the 440
   ``generate``/``true_versions`` statements of ``bench/statements.py`` for
@@ -15,7 +15,8 @@ first on the path, on 3,900 invocations:
   among them statements with a variable over the point budget, false
   statements that every seeded draw satisfies, so that their witness is a
   grid point, grids of exactly two and four full blocks, and sides that
-  share a product factor, among them factors that the degree pass prunes.
+  share a product factor, among them factors that the degree pass prunes,
+  and factors that are equal only once pruned.
 
 Each line of FILE is a JSON list: the argv, the exit code, stdout with the
 elapsed time removed, and stderr.  Statements are written as ``.rid``
@@ -60,8 +61,9 @@ SAMPLED = sorted({Fraction(n, d) for n in range(-9, 10) if n for d in range(1, 1
 ROOTS = "*".join(f"(a - {r})" if r > 0 else f"(a + {-r})" for r in SAMPLED)
 # 300 factors (a+b), for both sides to share.
 PRODUCT = "*".join(["(a+b)"] * 300)
-# A factor b, with a power the degree pass prunes.
-HIDDEN = "b + 0*(a+b+c+d)^80"
+# A factor b, with a power the degree pass prunes, and one that differs from
+# it only in that power.
+HIDDEN, APART = "b + 0*(a+b+c+d)^80", "b + 0*(a+b+c+d)^79"
 EXTRAS = {
     # Brackets and numbers, at and around the invariant count's budget.
     "a60-b40": ("A(60)*B(40) == B(40)*A(60)", ROUTES, FORMATS),
@@ -122,11 +124,15 @@ EXTRAS = {
     "shared-300": (f"{PRODUCT} == {PRODUCT}", ROUTES, FORMATS),
     "shared-300-false": (f"{PRODUCT}*a == {PRODUCT}*b", ROUTES, FORMATS),
     # Shared factors that hold a subtree the degree pass prunes, so the
-    # factors are matched as pruned: the rest holds in the power sums; the
+    # factors are matched as given: the rest holds in the power sums; the
     # rest a == c fails at the first draw and F does not vanish; and F's
     # zeroth power is 1, with D(2) zero on the surface.
     "shared-hidden": (f"({HIDDEN})*(25*A(3)*A(7)) == ({HIDDEN})*(21*A(5)^2)", ROUTES, FORMATS),
     "shared-hidden-false": (f"({HIDDEN})*a == ({HIDDEN})*c", ROUTES, FORMATS),
+    # Factors equal only once pruned, which are not matched, so the whole
+    # statement is decided on its grid: true, and false at the first draw.
+    "shared-apart": (f"({HIDDEN})*(25*A(3)*A(7)) == ({APART})*(21*A(5)^2)", ROUTES, FORMATS),
+    "shared-apart-false": (f"({HIDDEN})*a == ({APART})*c", ROUTES, FORMATS),
     "shared-zeroth": (CONSTRAINT + "((a+b+c+d)^80)^0*D(2)*a == ((a+b+c+d)^80)^0*D(2)*b", ROUTES, FORMATS),
     # Fails to parse.
     "unparsable": ("a == (b", ROUTES, FORMATS),
